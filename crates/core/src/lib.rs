@@ -37,6 +37,7 @@ pub mod checkpoint;
 mod config;
 mod external_encoder;
 mod features;
+mod inference;
 mod interval_encoder;
 pub mod io_guard;
 mod model;
@@ -55,6 +56,7 @@ pub use checkpoint::{TrainProgress, TrainingCheckpoint, CHECKPOINT_VERSION};
 pub use config::DeepOdConfig;
 pub use external_encoder::ExternalFeaturesEncoder;
 pub use features::{EncodedOd, EncodedSample, FeatureContext};
+pub use inference::InferenceModel;
 pub use interval_encoder::TimeIntervalEncoder;
 pub use io_guard::IoGuardError;
 pub use model::{DeepOdModel, ModelError, PredictRequest, PredictResponse};

@@ -35,6 +35,10 @@ pub enum ModelError {
     /// to any road segment (per-request failure of [`DeepOdModel::
     /// estimate_batch`]; the rest of the batch is unaffected).
     UnmatchedEndpoints,
+    /// A [`PredictRequest::Encoded`] carried an index outside an embedding
+    /// table or a feature of the wrong shape (per-request, like
+    /// [`Self::UnmatchedEndpoints`]); names the offending field.
+    MalformedEncoding(&'static str),
 }
 
 impl fmt::Display for ModelError {
@@ -47,6 +51,9 @@ impl fmt::Display for ModelError {
                 f,
                 "origin or destination could not be matched to the road network"
             ),
+            ModelError::MalformedEncoding(what) => {
+                write!(f, "malformed encoded request: {what}")
+            }
         }
     }
 }
