@@ -237,13 +237,13 @@ fn bench_kernels(c: &mut Criterion) {
         );
     });
     {
-        use deepod_core::{FeatureContext, PredictRequest, QuantizedModel};
+        use deepod_core::{FeatureContext, InferenceModel, PredictRequest};
         let ds = small_dataset();
         let cfg = small_config();
         let mut trainer = Trainer::new(&ds, cfg.clone(), TrainOptions::default()).expect("trainer");
         trainer.train();
         let model = trainer.model().clone();
-        let quantized = QuantizedModel::from_model(&model);
+        let quantized = InferenceModel::quantized(&model);
         let ctx = FeatureContext::build(&ds, cfg.slot_seconds).expect("valid bench config");
         let reqs: Vec<PredictRequest> = ds
             .test

@@ -68,8 +68,8 @@ requests -> reject all) with hysteresis, instead of a binary \"queue
 full\" cliff.
 
 Fault tolerance: --workers N shards the queue over N supervised workers
-(env DEEPOD_SERVE_WORKERS; default 1), each with a copy-on-write model
-replica; a panicking worker is restarted and its in-flight requests are
+(env DEEPOD_SERVE_WORKERS; default 1) sharing one immutable inference
+model; a panicking worker is restarted and its in-flight requests are
 retried up to --retry-budget times (deterministic backoff) before
 failing with a typed \"worker crashed\" reply. --deadline-ms sheds
 requests that wait longer than MS in the queue (\"deadline exceeded\")
@@ -415,7 +415,7 @@ fn eval_cmd(args: &Args) -> Result<Outcome, String> {
             "int8-mape-bound",
             deepod_eval::PrecisionGate::DEFAULT_MAPE_DELTA_PCT,
         )?;
-        let qm = deepod_core::QuantizedModel::from_model(&model);
+        let qm = deepod_core::InferenceModel::quantized(&model);
         let rep = deepod_eval::PrecisionGate::new(bound)
             .evaluate(&model, &qm, &ctx, &ds, &ds.test, 0)
             .map_err(|e| format!("precision gate: {e}"))?;
@@ -486,7 +486,7 @@ fn int8_backend(
         "int8-mape-bound",
         deepod_eval::PrecisionGate::DEFAULT_MAPE_DELTA_PCT,
     )?;
-    let qm = deepod_core::QuantizedModel::from_model(&model);
+    let qm = deepod_core::InferenceModel::quantized(&model);
     let sample = if ds.test.is_empty() {
         &ds.train
     } else {
@@ -504,7 +504,7 @@ fn int8_backend(
                     ("model_bytes", qm.size_bytes().into()),
                 ],
             );
-            Ok(Backend::Quantized(Box::new(qm)))
+            Ok(Backend::Inference(std::sync::Arc::new(qm)))
         }
         Ok(rep) => {
             deepod_core::obs::warn(

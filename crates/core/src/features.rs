@@ -304,13 +304,21 @@ mod tests {
     fn interval_slots_cover_duration() {
         let ds = small_ds();
         let ctx = FeatureContext::build(&ds, 300.0).expect("valid slot size");
-        let enc = ctx.encode_orders(&ds.net, &ds.train[..10.min(ds.train.len())]);
-        for s in &enc {
-            for (step, raw) in s.steps.iter().zip(&ds.train[0].trajectory.path) {
-                // Δd = tp(exit) − tp(enter) + 1 ≥ 1 (Eq. 4).
-                assert!(!step.slot_nodes.is_empty());
-                let _ = raw;
+        let slots = ctx.slots();
+        let mut checked = 0;
+        for order in ds.train.iter().take(10) {
+            let Some(s) = ctx.encode_order(&ds.net, order) else {
+                continue;
+            };
+            assert_eq!(s.steps.len(), order.trajectory.path.len());
+            for (step, raw) in s.steps.iter().zip(&order.trajectory.path) {
+                // Δd = tp(exit) − tp(enter) + 1 (Eq. 4), against the
+                // sample's own order.
+                let delta_d = slots.slot(raw.exit) - slots.slot(raw.enter) + 1;
+                assert_eq!(step.slot_nodes.len(), delta_d);
+                checked += 1;
             }
         }
+        assert!(checked > 0, "no step was checked");
     }
 }

@@ -44,7 +44,6 @@ mod model;
 pub mod obs;
 mod od_encoder;
 pub mod oracle;
-mod quantized;
 mod runtime;
 mod temporal_graph;
 mod timeslot;
@@ -65,7 +64,6 @@ pub use oracle::{
     model_fingerprint, precompute, OdKeyer, OdOracle, OracleEntry, OracleError, OracleKey,
     PrecomputeSpec, ORACLE_VERSION,
 };
-pub use quantized::QuantizedModel;
 pub use runtime::{
     configured_cache_capacity, configured_oracle_path, configured_serve_workers, RuntimeConfig,
     RuntimeError, RuntimeOverrides,

@@ -6,6 +6,7 @@ use crate::ablation::EmbeddingInit;
 use crate::config::DeepOdConfig;
 use crate::external_encoder::ExternalFeaturesEncoder;
 use crate::features::{EncodedOd, EncodedSample, FeatureContext};
+use crate::inference::InferenceModel;
 use crate::interval_encoder::TimeIntervalEncoder;
 use crate::od_encoder::OdEncoder;
 use crate::temporal_graph::{build_temporal_graph, temporal_graph_day_only};
@@ -73,8 +74,8 @@ impl From<crate::io_guard::IoGuardError> for ModelError {
     }
 }
 
-/// One unit of inference work for [`DeepOdModel::estimate_batch`] — the
-/// single public entry point to online estimation. Both the raw form (an
+/// One unit of inference work for [`InferenceModel::estimate_batch`] (and
+/// its [`DeepOdModel::estimate_batch`] delegate). Both the raw form (an
 /// OD query that still needs road-network matching) and the pre-encoded
 /// form (features already extracted, e.g. validation samples) flow through
 /// the same batched path.
@@ -83,7 +84,8 @@ pub enum PredictRequest {
     /// A raw OD query; matched against the road network per request, which
     /// can fail with [`ModelError::UnmatchedEndpoints`].
     Raw(OdInput),
-    /// An already-encoded OD (skips feature extraction; cannot fail).
+    /// An already-encoded OD (skips feature extraction); an index or shape
+    /// the model cannot consume fails with [`ModelError::MalformedEncoding`].
     Encoded(EncodedOd),
 }
 
@@ -455,56 +457,13 @@ impl DeepOdModel {
         (parts, g.backward(nodes.loss))
     }
 
-    /// Online estimation of one pre-encoded OD (Alg. 1, `Estimation`):
-    /// only M_O and M_E run. Internal building block of the batched entry
-    /// point; external callers go through [`Self::estimate_batch`].
-    pub(crate) fn eval_encoded(&mut self, od: &EncodedOd) -> f32 {
-        let mut g = Graph::new();
-        let code = self.od_enc.encode(
-            &mut g,
-            &self.store,
-            &self.road_emb,
-            &self.slot_emb,
-            &mut self.external_enc,
-            od,
-            false,
-        );
-        let y = self.head.forward(&mut g, &self.store, code);
-        self.denormalize_y(g.value(y).item()).max(0.0)
-    }
-
-    /// Answers one request on a (possibly cloned) model instance.
-    fn answer(
-        &mut self,
-        ctx: &FeatureContext,
-        net: &deepod_roadnet::RoadNetwork,
-        req: &PredictRequest,
-    ) -> Result<PredictResponse, ModelError> {
-        let eta_seconds = match req {
-            PredictRequest::Raw(od) => {
-                let enc = ctx
-                    .encode_od(net, od)
-                    .ok_or(ModelError::UnmatchedEndpoints)?;
-                self.eval_encoded(&enc)
-            }
-            PredictRequest::Encoded(enc) => self.eval_encoded(enc),
-        };
-        Ok(PredictResponse { eta_seconds })
-    }
-
-    /// Batched online estimation — **the** public inference entry point.
+    /// Batched online estimation (Alg. 1, `Estimation`: only M_O and M_E
+    /// run) — **the** public inference entry point on a trained model.
     ///
-    /// Requests are answered independently: a sample that cannot be
-    /// matched to the road network yields [`ModelError::UnmatchedEndpoints`]
-    /// in its slot without affecting its neighbors. With `threads > 1` the
-    /// batch is split into contiguous spans via
-    /// [`deepod_tensor::parallel::map_ranges`]; each span runs on a cheap
-    /// copy-on-write clone of the model and the per-span outputs are
-    /// re-concatenated in span order. Every sample builds its own tape, so
-    /// predictions are bit-identical for any `(threads, batch size)` —
-    /// the same contract the data-parallel trainer keeps (DESIGN.md §6).
-    ///
-    /// `threads == 0` defers to the process-wide configured default.
+    /// A thin delegate: it derives the f32 [`InferenceModel`] view of the
+    /// current weights (`Arc` clones, no weight copy, never cached) and
+    /// runs [`InferenceModel::estimate_batch`], which documents the
+    /// per-request error and `(threads, batch size)` bit-identity contract.
     pub fn estimate_batch(
         &self,
         ctx: &FeatureContext,
@@ -512,33 +471,7 @@ impl DeepOdModel {
         reqs: &[PredictRequest],
         threads: usize,
     ) -> Vec<Result<PredictResponse, ModelError>> {
-        if reqs.is_empty() {
-            return Vec::new();
-        }
-        let mut t = deepod_tensor::parallel::resolve_threads(threads)
-            .min(reqs.len())
-            .max(1);
-        if threads == 0 {
-            // Default-threaded serving never fans out wider than the
-            // machine; explicit thread counts are honored as requested.
-            t = t.min(deepod_tensor::parallel::hardware_parallelism());
-        }
-        deepod_tensor::parallel::map_ranges(reqs.len(), t, |span| {
-            // Clone-per-span: the parameter store is Arc-backed, so this
-            // shares all weights; only batch-norm scratch state is copied.
-            let mut local = self.clone();
-            // `map_ranges` only hands out in-bounds spans; an empty
-            // slice (rather than a panic) is the right degradation if
-            // that contract ever breaks.
-            reqs.get(span)
-                .unwrap_or(&[])
-                .iter()
-                .map(|r| local.answer(ctx, net, r))
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
+        InferenceModel::from_model(self).estimate_batch(ctx, net, reqs, threads)
     }
 
     /// The model's batch-norm layers in a fixed order (interval encoder,
@@ -829,6 +762,40 @@ mod tests {
             out[2].as_ref().map(|r| r.eta_seconds.to_bits()),
             "a failing neighbor must not perturb other requests"
         );
+    }
+
+    #[test]
+    fn malformed_encodings_fail_per_request_not_per_batch() {
+        let (ds, ctx, cfg) = tiny_setup();
+        let model = DeepOdModel::new(&cfg, &ds, &ctx).expect("valid test config");
+        let good = ctx.encode_od(&ds.net, &ds.train[0].od).expect("matched");
+        let broken: [fn(&mut EncodedOd, &FeatureContext); 5] = [
+            |e, ctx| e.origin_edge = ctx.num_edges(),
+            |e, _| e.dest_edge = usize::MAX,
+            |e, ctx| e.depart_node = ctx.num_slot_nodes(),
+            |e, _| e.weather_onehot.truncate(3),
+            |e, _| e.speed_matrix = std::sync::Arc::new(Tensor::zeros(&[4, 4])),
+        ];
+        let mut reqs = vec![PredictRequest::Encoded(good.clone())];
+        for breaker in broken {
+            let mut bad = good.clone();
+            breaker(&mut bad, &ctx);
+            reqs.push(PredictRequest::Encoded(bad));
+            reqs.push(PredictRequest::Encoded(good.clone()));
+        }
+        let out = model.estimate_batch(&ctx, &ds.net, &reqs, 2);
+        let want = out[0].as_ref().expect("well-formed").eta_seconds.to_bits();
+        for (i, r) in out.iter().enumerate() {
+            if i % 2 == 0 {
+                let eta = r.as_ref().expect("well-formed neighbor").eta_seconds;
+                assert_eq!(eta.to_bits(), want, "slot {i} perturbed");
+            } else {
+                assert!(
+                    matches!(r, Err(ModelError::MalformedEncoding(_))),
+                    "slot {i}: {r:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -58,7 +58,7 @@ impl OdEncoder {
     }
 
     /// Whether Z⁹ includes the external-features `ocode` (false for the
-    /// N-other ablation). Exposed for quantized-model export.
+    /// N-other ablation). Exposed for lowering to `InferenceModel`.
     pub fn uses_external(&self) -> bool {
         self.variant.uses_external()
     }

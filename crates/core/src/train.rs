@@ -6,6 +6,7 @@
 use crate::checkpoint::{TrainProgress, TrainingCheckpoint, CHECKPOINT_VERSION};
 use crate::config::DeepOdConfig;
 use crate::features::{EncodedSample, FeatureContext};
+use crate::inference::InferenceModel;
 use crate::model::{DeepOdModel, ModelError};
 use deepod_nn::{AdamOptimizer, Gradients, LrSchedule};
 use deepod_roadnet::RoadNetwork;
@@ -228,10 +229,9 @@ impl<'a> Trainer<'a> {
     }
 
     /// Predicts travel times for a batch of orders with the current model
-    /// (splits the context/model borrows internally). With more than one
-    /// worker thread each span of orders runs on its own model clone;
-    /// spans are contiguous and re-concatenated in order, so the output is
-    /// identical for every thread count.
+    /// (splits the context/model borrows internally). Spans of orders are
+    /// contiguous and re-concatenated in order, so the output is identical
+    /// for every thread count.
     pub fn predict_orders(&mut self, orders: &[deepod_traj::TaxiOrder]) -> Vec<Option<f32>> {
         let reqs: Vec<crate::PredictRequest> = orders
             .iter()
@@ -277,24 +277,17 @@ impl<'a> Trainer<'a> {
             return f32::NAN;
         }
         let t = self.threads().min(n).max(1);
-        if t == 1 {
-            let mut acc = 0.0f32;
-            for s in &self.val_samples[..n] {
-                let pred = self.model.eval_encoded(&s.od);
-                acc += (pred - s.travel_time).abs();
-            }
-            return acc / n as f32;
-        }
         // Per-span partial sums, added back in span order: the total is a
         // fixed left-to-right sum over spans, deterministic per thread
-        // count.
-        let model = &self.model;
+        // count (one span at one thread, i.e. the plain serial sum).
+        let model = InferenceModel::from_model(&self.model);
         let samples = &self.val_samples;
         let sums = deepod_tensor::parallel::map_ranges(n, t, |span| {
-            let mut local = model.clone();
             let mut acc = 0.0f32;
             for s in &samples[span] {
-                let pred = local.eval_encoded(&s.od);
+                // Samples come from this trainer's own context, so the
+                // encoding is well-formed; NaN would poison the MAE loudly.
+                let pred = model.eval_encoded(&s.od).unwrap_or(f32::NAN);
                 acc += (pred - s.travel_time).abs();
             }
             acc

@@ -1,7 +1,7 @@
 //! Property test: [`DeepOdModel::estimate_batch`] is bit-identical to
-//! answering the same requests one at a time through the deprecated
-//! sequential API, for any thread count and any batch composition
-//! (raw / encoded / unmatchable, in any order).
+//! answering the same requests one at a time (single-request calls at one
+//! thread), for any thread count and any batch composition (raw / encoded
+//! / unmatchable, in any order).
 //!
 //! This is the contract that lets the serving layer coalesce arbitrary
 //! micro-batches without changing a single answer (DESIGN.md §11).

@@ -7,7 +7,7 @@
 //! sample) always passes; only a MAPE regression beyond the bound fails.
 
 use crate::metrics::{Metrics, MetricsError, PredPair};
-use deepod_core::{DeepOdModel, FeatureContext, PredictRequest, QuantizedModel};
+use deepod_core::{DeepOdModel, FeatureContext, InferenceModel, PredictRequest};
 use deepod_traj::{CityDataset, TaxiOrder};
 
 /// Accuracy bound for selecting the int8 serving path.
@@ -87,7 +87,7 @@ impl PrecisionGate {
     pub fn evaluate(
         &self,
         model: &DeepOdModel,
-        quantized: &QuantizedModel,
+        quantized: &InferenceModel,
         ctx: &FeatureContext,
         ds: &CityDataset,
         orders: &[TaxiOrder],
@@ -176,7 +176,7 @@ mod tests {
         };
         let ctx = FeatureContext::build(&ds, cfg.slot_seconds).expect("valid slot size");
         let model = DeepOdModel::new(&cfg, &ds, &ctx).expect("valid test config");
-        let qm = QuantizedModel::from_model(&model);
+        let qm = InferenceModel::quantized(&model);
         let rep = PrecisionGate::default()
             .evaluate(&model, &qm, &ctx, &ds, &ds.test, 1)
             .expect("gate evaluates");

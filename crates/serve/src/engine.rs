@@ -9,7 +9,7 @@
 //! thread (see [`crate::supervisor`]) that coalesces micro-batches —
 //! closing a batch at [`EngineConfig::max_batch`] requests or when the
 //! oldest request has waited [`EngineConfig::max_wait_ms`] — and runs
-//! each batch through [`DeepOdModel::estimate_batch`]. Each reply travels
+//! each batch through [`InferenceModel::estimate_batch`]. Each reply travels
 //! back on a per-request channel wrapped in a [`ReplyHandle`], which
 //! converts a dead reply slot into a typed [`ServeError::WorkerCrashed`]
 //! instead of ever blocking a caller forever.
@@ -27,7 +27,7 @@ use deepod_baselines::RouteTtePredictor;
 use deepod_core::obs::registry;
 use deepod_core::oracle::OracleKey;
 use deepod_core::{
-    DeepOdModel, FeatureContext, ModelError, PredictRequest, PredictResponse, QuantizedModel,
+    DeepOdModel, FeatureContext, InferenceModel, ModelError, PredictRequest, PredictResponse,
 };
 use deepod_traj::CityDataset;
 
@@ -141,29 +141,15 @@ impl Default for EngineConfig {
 /// the model could not be loaded (graceful degradation — the process
 /// keeps serving, each reply is marked degraded).
 pub enum Backend {
-    /// A loaded DeepOD model; replies are not degraded.
+    /// A loaded DeepOD model, served at f32; replies are not degraded.
     Model(Box<DeepOdModel>),
-    /// The int8-quantized serving path (`--precision int8`): per-row
-    /// quantized MLP weights, f32 accumulation, tape-free forward.
-    /// Replies are not degraded — selection is gated on eval accuracy.
-    Quantized(Box<QuantizedModel>),
+    /// An already-lowered inference model at whichever precision it was
+    /// built with (`--precision int8` passes the quantized one, after the
+    /// eval accuracy gate). Replies are not degraded.
+    Inference(Arc<InferenceModel>),
     /// The shortest-route-over-historical-speeds fallback (must already be
     /// fit); every reply is marked degraded.
     RouteTte(Box<RouteTtePredictor>),
-}
-
-impl Clone for Backend {
-    /// Copy-on-write replica: `DeepOdModel` / `QuantizedModel` parameters
-    /// are `Arc`-backed, so a clone shares weight storage — this is the
-    /// per-worker replica path and the supervisor's rebuild-after-panic
-    /// path.
-    fn clone(&self) -> Backend {
-        match self {
-            Backend::Model(m) => Backend::Model(m.clone()),
-            Backend::Quantized(m) => Backend::Quantized(m.clone()),
-            Backend::RouteTte(p) => Backend::RouteTte(p.clone()),
-        }
-    }
 }
 
 impl Backend {
@@ -171,10 +157,29 @@ impl Backend {
     pub fn precision_name(&self) -> &'static str {
         match self {
             Backend::Model(_) => "f32",
-            Backend::Quantized(_) => "int8",
+            Backend::Inference(m) => m.precision_name(),
             Backend::RouteTte(_) => "fallback",
         }
     }
+
+    /// What the workers run: both model variants lower to the one
+    /// immutable inference type, so a worker has one model arm.
+    fn lower(self) -> Replica {
+        match self {
+            Backend::Model(m) => Replica::Model(Arc::new(InferenceModel::from_model(&m))),
+            Backend::Inference(m) => Replica::Model(m),
+            Backend::RouteTte(p) => Replica::RouteTte(p),
+        }
+    }
+}
+
+/// A worker's backend. Cloning is the per-worker replica path and the
+/// supervisor's rebuild-after-panic path: the model is shared behind its
+/// `Arc` (it is immutable), the stateful fallback is copied.
+#[derive(Clone)]
+pub(crate) enum Replica {
+    Model(Arc<InferenceModel>),
+    RouteTte(Box<RouteTtePredictor>),
 }
 
 /// One answer from the engine.
@@ -312,7 +317,7 @@ impl InferenceEngine {
 
     /// Starts the engine: registers its metric keys (so every snapshot
     /// carries them, even at zero) and spawns one supervised worker per
-    /// shard, each with a copy-on-write replica of the backend. When a
+    /// shard, each with a replica of the lowered backend. When a
     /// fitted `fallback` is given, requests admitted while the ladder is
     /// at `Degrade` or worse are answered by it (marked degraded) to
     /// shed model latency under load.
@@ -368,7 +373,7 @@ impl InferenceEngine {
             cache: cache_tier,
         });
         let master = Arc::new(Master {
-            backend,
+            backend: backend.lower(),
             fallback,
             ctx: Arc::new(ctx),
             ds,

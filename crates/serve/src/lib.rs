@@ -11,8 +11,8 @@
 //!   requests into micro-batches (closing a batch at
 //!   [`EngineConfig::max_batch`] requests or after the oldest request has
 //!   waited [`EngineConfig::max_wait_ms`]) and runs them through
-//!   [`deepod_core::DeepOdModel::estimate_batch`] on a per-worker
-//!   copy-on-write model replica.
+//!   [`deepod_core::InferenceModel::estimate_batch`] on the one immutable
+//!   model every worker shares.
 //! * Supervision — a per-shard supervisor catches worker panics, restarts
 //!   the worker with its replica rebuilt (`serve.worker_restarts`), and
 //!   either requeues or fails the in-flight batch with a typed

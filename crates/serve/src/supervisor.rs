@@ -10,7 +10,7 @@
 //!
 //! ```text
 //! loop {
-//!     replica  = master.clone()            // CoW: Arc-backed weights
+//!     replica  = master.clone()            // Arc-shared immutable model
 //!     outcome  = catch_unwind(worker_loop(replica))
 //!     Ok(_)    -> return                   // queue closed and drained
 //!     Err(_)   -> counter serve.worker_restarts
@@ -36,7 +36,7 @@ use deepod_core::obs::{self, registry};
 use deepod_core::FeatureContext;
 use deepod_traj::CityDataset;
 
-use crate::engine::{Backend, Pending, ServeError, Shared};
+use crate::engine::{Pending, Replica, ServeError, Shared};
 use crate::shed::backoff_ms;
 use crate::worker::worker_loop;
 
@@ -44,7 +44,7 @@ use crate::worker::worker_loop;
 /// a fresh replica from it on start and after every crash, so a panic
 /// can never leave a shard running half-poisoned state.
 pub(crate) struct Master {
-    pub(crate) backend: Backend,
+    pub(crate) backend: Replica,
     pub(crate) fallback: Option<RouteTtePredictor>,
     pub(crate) ctx: Arc<FeatureContext>,
     pub(crate) ds: Arc<CityDataset>,

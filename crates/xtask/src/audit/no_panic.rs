@@ -13,8 +13,8 @@ use crate::callgraph::CallGraph;
 use crate::parser::PanicKind;
 use std::collections::BTreeMap;
 
-/// The declared hot-path roots: `DeepOdModel::estimate_batch`, the
-/// public kernel dispatchers, the serve engine's worker loop plus its
+/// The declared hot-path roots: `InferenceModel::estimate_batch` and its
+/// `DeepOdModel` delegate, the public kernel dispatchers, the serve engine's worker loop plus its
 /// submit entry points, and the serving cache tier's lookup/insert path
 /// (consulted before queue admission on every raw request), and the TCP
 /// front end's per-connection reader/writer loops. A missing root is
@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 /// because a function moved.
 pub const DEFAULT_ROOTS: [(&str, &str); 13] = [
     ("crates/core/src/model.rs", "estimate_batch"),
-    ("crates/core/src/quantized.rs", "estimate_batch"),
+    ("crates/core/src/inference.rs", "estimate_batch"),
     ("crates/tensor/src/kernels.rs", "matmul"),
     ("crates/tensor/src/kernels.rs", "matvec_bias_act"),
     ("crates/tensor/src/kernels.rs", "matvec_i8_bias_act"),

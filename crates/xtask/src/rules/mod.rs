@@ -39,16 +39,11 @@
 //! | `no-unbounded-cache`| a cache-named `.insert(` in a file with no capacity  |
 //! |                     | bound or eviction in sight (a cache that only grows  |
 //! |                     | is a slow memory leak)                               |
-//! | `no-deprecated-inference` | a `fn estimate` / `estimate_encoded` /         |
-//! |                     | `estimate_orders` declaration in the inference       |
-//! |                     | crates (the deleted single-request shims must not    |
-//! |                     | reappear; `estimate_batch` is the one entry point)   |
 //!
 //! The workspace-level *audit* rules (call-graph analyses, DESIGN.md §13)
 //! live under `crate::audit` but register here so both passes report
 //! through one vocabulary.
 
-mod deprecated_inference;
 mod env_read;
 mod eprintln_rule;
 mod float_eq;
@@ -75,7 +70,7 @@ use std::fmt;
 pub const DETERMINISTIC_CRATES: [&str; 4] = ["core", "nn", "tensor", "graphembed"];
 
 /// All lint rule names, in report order.
-pub const ALL_RULES: [&str; 14] = [
+pub const ALL_RULES: [&str; 13] = [
     "unwrap",
     "expect",
     "panic",
@@ -89,7 +84,6 @@ pub const ALL_RULES: [&str; 14] = [
     "no-unchecked-simd",
     "no-unsupervised-spawn",
     "no-unbounded-cache",
-    "no-deprecated-inference",
 ];
 
 /// All audit rule names, in report order (analyses live in `crate::audit`).
@@ -145,7 +139,7 @@ pub struct RuleInfo {
 
 /// The single registry shared by `lint` and `audit`: every rule either
 /// pass can report, with its default severity and description.
-pub const REGISTRY: [RuleInfo; 20] = [
+pub const REGISTRY: [RuleInfo; 19] = [
     RuleInfo {
         id: "unwrap",
         pass: Pass::Lint,
@@ -223,13 +217,6 @@ pub const REGISTRY: [RuleInfo; 20] = [
         pass: Pass::Lint,
         severity: Severity::Deny,
         description: "cache-named insert in a file with no capacity bound or eviction evidence",
-    },
-    RuleInfo {
-        id: "no-deprecated-inference",
-        pass: Pass::Lint,
-        severity: Severity::Deny,
-        description: "deprecated single-request inference shim declared again \
-                      (estimate_batch is the sole entry point)",
     },
     RuleInfo {
         id: "no-panic",
@@ -388,7 +375,6 @@ pub fn check_file(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     spawn::check(ctx, out);
     truncating_cast::check(ctx, out);
     unbounded_cache::check(ctx, out);
-    deprecated_inference::check(ctx, out);
 }
 
 /// Collects the names of `#[test]` functions (and any `fn` defined inside
@@ -729,69 +715,6 @@ mod tests {
         assert!(lint_serve(
             "crates/serve/src/engine.rs",
             "fn a() { std::thread::spawn(|| {}); } // deepod-lint: allow(no-unsupervised-spawn)",
-        )
-        .is_empty());
-    }
-
-    #[test]
-    fn deprecated_inference_shims_stay_deleted() {
-        let lint_in = |crate_name: &str, rel_path: &str, src: &str| {
-            let lexed = lex(src);
-            let ctx = FileCtx::new(rel_path, crate_name, &lexed, false, false);
-            let mut out = Vec::new();
-            check_file(&ctx, &mut out);
-            out.retain(|f| f.rule == "no-deprecated-inference");
-            out
-        };
-        // Each deleted shim name fires when declared in an inference crate.
-        for shim in ["estimate", "estimate_encoded", "estimate_orders"] {
-            let f = lint_in(
-                "core",
-                "crates/core/src/model.rs",
-                &format!("impl DeepOdModel {{ pub fn {shim}(&mut self) {{}} }}"),
-            );
-            assert_eq!(f.len(), 1, "{shim}: {f:?}");
-        }
-        assert_eq!(
-            lint_in(
-                "serve",
-                "crates/serve/src/engine.rs",
-                "fn estimate(x: f32) -> f32 { x }",
-            )
-            .len(),
-            1
-        );
-        // The blessed batched entry point, call sites (not declarations),
-        // and out-of-scope crates stay legal.
-        assert!(lint_in(
-            "core",
-            "crates/core/src/model.rs",
-            "pub fn estimate_batch(&self) {}",
-        )
-        .is_empty());
-        assert!(lint_in(
-            "core",
-            "crates/core/src/model.rs",
-            "fn a() { let y = estimate(x); }",
-        )
-        .is_empty());
-        assert!(lint_in(
-            "baselines",
-            "crates/baselines/src/lib.rs",
-            "pub fn estimate(&self) -> f32 { 0.0 }",
-        )
-        .is_empty());
-        // Tests and allow directives are exempt like every other rule.
-        assert!(lint_in(
-            "core",
-            "crates/core/src/model.rs",
-            "#[test]\nfn t() { fn estimate() {} }\n",
-        )
-        .is_empty());
-        assert!(lint_in(
-            "core",
-            "crates/core/src/model.rs",
-            "fn estimate() {} // deepod-lint: allow(no-deprecated-inference)",
         )
         .is_empty());
     }

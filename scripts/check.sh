@@ -97,3 +97,8 @@ stage cache      cargo test -q -p deepod-cli --test serve_cache
 # fixture model — int8 MAPE must stay within the configured delta of f32.
 stage kernels    cargo test -q -p deepod-tensor --test kernel_props
 stage precision  cargo test -q -p deepod-eval precision
+# Benchmark smoke stage: one short pass of every workload of the repo
+# benchmark (BENCHMARK.json). Its gate — each served reply `to_bits`-equal
+# to `estimate_batch(threads = 1)` on the same request — is the end-to-end
+# check that serving, batching and training still compute one function.
+stage bench-smoke cargo run --release -q -p deepod-bench --bin benchmark -- --smoke
