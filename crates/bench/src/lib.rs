@@ -20,8 +20,6 @@ use deepod_core::{DeepOdConfig, EmbeddingInit, TrainOptions};
 use deepod_roadnet::CityProfile;
 use deepod_traj::{CityDataset, DatasetBuilder, DatasetConfig};
 
-pub mod loadgen;
-
 /// Experiment scale.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Scale {

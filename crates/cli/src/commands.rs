@@ -32,7 +32,6 @@ USAGE:
                   [--oracle FILE] [--cache-capacity N] [--cache-ttl-s S]
                   [--listen ADDR] [--max-conns N] [--max-in-flight N]
                   [--max-frame-bytes N]
-  deepod bench-serve --data FILE --model FILE [--out FILE] [--smoke]
   deepod info     --data FILE
   deepod help
 
@@ -55,12 +54,6 @@ greedy client sheds itself instead of filling the shared queue),
 --max-frame-bytes caps one request line (typed frame_too_large; the
 connection survives).
 
-bench-serve drives that TCP stack in-process with an open-loop load
-generator (deterministic arrival schedule — clients do not wait for
-replies): workers {1,4} x offered load {50,90,110}% of the measured
-closed-loop capacity, reporting p50/p90/p99 latency from *scheduled*
-arrival to reply plus a saturation flag, merged into --out (default
-BENCH_serve.json). --smoke shrinks the sweep for CI.
 By default a full queue blocks the reader (backpressure); with
 --reject-when-full admission runs through a degradation ladder driven by
 queue depth (healthy -> degrade-to-fallback -> shed \"priority\":\"low\"
@@ -160,7 +153,6 @@ pub fn dispatch(argv: &[String]) -> Result<Outcome, String> {
         "eval" => eval_cmd(&Args::parse(rest)?),
         "precompute" => precompute_cmd(&Args::parse(rest)?),
         "serve" => serve(&Args::parse(rest)?),
-        "bench-serve" => bench_serve(&Args::parse(rest)?),
         "info" => info(&Args::parse(rest)?),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
@@ -845,102 +837,6 @@ fn serve_listen(
     } else {
         Ok(Outcome::Ok)
     }
-}
-
-/// `bench-serve`: open-loop load generation against an in-process TCP
-/// serving stack — workers {1, 4} × offered load {50, 90, 110}% of the
-/// measured closed-loop capacity — reporting p50/p90/p99 latency and the
-/// saturation knee into a BENCH-style JSON report.
-fn bench_serve(args: &Args) -> Result<Outcome, String> {
-    use deepod_bench::loadgen::{self, BenchEntry, LoadSpec};
-    use deepod_serve::net::{NetConfig, NetServer};
-    use deepod_serve::{Backend, EngineConfig, InferenceEngine, WireRequest};
-    use std::sync::Arc;
-
-    let ds = Arc::new(load_dataset(args.require("data")?)?);
-    let model = load_model(args.require("model")?).map_err(|e| format!("loading model: {e}"))?;
-    let smoke = args.has_switch("smoke");
-    let out_path = args.get("out").unwrap_or("BENCH_serve.json").to_string();
-    let (total, warmup, calibrate_n) = if smoke { (60, 10, 20) } else { (600, 100, 200) };
-
-    // Template requests drawn from the dataset's own orders: realistic
-    // OD pairs and departure times, ids rewritten per run.
-    let template: Vec<WireRequest> = ds
-        .train
-        .iter()
-        .take(64)
-        .map(|o| WireRequest {
-            id: 0,
-            from: (o.od.origin.x, o.od.origin.y),
-            to: (o.od.destination.x, o.od.destination.y),
-            depart: o.od.depart,
-            low_priority: false,
-        })
-        .collect();
-    if template.is_empty() {
-        return Err("dataset has no training orders to replay".into());
-    }
-
-    let mut entries: Vec<BenchEntry> = Vec::new();
-    for workers in [1usize, 4] {
-        let slot_seconds = model.config.slot_seconds;
-        let ctx = FeatureContext::build(&ds, slot_seconds)
-            .map_err(|e| format!("slot configuration: {e}"))?;
-        let engine = Arc::new(InferenceEngine::start(
-            Backend::Model(Box::new(model.clone())),
-            ctx,
-            Arc::clone(&ds),
-            EngineConfig {
-                workers,
-                ..EngineConfig::default()
-            },
-        ));
-        let server = NetServer::start(
-            Arc::clone(&engine),
-            Arc::clone(&ds),
-            "127.0.0.1:0",
-            NetConfig::default(),
-        )
-        .map_err(|e| format!("binding loopback: {e}"))?;
-        let addr = server.local_addr().to_string();
-
-        let capacity_rps = loadgen::calibrate(&addr, &template, calibrate_n)
-            .map_err(|e| format!("calibrating against {addr}: {e}"))?;
-        println!("workers={workers}: measured capacity {capacity_rps:.0} req/s");
-        for load_pct in [50u32, 90, 110] {
-            let spec = LoadSpec {
-                offered_rps: capacity_rps * f64::from(load_pct) / 100.0,
-                total,
-                warmup,
-            };
-            let report = loadgen::run_open_loop(&addr, &template, &spec)
-                .map_err(|e| format!("open-loop run against {addr}: {e}"))?;
-            println!(
-                "workers={workers} load={load_pct}%: offered {:.0} req/s, achieved {:.0} req/s, \
-                 p50 {:.2} ms, p99 {:.2} ms, errors {}{}",
-                report.offered_rps,
-                report.achieved_rps,
-                report.p50_ns as f64 / 1e6,
-                report.p99_ns as f64 / 1e6,
-                report.errors,
-                if report.saturated { " [saturated]" } else { "" },
-            );
-            let mut entry = BenchEntry::from(&report);
-            entry.id = format!("serve/net_openloop_w{workers}_u{load_pct}");
-            entries.push(entry);
-        }
-        server.shutdown();
-        if let Ok(engine) = Arc::try_unwrap(engine) {
-            engine.shutdown();
-        }
-    }
-
-    let existing = std::fs::read_to_string(&out_path).ok();
-    let merged = loadgen::merge_bench_json(existing.as_deref(), "serve/net_openloop", &entries);
-    io_guard::atomic_write_str(Path::new(&out_path), &merged)
-        .map_err(|e| format!("writing {out_path}: {e}"))?;
-    println!("wrote {} open-loop results to {out_path}", entries.len());
-    Ok(Outcome::Ok)
 }
 
 fn info(args: &Args) -> Result<Outcome, String> {

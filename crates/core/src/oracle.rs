@@ -35,14 +35,11 @@
 //! **On-disk encoding.** [`OdOracle::save`] writes a compact binary
 //! payload (magic `DPODORC2`, little-endian header + 16-byte records)
 //! inside the same checksummed [`io_guard`] container as every other
-//! artifact; at the hot-key scale the paper's workloads imply, the JSON
-//! encoding was ~5× the bytes and dominated precompute I/O.
-//! [`OdOracle::load`] sniffs the payload magic and falls back to the
-//! original JSON encoding, so artifacts written before the binary format
-//! keep loading unchanged. The embedded version field is checked in both
-//! encodings; the rebuilt [`TimeSlots`] goes back through its validating
-//! constructor so a hand-edited `dt` cannot smuggle in a skewed weekly
-//! wrap.
+//! artifact. It is the only encoding: [`OdOracle::load`] rejects a
+//! payload without the magic as [`OracleError::Format`]. The embedded
+//! version field is checked before the rest of the header; the rebuilt
+//! [`TimeSlots`] goes back through its validating constructor so a
+//! hand-edited `dt` cannot smuggle in a skewed weekly wrap.
 
 use crate::features::FeatureContext;
 use crate::io_guard::{self, IoGuardError};
@@ -50,7 +47,6 @@ use crate::model::{DeepOdModel, PredictRequest};
 use crate::timeslot::TimeSlots;
 use deepod_roadnet::{Point, RoadNetwork};
 use deepod_traj::{CityDataset, OdInput};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Artifact format version; bumped on breaking layout changes.
@@ -62,7 +58,7 @@ pub enum OracleError {
     /// The guarded read or write failed (missing file, checksum mismatch,
     /// truncated artifact — see [`IoGuardError::is_corruption`]).
     Io(IoGuardError),
-    /// The artifact parsed as JSON but not as an oracle.
+    /// The payload is not a well-formed oracle encoding.
     Format(String),
     /// The artifact is from an incompatible format version.
     Version {
@@ -108,7 +104,7 @@ pub fn model_fingerprint(model_bytes: &[u8]) -> String {
 }
 
 /// The cache/oracle key: origin cell, destination cell, weekly time slot.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct OracleKey {
     /// Origin grid cell (row-major index).
     pub origin_cell: u32,
@@ -120,7 +116,7 @@ pub struct OracleKey {
 
 /// Maps raw OD requests onto [`OracleKey`]s: a fixed spatial grid over the
 /// road network bounding box plus the model's slot discretization.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct OdKeyer {
     /// Grid origin (bounding-box minimum corner).
     pub x0: f64,
@@ -224,7 +220,7 @@ impl OdKeyer {
 }
 
 /// One precomputed answer.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct OracleEntry {
     /// The key this answer is canonical for.
     pub key: OracleKey,
@@ -233,7 +229,7 @@ pub struct OracleEntry {
 }
 
 /// The precomputed OD-oracle artifact.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct OdOracle {
     /// Artifact format version ([`ORACLE_VERSION`]).
     pub version: u32,
@@ -246,8 +242,7 @@ pub struct OdOracle {
 }
 
 /// Payload magic of the binary oracle encoding (inside the checksummed
-/// container). A payload that does not start with it is parsed as the
-/// legacy JSON encoding.
+/// container).
 const BINARY_MAGIC: [u8; 8] = *b"DPODORC2";
 
 /// Bytes per binary record: `(origin_cell, dest_cell, week_slot): u32`
@@ -340,7 +335,15 @@ impl OdOracle {
     /// slot discretization is rebuilt through [`TimeSlots::new`] so its
     /// invariants hold for hand-edited bytes too.
     fn from_binary(bytes: &[u8]) -> Result<OdOracle, OracleError> {
-        let mut cur = Cursor { bytes, pos: 8 }; // past the sniffed magic
+        if !bytes.starts_with(&BINARY_MAGIC) {
+            return Err(OracleError::Format(
+                "payload does not start with the DPODORC2 magic".into(),
+            ));
+        }
+        let mut cur = Cursor {
+            bytes,
+            pos: BINARY_MAGIC.len(),
+        };
         let version = cur.read_u32("version")?;
         if version != ORACLE_VERSION {
             return Err(OracleError::Version { found: version });
@@ -410,35 +413,12 @@ impl OdOracle {
         Ok(())
     }
 
-    /// Writes the legacy JSON encoding (same checksummed container).
-    /// Kept for interop tooling and for exercising the fallback path;
-    /// new artifacts should use [`OdOracle::save`].
-    pub fn save_json(&self, path: &std::path::Path) -> Result<(), OracleError> {
-        let json = serde_json::to_string(self).map_err(|e| OracleError::Format(e.to_string()))?;
-        io_guard::write_checksummed(path, json.as_bytes())?;
-        Ok(())
-    }
-
     /// Reads and verifies an artifact: io_guard checksum first (corrupt
     /// bytes surface as [`OracleError::Io`] with
-    /// [`IoGuardError::is_corruption`] true), then encoding by payload
-    /// magic — binary if it leads with `DPODORC2`, legacy JSON otherwise
-    /// — then format version.
+    /// [`IoGuardError::is_corruption`] true), then the `DPODORC2`
+    /// payload magic, then format version.
     pub fn load(path: &std::path::Path) -> Result<OdOracle, OracleError> {
-        let bytes = io_guard::read_checksummed(path)?;
-        if bytes.starts_with(&BINARY_MAGIC) {
-            return OdOracle::from_binary(&bytes);
-        }
-        let json = String::from_utf8(bytes)
-            .map_err(|_| OracleError::Format("artifact is not UTF-8".into()))?;
-        let oracle: OdOracle =
-            serde_json::from_str(&json).map_err(|e| OracleError::Format(e.to_string()))?;
-        if oracle.version != ORACLE_VERSION {
-            return Err(OracleError::Version {
-                found: oracle.version,
-            });
-        }
-        Ok(oracle)
+        OdOracle::from_binary(&io_guard::read_checksummed(path)?)
     }
 }
 
@@ -674,30 +654,7 @@ mod tests {
     }
 
     #[test]
-    fn json_artifacts_still_load_via_fallback() {
-        let (ds, ctx, model) = fixture();
-        let spec = PrecomputeSpec {
-            cells: 2,
-            slots: 2,
-            cell_meters: 500.0,
-        };
-        let oracle = precompute(&model, &ctx, &ds, &spec, "fp".into(), 1);
-        let dir = std::env::temp_dir().join(format!("deepod-oracle-json-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("oracle-legacy.json");
-        oracle.save_json(&path).expect("save legacy artifact");
-        let loaded = OdOracle::load(&path).expect("JSON fallback must keep loading");
-        assert_eq!(loaded.model_fingerprint, oracle.model_fingerprint);
-        assert_eq!(loaded.entries.len(), oracle.entries.len());
-        for (a, b) in loaded.entries.iter().zip(&oracle.entries) {
-            assert_eq!(a.key, b.key);
-            assert_eq!(a.eta_seconds.to_bits(), b.eta_seconds.to_bits());
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn binary_round_trip_is_bit_identical_and_smaller_than_json() {
+    fn binary_round_trip_is_bit_identical() {
         let (ds, ctx, model) = fixture();
         let spec = PrecomputeSpec {
             cells: 3,
@@ -706,15 +663,7 @@ mod tests {
         };
         let oracle = precompute(&model, &ctx, &ds, &spec, "0123456789abcdef".into(), 1);
         assert!(!oracle.entries.is_empty());
-        let bin = oracle.to_binary();
-        let json = serde_json::to_string(&oracle).expect("serializable");
-        assert!(
-            bin.len() < json.len(),
-            "binary ({}) must undercut JSON ({})",
-            bin.len(),
-            json.len()
-        );
-        let back = OdOracle::from_binary(&bin).expect("round trip");
+        let back = OdOracle::from_binary(&oracle.to_binary()).expect("round trip");
         assert_eq!(back.model_fingerprint, oracle.model_fingerprint);
         assert_eq!(back.keyer.nx, oracle.keyer.nx);
         assert_eq!(
@@ -747,8 +696,20 @@ mod tests {
             other => panic!("v2 must fail as Version, got {other:?}"),
         }
 
+        // A checksummed payload without the magic (what the retired JSON
+        // encoding looked like) is a typed Format error from `load`.
+        let dir = std::env::temp_dir().join(format!("deepod-oracle-magic-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("oracle.json");
+        io_guard::write_checksummed(&path, br#"{"version":1,"entries":[]}"#).expect("write");
+        match OdOracle::load(&path) {
+            Err(OracleError::Format(why)) => assert!(why.contains("magic"), "got: {why}"),
+            other => panic!("non-magic payload must fail as Format, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+
         // Truncation anywhere fails as Format, never panics.
-        for cut in [9, 20, 60, bin.len() - 3] {
+        for cut in [4, 9, 20, 60, bin.len() - 3] {
             match OdOracle::from_binary(&bin[..cut]) {
                 Err(OracleError::Format(_)) => {}
                 other => panic!("truncation at {cut} must fail as Format, got {other:?}"),

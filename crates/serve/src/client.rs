@@ -1,5 +1,5 @@
 //! Blocking TCP client for the `deepod serve` wire protocol — the single
-//! client implementation shared by `deepod bench-serve` and the
+//! client implementation shared by the repo benchmark and the
 //! integration tests, so there is exactly one encoder/decoder on the
 //! client side of the wire ([`crate::protocol`] is the other half).
 

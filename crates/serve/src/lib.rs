@@ -48,7 +48,7 @@
 //!   admission control (per-connection in-flight caps plus a
 //!   max-connections gate) so a greedy client sheds itself, not everyone.
 //! * [`client`] — the blocking [`ServeClient`], the single client-side
-//!   implementation of the wire protocol, shared by `deepod bench-serve`
+//!   implementation of the wire protocol, shared by the repo benchmark
 //!   and the integration tests.
 //!
 //! Everything is instrumented through `deepod_core::obs`: queue depth

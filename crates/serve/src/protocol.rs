@@ -96,23 +96,25 @@ impl ErrorKind {
         }
     }
 
+    /// Every kind, in declaration order.
+    pub const ALL: [ErrorKind; 12] = [
+        ErrorKind::BadRequest,
+        ErrorKind::Model,
+        ErrorKind::QueueFull,
+        ErrorKind::ShuttingDown,
+        ErrorKind::WorkerCrashed,
+        ErrorKind::DeadlineExceeded,
+        ErrorKind::ShedLow,
+        ErrorKind::Overloaded,
+        ErrorKind::UnsupportedVersion,
+        ErrorKind::FrameTooLarge,
+        ErrorKind::InFlightLimit,
+        ErrorKind::ConnectionLimit,
+    ];
+
     /// Parses a structured frame's kind name; unknown names map to `None`.
     pub fn from_name(name: &str) -> Option<ErrorKind> {
-        const ALL: [ErrorKind; 12] = [
-            ErrorKind::BadRequest,
-            ErrorKind::Model,
-            ErrorKind::QueueFull,
-            ErrorKind::ShuttingDown,
-            ErrorKind::WorkerCrashed,
-            ErrorKind::DeadlineExceeded,
-            ErrorKind::ShedLow,
-            ErrorKind::Overloaded,
-            ErrorKind::UnsupportedVersion,
-            ErrorKind::FrameTooLarge,
-            ErrorKind::InFlightLimit,
-            ErrorKind::ConnectionLimit,
-        ];
-        ALL.into_iter().find(|k| k.as_str() == name)
+        ErrorKind::ALL.into_iter().find(|k| k.as_str() == name)
     }
 
     /// The kind of a typed queueing failure.
@@ -144,10 +146,13 @@ impl ErrorKind {
     /// Recovers the kind of a legacy flat error string. The engine-level
     /// messages are stable [`ServeError`] display strings (exact
     /// prefixes); request-level parse/validation messages carry their
-    /// field prefix; anything else was produced by the model.
+    /// field prefix, or are `json::obj_field`'s two messages for an absent
+    /// field and a non-object body; anything else was produced by the model.
     fn classify_flat(msg: &str) -> ErrorKind {
-        const REQUEST_PREFIXES: [&str; 7] = [
+        const REQUEST_PREFIXES: [&str; 9] = [
             "bad request JSON:",
+            "missing field `",
+            "expected object for field `",
             "v:",
             "id:",
             "from:",
@@ -276,6 +281,30 @@ fn point_of(v: &Value, what: &str) -> Result<(f64, f64), String> {
     Ok((num_of(x, what)?, num_of(y, what)?))
 }
 
+/// Reads a correlation id. The raw number text is parsed as `u64` first so
+/// every id is echoed verbatim (an `f64` detour rounds ids above 2^53);
+/// other integer-valued spellings (`7.0`, `1e3`) go through `f64` as they
+/// always have.
+fn id_of(v: &Value) -> Result<u64, String> {
+    if let Value::Num(raw) = v {
+        if let Ok(id) = raw.parse::<u64>() {
+            return Ok(id);
+        }
+    }
+    // 2^64, the first integer-valued `f64` above `u64::MAX`.
+    const TWO_POW_64: f64 = 1.844_674_407_370_955_2e19;
+    let id_raw = num_of(v, "id")?;
+    // Intentional exact check: a JSON id is an integer iff fract() == 0.
+    // deepod-lint: allow(float-eq)
+    if id_raw < 0.0 || id_raw.fract() != 0.0 {
+        return Err(format!("id: expected a non-negative integer, got {id_raw}"));
+    }
+    if id_raw >= TWO_POW_64 {
+        return Err(format!("id: {id_raw} does not fit a 64-bit id"));
+    }
+    Ok(id_raw as u64) // deepod-lint: allow(truncating-cast)
+}
+
 impl WireRequest {
     /// Parses one request line, with typed errors: an unsupported `"v"`
     /// version is [`ErrorKind::UnsupportedVersion`]; everything else is
@@ -295,19 +324,9 @@ impl WireRequest {
                 ));
             }
         }
-        let id_raw = num_of(
-            json::obj_field(&v, "id").map_err(|e| WireError::bad_request(e.to_string()))?,
-            "id",
-        )
-        .map_err(WireError::bad_request)?;
-        // Intentional exact check: a JSON id is an integer iff fract() == 0.
-        // deepod-lint: allow(float-eq)
-        if id_raw < 0.0 || id_raw.fract() != 0.0 {
-            return Err(WireError::bad_request(format!(
-                "id: expected a non-negative integer, got {id_raw}"
-            )));
-        }
-        let id = id_raw as u64; // deepod-lint: allow(truncating-cast)
+        let id =
+            id_of(json::obj_field(&v, "id").map_err(|e| WireError::bad_request(e.to_string()))?)
+                .map_err(WireError::bad_request)?;
         let from = point_of(
             json::obj_field(&v, "from").map_err(|e| WireError::bad_request(e.to_string()))?,
             "from",
@@ -419,10 +438,7 @@ impl WireResponse {
         let v = json::parse(line).map_err(|e| format!("bad response JSON: {e}"))?;
         let id = match json::obj_field(&v, "id") {
             Ok(Value::Null) | Err(_) => None,
-            Ok(field) => {
-                let raw = num_of(field, "id")?;
-                Some(raw as u64) // deepod-lint: allow(truncating-cast)
-            }
+            Ok(field) => Some(id_of(field)?),
         };
         if let Ok(err_field) = json::obj_field(&v, "error") {
             return match err_field {
@@ -587,6 +603,21 @@ mod tests {
                 depart: 604_800.5,
                 low_priority: true,
             },
+            // Ids an `f64` cannot hold exactly must still come back verbatim.
+            WireRequest {
+                id: (1 << 53) + 1,
+                from: (0.0, 0.0),
+                to: (1.0, 1.0),
+                depart: 0.0,
+                low_priority: false,
+            },
+            WireRequest {
+                id: u64::MAX,
+                from: (0.0, 0.0),
+                to: (1.0, 1.0),
+                depart: 0.0,
+                low_priority: false,
+            },
         ] {
             let line = req.to_line();
             assert!(line.contains("\"v\":1"), "explicit version: {line}");
@@ -595,25 +626,50 @@ mod tests {
         }
     }
 
+    /// Malformed request lines, each with a fragment of the reason the
+    /// server must give.
+    const MALFORMED: [(&str, &str); 8] = [
+        ("not json", "JSON"),
+        ("[1]", "expected object"),
+        ("{}", "id"),
+        (r#"{"id": 1}"#, "from"),
+        (
+            r#"{"id": 1, "from": [1], "to": [2, 3], "depart": 0}"#,
+            "[x, y]",
+        ),
+        (
+            r#"{"id": -2, "from": [1, 2], "to": [2, 3], "depart": 0}"#,
+            "non-negative",
+        ),
+        (
+            r#"{"id": 1.5, "from": [1, 2], "to": [2, 3], "depart": 0}"#,
+            "integer",
+        ),
+        (
+            r#"{"id": 18446744073709551616, "from": [1, 2], "to": [2, 3], "depart": 0}"#,
+            "64-bit",
+        ),
+    ];
+
     #[test]
     fn rejects_malformed_requests_with_reasons() {
-        assert!(parse_request("not json").unwrap_err().contains("JSON"));
-        assert!(parse_request(r#"{"id": 1}"#).unwrap_err().contains("from"));
-        assert!(
-            parse_request(r#"{"id": 1, "from": [1], "to": [2, 3], "depart": 0}"#)
-                .unwrap_err()
-                .contains("[x, y]")
-        );
-        assert!(
-            parse_request(r#"{"id": -2, "from": [1, 2], "to": [2, 3], "depart": 0}"#)
-                .unwrap_err()
-                .contains("non-negative"),
-        );
-        assert!(
-            parse_request(r#"{"id": 1.5, "from": [1, 2], "to": [2, 3], "depart": 0}"#)
-                .unwrap_err()
-                .contains("integer"),
-        );
+        for (line, reason) in MALFORMED {
+            let err = parse_request(line).expect_err(line);
+            assert!(err.contains(reason), "{line}: got {err}");
+        }
+    }
+
+    #[test]
+    fn a_client_recovers_the_kind_the_server_raised_for_a_bad_request() {
+        for (line, _) in MALFORMED {
+            let error = WireRequest::parse(line).expect_err(line);
+            let raised = error.kind;
+            let reply = WireResponse::Err { id: None, error }.to_line();
+            match WireResponse::parse(&reply).expect("reply parses") {
+                WireResponse::Err { error, .. } => assert_eq!(error.kind, raised, "{line}"),
+                other => panic!("expected error frame, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -659,6 +715,20 @@ mod tests {
         };
         assert_eq!(ok.to_line(), render_ok(3, 412.5, false));
         assert_eq!(WireResponse::parse(&ok.to_line()).expect("parses"), ok);
+        // Ids an `f64` cannot hold exactly are echoed verbatim on both arms.
+        for id in [(1 << 53) + 1, u64::MAX] {
+            let ok = WireResponse::Ok {
+                id,
+                eta_seconds: 1.5,
+                degraded: true,
+            };
+            assert_eq!(WireResponse::parse(&ok.to_line()).expect("parses"), ok);
+            let err = WireResponse::Err {
+                id: Some(id),
+                error: (&ServeError::ShedLow).into(),
+            };
+            assert_eq!(WireResponse::parse(&err.to_line()).expect("parses"), err);
+        }
 
         // Engine-level error: flat, classified back to its typed kind.
         let err = WireResponse::Err {
@@ -737,20 +807,7 @@ mod tests {
 
     #[test]
     fn error_kind_names_round_trip() {
-        for kind in [
-            ErrorKind::BadRequest,
-            ErrorKind::Model,
-            ErrorKind::QueueFull,
-            ErrorKind::ShuttingDown,
-            ErrorKind::WorkerCrashed,
-            ErrorKind::DeadlineExceeded,
-            ErrorKind::ShedLow,
-            ErrorKind::Overloaded,
-            ErrorKind::UnsupportedVersion,
-            ErrorKind::FrameTooLarge,
-            ErrorKind::InFlightLimit,
-            ErrorKind::ConnectionLimit,
-        ] {
+        for kind in ErrorKind::ALL {
             assert_eq!(ErrorKind::from_name(kind.as_str()), Some(kind));
         }
         assert_eq!(ErrorKind::from_name("nope"), None);

@@ -1,0 +1,110 @@
+//! Property tests for the wire codec (`deepod_serve::protocol`) and the
+//! line decoder stdin and TCP share (`net::decode_line`): valid frames
+//! round-trip, and no input — arbitrary bytes, or a truncated or
+//! bit-flipped valid frame — makes a parser panic.
+
+use deepod_roadnet::CityProfile;
+use deepod_serve::{net, ErrorKind, WireError, WireRequest, WireResponse};
+use deepod_traj::{CityDataset, DatasetBuilder, DatasetConfig};
+use proptest::collection::vec;
+use proptest::{any, prop_assert_eq, proptest, Strategy};
+use std::sync::OnceLock;
+
+/// Any finite `f64`, drawn from the whole bit domain (`any::<f64>()` in
+/// the vendored proptest is the unit interval only).
+fn finite() -> impl Strategy<Value = f64> {
+    any::<u64>().prop_map(|bits| {
+        let x = f64::from_bits(bits);
+        if x.is_finite() {
+            x
+        } else {
+            0.0
+        }
+    })
+}
+
+fn dataset() -> &'static CityDataset {
+    static DS: OnceLock<CityDataset> = OnceLock::new();
+    DS.get_or_init(|| {
+        DatasetBuilder::build(&DatasetConfig::for_profile(CityProfile::SynthChengdu, 40))
+    })
+}
+
+/// Runs all three parsers over `line`; returning at all is the property.
+fn parse_everything(line: &str) {
+    let _ = WireRequest::parse(line);
+    let _ = WireResponse::parse(line);
+    let _ = net::decode_line(dataset(), line);
+}
+
+proptest! {
+    #[test]
+    fn rendered_requests_parse_back_to_themselves(
+        id in any::<u64>(),
+        from in (finite(), finite()),
+        to in (finite(), finite()),
+        depart in finite(),
+        low_priority in any::<bool>(),
+    ) {
+        let req = WireRequest { id, from, to, depart, low_priority };
+        let line = req.to_line();
+        prop_assert_eq!(WireRequest::parse(&line), Ok(req));
+        // Far-off coordinates and departures must decode without a panic.
+        let _ = net::decode_line(dataset(), &line);
+    }
+
+    /// Every kind's error frame keeps its id and message; the structured
+    /// (protocol-level) kinds also keep their kind. Flat kinds are
+    /// classified from the message text, so theirs depends on `msg`.
+    #[test]
+    fn rendered_error_frames_parse_back(
+        id in any::<u64>(),
+        with_id in any::<bool>(),
+        msg in vec(0x20u32..0x3000, 0..40),
+    ) {
+        let msg: String = msg.into_iter().filter_map(char::from_u32).collect();
+        let id = with_id.then_some(id);
+        for kind in ErrorKind::ALL {
+            let frame = WireResponse::Err {
+                id,
+                error: WireError { kind, msg: msg.clone() },
+            };
+            match WireResponse::parse(&frame.to_line()) {
+                Ok(WireResponse::Err { id: back_id, error }) => {
+                    prop_assert_eq!(back_id, id);
+                    prop_assert_eq!(&error.msg, &msg);
+                    if kind.is_protocol_level() {
+                        prop_assert_eq!(error.kind, kind);
+                    }
+                }
+                other => return Err(format!("{kind}: expected an error frame, got {other:?}")),
+            }
+        }
+    }
+
+    #[test]
+    fn arbitrary_bytes_never_panic_a_parser(bytes in vec(any::<u8>(), 0..200)) {
+        parse_everything(&String::from_utf8_lossy(&bytes));
+    }
+
+    #[test]
+    fn damaged_request_lines_never_panic_a_parser(
+        id in any::<u64>(),
+        from in (0.0f64..5000.0, 0.0f64..5000.0),
+        to in (0.0f64..5000.0, 0.0f64..5000.0),
+        depart in 0.0f64..1e7,
+        low_priority in any::<bool>(),
+    ) {
+        let line = WireRequest { id, from, to, depart, low_priority }
+            .to_line()
+            .into_bytes();
+        for cut in 0..=line.len() {
+            parse_everything(&String::from_utf8_lossy(&line[..cut]));
+        }
+        for bit in 0..line.len() * 8 {
+            let mut flipped = line.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            parse_everything(&String::from_utf8_lossy(&flipped));
+        }
+    }
+}

@@ -19,21 +19,6 @@ stage() {
   TIMINGS+=("$(printf '%-16s %4ds' "$name" "$((t1 - t0))")")
 }
 
-# Net stage body: the serve_net integration suite, then a smoke run of
-# the open-loop load generator against a 1-epoch throwaway model — the
-# report goes to a temp file so a smoke sweep never clobbers the
-# checked-in BENCH_serve.json numbers.
-run_net_stage() {
-  cargo test -q -p deepod-cli --test serve_net
-  local tmp
-  tmp=$(mktemp -d)
-  ./target/release/deepod simulate --profile chengdu --orders 60 --out "$tmp/city.json" >/dev/null
-  ./target/release/deepod train --data "$tmp/city.json" --epochs 1 --out "$tmp/model.json" >/dev/null
-  ./target/release/deepod bench-serve --data "$tmp/city.json" --model "$tmp/model.json" \
-    --smoke --out "$tmp/BENCH_serve.json"
-  rm -rf "$tmp"
-}
-
 report() {
   echo
   echo "check.sh stage timings:"
@@ -81,9 +66,8 @@ stage chaos      cargo test -q -p deepod-cli --test serve_chaos
 # concurrent clients answered exactly once, per-connection in-flight
 # shedding isolated from polite clients, typed protocol rejects that do
 # not kill the connection, clean drain on stdin close, stdin-mode byte
-# identity, and worker-crash chaos; then a smoke run of the open-loop
-# load generator writing its sweep to a throwaway report.
-stage net        run_net_stage
+# identity, and worker-crash chaos.
+stage net        cargo test -q -p deepod-cli --test serve_net
 # Cache stage: the serving-cache tier end to end (DESIGN.md §15) —
 # precompute writes a fingerprinted OD-oracle artifact, canonical
 # requests hit it without touching the queue, LRU repeats answer
