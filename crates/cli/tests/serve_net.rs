@@ -365,6 +365,47 @@ fn protocol_rejects_are_typed_and_do_not_kill_the_connection() {
 }
 
 #[test]
+fn a_deeply_nested_frame_gets_a_typed_reply_and_the_process_survives() {
+    // 60 000 `[` fit under the default 64 KiB frame cap, so they reach
+    // the JSON parser on a connection thread; an uncapped recursive
+    // parser would overflow that thread's stack and abort the process.
+    let s = setup();
+    let server = Server::start(&[], &[]);
+    let stream = std::net::TcpStream::connect(&server.addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("set timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    let mut writer = stream;
+    let mut recv = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read reply");
+        WireResponse::parse(line.trim_end()).unwrap_or_else(|e| panic!("bad reply {line:?}: {e}"))
+    };
+
+    let mut deep = "[".repeat(60_000);
+    deep.push('\n');
+    writer.write_all(deep.as_bytes()).expect("send deep frame");
+    match recv() {
+        WireResponse::Err { id: None, error } => {
+            assert_eq!(error.kind, ErrorKind::BadRequest, "got {}", error.msg);
+            assert!(error.msg.contains("nesting"), "got {}", error.msg);
+        }
+        other => panic!("deep nesting must fail as a bad request, got {other:?}"),
+    }
+
+    // Same connection, same process: a valid request is still answered.
+    let mut line = request(s, 0, 7).to_line();
+    line.push('\n');
+    writer.write_all(line.as_bytes()).expect("send good frame");
+    match recv() {
+        WireResponse::Ok { id, .. } => assert_eq!(id, 7),
+        other => panic!("good frame after the deep one must answer, got {other:?}"),
+    }
+    server.shutdown();
+}
+
+#[test]
 fn closing_server_stdin_drains_every_owed_reply() {
     let s = setup();
     // Slow the first batch down so replies are still owed when the

@@ -211,6 +211,17 @@ impl Graph {
             self.value(loss).shape()
         );
 
+        // A node needs a gradient only if a parameter is reachable through
+        // it: it is a `Param` leaf or one of its parents needs one. Parents
+        // precede children on the tape, so one forward sweep decides it.
+        // Gradients flowing anywhere else (inputs, constants) are dropped
+        // unread, which cannot change any parameter's gradient.
+        let mut needs = Vec::with_capacity(self.nodes.len());
+        for node in &self.nodes {
+            let need = matches!(node.op, Op::Param(_)) || node.parents.iter().any(|p| needs[p.0]);
+            needs.push(need);
+        }
+
         let n = self.nodes.len();
         let mut grads: Vec<Option<Tensor>> = vec![None; n];
         grads[loss.0] = Some(Tensor::from_vec(vec![1.0], self.value(loss).dims()));
@@ -218,11 +229,18 @@ impl Graph {
         let mut out = Gradients::new();
 
         for i in (0..n).rev() {
+            if !needs[i] {
+                continue;
+            }
             let Some(g) = grads[i].take() else { continue };
             let node = &self.nodes[i];
             let pv = |k: usize| self.value(node.parents[k]);
+            let wants = |k: usize| needs[node.parents[k].0];
             let give = |grads: &mut Vec<Option<Tensor>>, k: usize, t: Tensor| {
                 let pid = node.parents[k].0;
+                if !needs[pid] {
+                    return;
+                }
                 match &mut grads[pid] {
                     Some(existing) => existing.axpy(1.0, &t),
                     slot @ None => *slot = Some(t),
@@ -250,10 +268,12 @@ impl Graph {
                 Op::Scale(s) => give(&mut grads, 0, g.scale(*s)),
                 Op::MatMul => {
                     // C = A B: dA = dC Bᵀ, dB = Aᵀ dC.
-                    let da = g.matmul(&pv(1).transpose());
-                    let db = pv(0).transpose().matmul(&g);
-                    give(&mut grads, 0, da);
-                    give(&mut grads, 1, db);
+                    if wants(0) {
+                        give(&mut grads, 0, g.matmul(&pv(1).transpose()));
+                    }
+                    if wants(1) {
+                        give(&mut grads, 1, pv(0).transpose().matmul(&g));
+                    }
                 }
                 Op::LinearAct(act) => {
                     // y = act(W x + b): with dz = g ⊙ act'(y),
@@ -407,7 +427,7 @@ impl Graph {
                                 entries,
                             },
                         );
-                    } else {
+                    } else if wants(0) {
                         let mut dg = Tensor::zeros(&[rows, cols]);
                         for (k, &row_idx) in indices.iter().enumerate() {
                             let src = &g.as_slice()[k * cols..(k + 1) * cols];
@@ -420,10 +440,15 @@ impl Graph {
                     }
                 }
                 Op::Conv2d { kh, kw } => {
-                    let gi = crate::conv::conv2d_grad_input(&g, pv(1));
-                    let gk = crate::conv::conv2d_grad_kernel(&g, pv(0), *kh, *kw);
-                    give(&mut grads, 0, gi);
-                    give(&mut grads, 1, gk);
+                    // The first conv of the external CNN reads the speed
+                    // matrix, an input: its input gradient is never read.
+                    if wants(0) {
+                        give(&mut grads, 0, crate::conv::conv2d_grad_input(&g, pv(1)));
+                    }
+                    if wants(1) {
+                        let gk = crate::conv::conv2d_grad_kernel(&g, pv(0), *kh, *kw);
+                        give(&mut grads, 1, gk);
+                    }
                 }
                 Op::BatchNorm { mu, var, eps } => {
                     // y = gamma * (x - mu) * inv_std + beta, with mu/var constant.

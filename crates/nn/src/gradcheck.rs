@@ -284,6 +284,52 @@ fn grad_conv2d() {
 }
 
 #[test]
+fn grad_conv2d_multichannel_3x3() {
+    let mut store = ParamStore::new();
+    let x = rand_param_signed(&mut store, "x", &[3, 5, 4], 23);
+    let k = rand_param_signed(&mut store, "k", &[4, 3, 3, 3], 24);
+    check(
+        &mut store,
+        |g, s| {
+            let xv = g.param(s, x);
+            let kv = g.param(s, k);
+            let y = g.conv2d(xv, kv);
+            let t = g.tanh(y);
+            g.sum_all(t)
+        },
+        2e-2,
+    );
+}
+
+#[test]
+fn grad_conv2d_over_an_input_leaf() {
+    // The external CNN's first conv reads the speed matrix, a constant:
+    // backward skips its input gradient but must still get the kernel's
+    // right, including through a second conv stacked on top.
+    let mut store = ParamStore::new();
+    let k1 = rand_param_signed(&mut store, "k1", &[2, 1, 3, 3], 25);
+    let k2 = rand_param_signed(&mut store, "k2", &[3, 2, 3, 3], 26);
+    let speed = {
+        let mut rng = rng_from_seed(27);
+        Tensor::rand_uniform(&[1, 4, 5], -1.0, 1.0, &mut rng)
+    };
+    check(
+        &mut store,
+        |g, s| {
+            let xv = g.input(speed.clone());
+            let k1v = g.param(s, k1);
+            let z = g.conv2d(xv, k1v);
+            let z = g.tanh(z);
+            let k2v = g.param(s, k2);
+            let z = g.conv2d(z, k2v);
+            let t = g.tanh(z);
+            g.sum_all(t)
+        },
+        2e-2,
+    );
+}
+
+#[test]
 fn grad_batchnorm() {
     let mut store = ParamStore::new();
     let x = rand_param_signed(&mut store, "x", &[2, 3, 2], 15);

@@ -37,6 +37,22 @@ fn parse_everything(line: &str) {
     let _ = net::decode_line(dataset(), line);
 }
 
+/// A line of 60 000 `[` fits under the 64 KiB frame cap; it must be a
+/// bad-request error, not a stack overflow that aborts the server.
+#[test]
+fn a_deeply_nested_line_is_a_bad_request_not_a_stack_overflow() {
+    let line = "[".repeat(60_000);
+    let err = WireRequest::parse(&line).expect_err("deep nesting is rejected");
+    assert_eq!(err.kind, ErrorKind::BadRequest);
+    assert!(err.msg.starts_with("bad request JSON: "), "{}", err.msg);
+    assert!(WireResponse::parse(&line).is_err());
+    match net::decode_line(dataset(), &line) {
+        Some(Err(reply)) => assert!(reply.contains("bad request JSON"), "{reply}"),
+        Some(Ok(_)) => panic!("deep nesting decoded as a request"),
+        None => panic!("a non-blank line owes a reply"),
+    }
+}
+
 proptest! {
     #[test]
     fn rendered_requests_parse_back_to_themselves(

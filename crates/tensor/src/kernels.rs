@@ -4,7 +4,8 @@
 //! goes through (DESIGN.md §12): `Tensor::matmul`, the fused
 //! `matmul_bias_act` / `matvec_bias_act` primitives (and therefore every
 //! `linear_act` node on the autodiff tape, including the LSTM gates), the
-//! convolution inner loop (via [`axpy`]), and the int8 inference path.
+//! convolution forward (via [`axpy`]) and gradients (via [`matmul`]), and
+//! the int8 inference path.
 //!
 //! # Layout and dispatch
 //!

@@ -76,10 +76,16 @@ stage net        cargo test -q -p deepod-cli --test serve_net
 # serving instead of wrong answers.
 stage cache      cargo test -q -p deepod-cli --test serve_cache
 # Kernel stage: property tests proving the packed/SIMD matmul, matvec,
-# axpy, and int8 paths bit-identical to the scalar reference (DESIGN.md
-# §12 determinism contract), then the eval-side precision gate on a
-# fixture model — int8 MAPE must stay within the configured delta of f32.
-stage kernels    cargo test -q -p deepod-tensor --test kernel_props
+# axpy, and int8 paths bit-identical to the scalar reference, and the
+# matmul-form conv gradients bit-identical to their scalar reference
+# loops plus their finite-difference gradchecks (DESIGN.md §12 determinism
+# contract); then the eval-side precision gate on a fixture model —
+# int8 MAPE must stay within the configured delta of f32.
+kernel_tests() {
+  cargo test -q -p deepod-tensor --test kernel_props &&
+    cargo test -q -p deepod-nn conv
+}
+stage kernels    kernel_tests
 stage precision  cargo test -q -p deepod-eval precision
 # Benchmark smoke stage: one short pass of every workload of the repo
 # benchmark (BENCHMARK.json). Its gate — each served reply `to_bits`-equal
