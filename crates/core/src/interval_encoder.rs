@@ -6,6 +6,7 @@
 //! concatenated with the two normalized remainders and encoded by a
 //! two-layer MLP into `tcode` (Eq. 11).
 
+use crate::features::EncodedStep;
 use deepod_nn::layers::{BatchNorm2d, Embedding, Mlp2};
 use deepod_nn::{Graph, ParamId, ParamStore, VarId};
 use deepod_tensor::Tensor;
@@ -68,50 +69,66 @@ impl TimeIntervalEncoder {
         self.mlp.out_dim()
     }
 
-    /// Encodes one interval: `slot_nodes` are the Δd weekly slot indices,
-    /// `rem_enter`/`rem_exit` the normalized remainders. `slot_emb` is the
-    /// shared time-slot embedding table W_t.
-    #[allow(clippy::too_many_arguments)] // mirrors the paper's module signature
+    /// Encodes the interval of every step of a trajectory into a
+    /// `[steps, d²_m]` matrix whose row `s` is step `s`'s `tcode`. A step's
+    /// `slot_nodes` are its Δd weekly slot indices and `rem_enter` /
+    /// `rem_exit` its normalized remainders; `slot_emb` is the shared
+    /// time-slot embedding table W_t.
+    ///
+    /// Each layer is one tape node for all steps: the steps are segments
+    /// (`deepod_nn::Graph` module docs), so every row is computed exactly
+    /// as a lone interval would be, and the batch norms update their
+    /// running statistics step by step, in step order.
     pub fn encode(
         &mut self,
         g: &mut Graph,
         store: &ParamStore,
         slot_emb: &Embedding,
-        slot_nodes: &[usize],
-        rem_enter: f32,
-        rem_exit: f32,
+        steps: &[EncodedStep],
         training: bool,
     ) -> VarId {
-        assert!(!slot_nodes.is_empty(), "interval covers no slots");
-        // Dt: [Δd, d_t] stacked slot embeddings, viewed as [1, Δd, d_t].
-        let dt_matrix = slot_emb.lookup_many(g, store, slot_nodes);
-        let dd = slot_nodes.len();
-        let x = g.reshape(dt_matrix, &[1, dd, self.dt_dim]);
+        assert!(!steps.is_empty(), "cannot encode an empty trajectory");
+        let segs: Vec<usize> = steps.iter().map(|s| s.slot_nodes.len()).collect();
+        assert!(segs.iter().all(|&dd| dd > 0), "interval covers no slots");
+        let nodes: Vec<usize> = steps
+            .iter()
+            .flat_map(|s| s.slot_nodes.iter().copied())
+            .collect();
+        // Dt: each step's [Δd, d_t] stacked slot embeddings, viewed as
+        // [1, Δd, d_t].
+        let dt_matrix = slot_emb.lookup_many(g, store, &nodes, &segs);
+        let x = g.reshape(dt_matrix, &[1, nodes.len(), self.dt_dim]);
 
         // Residual branch: conv(3×1,4) → BN → ReLU → conv(3×1,8) → BN →
         // ReLU → conv(1×1,1)  (Eq. 5–7).
         let k1 = g.param(store, self.k1);
-        let z1 = g.conv2d(x, k1);
-        let z1 = self.bn1.forward(g, store, z1, training);
+        let z1 = g.conv2d_segments(x, k1, &segs);
+        let z1 = self.bn1.forward_segments(g, store, z1, &segs, training);
         let z1 = g.relu(z1);
         let k2 = g.param(store, self.k2);
-        let z2 = g.conv2d(z1, k2);
-        let z2 = self.bn2.forward(g, store, z2, training);
+        let z2 = g.conv2d_segments(z1, k2, &segs);
+        let z2 = self.bn2.forward_segments(g, store, z2, &segs, training);
         let z2 = g.relu(z2);
         let k3 = g.param(store, self.k3);
-        let z3 = g.conv2d(z2, k3);
+        let z3 = g.conv2d_segments(z2, k3, &segs);
 
         // Z⁴ = Dt ⊕ Z³ (Eq. 8): the identity shortcut.
         let z4 = g.add(x, z3);
 
-        // Average pooling over Δd (Eq. 10).
-        let z4m = g.reshape(z4, &[dd, self.dt_dim]);
-        let z5 = g.mean_rows(z4m);
+        // Average pooling over each step's Δd (Eq. 10).
+        let z4m = g.reshape(z4, &[nodes.len(), self.dt_dim]);
+        let z5 = g.mean_rows(z4m, &segs);
 
         // Z⁶ = concat(Z⁵, t_r[1], t_r[-1], ln(1+Δd)) → MLP (Eq. 11 plus the
         // Δd scalar of Eq. 4; see the constructor comment).
-        let dd_feat = (1.0 + dd as f32).ln();
-        let rems = g.input(Tensor::from_vec(vec![rem_enter, rem_exit, dd_feat], &[3]));
+        let scalars: Vec<f32> = steps
+            .iter()
+            .flat_map(|s| {
+                let dd_feat = (1.0 + s.slot_nodes.len() as f32).ln();
+                [s.rem_enter, s.rem_exit, dd_feat]
+            })
+            .collect();
+        let rems = g.input(Tensor::from_vec(scalars, &[steps.len(), 3]));
         let z6 = g.concat(&[z5, rems]);
         self.mlp.forward(g, store, z6)
     }
@@ -130,24 +147,53 @@ mod tests {
         (store, enc, emb)
     }
 
+    fn interval(slot_nodes: &[usize], rem_enter: f32, rem_exit: f32) -> EncodedStep {
+        EncodedStep {
+            edge: 0,
+            slot_nodes: slot_nodes.to_vec(),
+            rem_enter,
+            rem_exit,
+        }
+    }
+
     #[test]
     fn output_width_fixed_across_interval_lengths() {
         let (store, mut enc, emb) = setup(8);
         for nodes in [vec![3], vec![3, 4], vec![3, 4, 5, 6, 7, 8, 9]] {
             let mut g = Graph::new();
-            let out = enc.encode(&mut g, &store, &emb, &nodes, 0.2, 0.8, false);
-            assert_eq!(g.value(out).dims(), &[12], "Δd = {}", nodes.len());
+            let out = enc.encode(&mut g, &store, &emb, &[interval(&nodes, 0.2, 0.8)], false);
+            assert_eq!(g.value(out).dims(), &[1, 12], "Δd = {}", nodes.len());
             assert!(!g.value(out).has_non_finite());
+        }
+    }
+
+    #[test]
+    fn one_row_per_step_independent_of_its_neighbours() {
+        // Segments never mix: a step's row is the same alone or batched
+        // with intervals of other lengths (eval mode: no EMA drift).
+        let (store, mut enc, emb) = setup(8);
+        let steps = [
+            interval(&[1], 0.1, 0.9),
+            interval(&[2, 3, 4], 0.5, 0.0),
+            interval(&[4, 5], 0.3, 0.3),
+        ];
+        let mut g = Graph::new();
+        let all = enc.encode(&mut g, &store, &emb, &steps, false);
+        assert_eq!(g.value(all).dims(), &[3, 12]);
+        for (s, step) in steps.iter().enumerate() {
+            let one = enc.encode(&mut g, &store, &emb, std::slice::from_ref(step), false);
+            assert_eq!(g.value(all).row(s), g.value(one).as_slice(), "step {s}");
         }
     }
 
     #[test]
     fn deterministic_in_eval_mode() {
         let (store, mut enc, emb) = setup(8);
+        let steps = [interval(&[1, 2, 3], 0.1, 0.9)];
         let mut g1 = Graph::new();
-        let a = enc.encode(&mut g1, &store, &emb, &[1, 2, 3], 0.1, 0.9, false);
+        let a = enc.encode(&mut g1, &store, &emb, &steps, false);
         let mut g2 = Graph::new();
-        let b = enc.encode(&mut g2, &store, &emb, &[1, 2, 3], 0.1, 0.9, false);
+        let b = enc.encode(&mut g2, &store, &emb, &steps, false);
         assert_eq!(g1.value(a).as_slice(), g2.value(b).as_slice());
     }
 
@@ -155,10 +201,9 @@ mod tests {
     fn different_slots_different_codes() {
         let (store, mut enc, emb) = setup(8);
         let mut g = Graph::new();
-        let a = enc.encode(&mut g, &store, &emb, &[1, 2], 0.0, 0.5, false);
-        let b = enc.encode(&mut g, &store, &emb, &[30, 31], 0.0, 0.5, false);
-        let da = g.value(a).as_slice();
-        let db = g.value(b).as_slice();
+        let steps = [interval(&[1, 2], 0.0, 0.5), interval(&[30, 31], 0.0, 0.5)];
+        let out = enc.encode(&mut g, &store, &emb, &steps, false);
+        let (da, db) = (g.value(out).row(0), g.value(out).row(1));
         assert!(da.iter().zip(db).any(|(x, y)| (x - y).abs() > 1e-6));
     }
 
@@ -166,16 +211,17 @@ mod tests {
     fn remainders_affect_output() {
         let (store, mut enc, emb) = setup(8);
         let mut g = Graph::new();
-        let a = enc.encode(&mut g, &store, &emb, &[5], 0.0, 0.1, false);
-        let b = enc.encode(&mut g, &store, &emb, &[5], 0.9, 1.0, false);
-        assert_ne!(g.value(a).as_slice(), g.value(b).as_slice());
+        let steps = [interval(&[5], 0.0, 0.1), interval(&[5], 0.9, 1.0)];
+        let out = enc.encode(&mut g, &store, &emb, &steps, false);
+        assert_ne!(g.value(out).row(0), g.value(out).row(1));
     }
 
     #[test]
     fn gradients_flow_to_all_parts() {
         let (mut store, mut enc, emb) = setup(8);
+        let steps = [interval(&[2, 3, 4], 0.3, 0.7)];
         let mut g = Graph::new();
-        let out = enc.encode(&mut g, &store, &emb, &[2, 3, 4], 0.3, 0.7, true);
+        let out = enc.encode(&mut g, &store, &emb, &steps, true);
         let s = g.sum_all(out);
         let grads = g.backward(s);
         // Embedding rows, all three kernels, BN affine and MLP must all
@@ -191,7 +237,7 @@ mod tests {
         let mut opt = deepod_nn::AdamOptimizer::new(0.05);
         opt.step(&mut store, &grads);
         let mut g2 = Graph::new();
-        let out2 = enc.encode(&mut g2, &store, &emb, &[2, 3, 4], 0.3, 0.7, false);
+        let out2 = enc.encode(&mut g2, &store, &emb, &steps, false);
         assert_ne!(before, g2.value(out2).as_slice());
     }
 
@@ -200,6 +246,6 @@ mod tests {
     fn empty_interval_panics() {
         let (store, mut enc, emb) = setup(8);
         let mut g = Graph::new();
-        let _ = enc.encode(&mut g, &store, &emb, &[], 0.0, 0.0, false);
+        let _ = enc.encode(&mut g, &store, &emb, &[interval(&[], 0.0, 0.0)], false);
     }
 }

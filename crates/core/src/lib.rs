@@ -41,6 +41,8 @@ mod inference;
 mod interval_encoder;
 pub mod io_guard;
 mod model;
+#[cfg(test)]
+mod mt_reference_tests;
 pub mod obs;
 mod od_encoder;
 pub mod oracle;

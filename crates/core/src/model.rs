@@ -370,6 +370,17 @@ impl DeepOdModel {
     /// bit-identical whether or not the components are observed.
     pub fn sample_loss_nodes(&mut self, g: &mut Graph, sample: &EncodedSample) -> SampleLossNodes {
         let fwd = self.forward_sample(g, sample, true);
+        self.loss_nodes(g, fwd, sample)
+    }
+
+    /// The loss terms of Alg. 1 lines 10–12 on top of a training forward
+    /// pass `fwd` of `sample`.
+    pub(crate) fn loss_nodes(
+        &self,
+        g: &mut Graph,
+        fwd: SampleForward,
+        sample: &EncodedSample,
+    ) -> SampleLossNodes {
         let y_norm = self.normalize_y(sample.travel_time);
         let target = g.input(Tensor::from_vec(vec![y_norm], &[1]));
         let main = g.mean_abs_error(fwd.prediction, target);

@@ -313,8 +313,7 @@ impl<'a> Trainer<'a> {
             let mut grads = Gradients::new();
             let mut batch = BatchGrad::default();
             for &idx in chunk {
-                let sample = self.train_samples[idx].clone();
-                let (parts, g) = self.model.sample_gradients_traced(&sample);
+                let (parts, g) = self.model.sample_gradients_traced(&self.train_samples[idx]);
                 batch.accumulate(&parts);
                 grads.merge(g);
             }
@@ -329,8 +328,7 @@ impl<'a> Trainer<'a> {
             let mut batch = BatchGrad::default();
             let len = span.len();
             for &idx in &chunk[span] {
-                let sample = samples[idx].clone();
-                let (parts, g) = local.sample_gradients_traced(&sample);
+                let (parts, g) = local.sample_gradients_traced(&samples[idx]);
                 batch.accumulate(&parts);
                 grads.merge(g);
             }

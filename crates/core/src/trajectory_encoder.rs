@@ -68,6 +68,12 @@ impl TrajectoryEncoder {
     }
 
     /// Encodes a trajectory into `stcode`.
+    ///
+    /// The whole trajectory is a handful of tape nodes, not a set per
+    /// step: the steps' interval codes are one `[steps, d²_m]` batch, their
+    /// road embeddings one `[steps, d_s]` gather, and the LSTM one sequence
+    /// node. Values and gradients are bit-identical to running the interval
+    /// encoder and the LSTM cell once per step (DESIGN.md §12).
     #[allow(clippy::too_many_arguments)]
     pub fn encode(
         &mut self,
@@ -82,35 +88,24 @@ impl TrajectoryEncoder {
         training: bool,
     ) -> VarId {
         assert!(!steps.is_empty(), "cannot encode an empty trajectory");
-        let mut inputs = Vec::with_capacity(steps.len());
-        for s in steps {
-            let mut parts: Vec<VarId> = Vec::with_capacity(2);
-            if self.variant.traj_uses_temporal() {
-                let tcode = interval_enc.encode(
-                    g,
-                    store,
-                    slot_emb,
-                    &s.slot_nodes,
-                    s.rem_enter,
-                    s.rem_exit,
-                    training,
-                );
-                debug_assert_eq!(g.value(tcode).numel(), self.d2m);
-                parts.push(tcode);
-            }
-            if self.variant.traj_uses_spatial() {
-                let demb = road_emb.lookup(g, store, s.edge);
-                debug_assert_eq!(g.value(demb).numel(), self.ds);
-                parts.push(demb);
-            }
-            let dst = if parts.len() == 1 {
-                parts[0]
-            } else {
-                g.concat(&parts)
-            };
-            inputs.push(dst);
+        let mut parts: Vec<VarId> = Vec::with_capacity(2);
+        if self.variant.traj_uses_temporal() {
+            let tcode = interval_enc.encode(g, store, slot_emb, steps, training);
+            debug_assert_eq!(g.value(tcode).dims(), &[steps.len(), self.d2m]);
+            parts.push(tcode);
         }
-        let hn = self.lstm.run_sequence(g, store, &inputs);
+        if self.variant.traj_uses_spatial() {
+            let edges: Vec<usize> = steps.iter().map(|s| s.edge).collect();
+            let demb = road_emb.lookup_many(g, store, &edges, &vec![1; steps.len()]);
+            debug_assert_eq!(g.value(demb).dims(), &[steps.len(), self.ds]);
+            parts.push(demb);
+        }
+        let x = if parts.len() == 1 {
+            parts[0]
+        } else {
+            g.concat(&parts)
+        };
+        let hn = self.lstm.run_sequence(g, store, x);
         let ratios = g.input(Tensor::from_vec(vec![r_start, r_end], &[2]));
         let z7 = g.concat(&[hn, ratios]);
         self.mlp.forward(g, store, z7)

@@ -1,7 +1,7 @@
 //! Reverse-mode sweep over a recorded [`Graph`] and the gradient container
 //! handed to optimizers.
 
-use crate::graph::{Graph, Op, VarId};
+use crate::graph::{blocks, Graph, Op, VarId};
 use crate::param::ParamId;
 use deepod_tensor::Tensor;
 use std::collections::HashMap;
@@ -200,6 +200,51 @@ impl Gradients {
     }
 }
 
+/// Sums per-step gradient parts last step first, the first part taken
+/// as-is: the order a tape of one node per step merged them into a
+/// parameter (`Gradients::accumulate` inserts the first and adds the
+/// rest), including the sign of a zero sum.
+pub(crate) fn sum_last_first<'a>(parts: impl DoubleEndedIterator<Item = &'a [f32]>) -> Vec<f32> {
+    let mut parts = parts.rev();
+    let mut acc = parts.next().map(<[f32]>::to_vec).unwrap_or_default();
+    for part in parts {
+        for (a, v) in acc.iter_mut().zip(part) {
+            *a += v;
+        }
+    }
+    acc
+}
+
+/// `Σ_r a_rᵀ b_r` over the rows of `a` (`[rows, m]`) and `b`
+/// (`[rows, k]`), summed as [`sum_last_first`] would sum the per-row outer
+/// products: the last row's product seeds the output and one
+/// `kernels::matmul` adds the others in descending row order.
+pub(crate) fn sum_outer_last_first(a: &[f32], b: &[f32], rows: usize) -> Vec<f32> {
+    let (m, k) = (a.len() / rows, b.len() / rows);
+    let last = rows - 1;
+    let mut out = Vec::with_capacity(m * k);
+    for &av in &a[last * m..] {
+        out.extend(b[last * k..].iter().map(|&bv| av * bv));
+    }
+    if last > 0 {
+        // Column t of `at` and row t of `bt` are row `last − 1 − t`.
+        let mut at = vec![0.0f32; m * last];
+        for (t, row) in a[..last * m].chunks_exact(m).rev().enumerate() {
+            for (i, &v) in row.iter().enumerate() {
+                at[i * last + t] = v;
+            }
+        }
+        let bt: Vec<f32> = b[..last * k]
+            .chunks_exact(k)
+            .rev()
+            .flatten()
+            .copied()
+            .collect();
+        deepod_tensor::kernels::matmul(&at, &bt, &mut out, last, k);
+    }
+    out
+}
+
 impl Graph {
     /// Runs reverse-mode differentiation from the scalar node `loss` and
     /// returns the parameter gradients. Panics when `loss` is not a scalar.
@@ -276,35 +321,33 @@ impl Graph {
                     }
                 }
                 Op::LinearAct(act) => {
-                    // y = act(W x + b): with dz = g ⊙ act'(y),
-                    // dW = dz xᵀ (outer product), dx = Wᵀ dz, db = dz.
+                    // y = act(W x + b) per row of x: with dz = g ⊙ act'(y),
+                    // dx = dz W (each element ascending over W's rows from
+                    // +0), while dW = Σ dzᵀ x and db = Σ dz sum the rows
+                    // last first (one row: the outer product and dz).
                     let y = &node.value;
                     let w = pv(0);
                     let x = pv(1);
                     let (m, k) = (w.dim(0), w.dim(1));
+                    let rows = x.numel() / k;
                     let dz: Vec<f32> = g
                         .as_slice()
                         .iter()
                         .zip(y.as_slice())
                         .map(|(&gv, &yv)| gv * act.derivative_from_output(yv))
                         .collect();
-                    let xs = x.as_slice();
-                    let ws = w.as_slice();
-                    let mut dw = vec![0.0f32; m * k];
-                    let mut dx = vec![0.0f32; k];
-                    for (i, &d) in dz.iter().enumerate() {
-                        let wrow = &ws[i * k..(i + 1) * k];
-                        let drow = &mut dw[i * k..(i + 1) * k];
-                        for ((dwv, dxv), (&wv, &xv)) in
-                            drow.iter_mut().zip(&mut dx).zip(wrow.iter().zip(xs))
-                        {
-                            *dwv = d * xv;
-                            *dxv += d * wv;
-                        }
-                    }
+                    let dw = sum_outer_last_first(&dz, x.as_slice(), rows);
                     give(&mut grads, 0, Tensor::from_vec(dw, &[m, k]));
-                    give(&mut grads, 1, Tensor::from_vec(dx, x.dims()));
-                    give(&mut grads, 2, Tensor::from_vec(dz, &[m]));
+                    if wants(1) {
+                        let mut dx = vec![0.0f32; rows * k];
+                        deepod_tensor::kernels::matmul(&dz, w.as_slice(), &mut dx, m, k);
+                        give(&mut grads, 1, Tensor::from_vec(dx, x.dims()));
+                    }
+                    give(
+                        &mut grads,
+                        2,
+                        Tensor::from_vec(sum_last_first(dz.chunks_exact(m)), &[m]),
+                    );
                 }
                 Op::AddBiasRows => {
                     give(&mut grads, 0, g.clone());
@@ -368,12 +411,18 @@ impl Graph {
                         .collect();
                     give(&mut grads, 0, Tensor::from_vec(dg, g.dims()));
                 }
-                Op::ConcatVecs(lens) => {
+                Op::Concat(widths) => {
+                    let total: usize = widths.iter().sum();
                     let mut off = 0;
-                    for (k, &len) in lens.iter().enumerate() {
-                        let part = g.as_slice()[off..off + len].to_vec();
-                        give(&mut grads, k, Tensor::from_vec(part, &[len]));
-                        off += len;
+                    for (k, &width) in widths.iter().enumerate() {
+                        let part = g
+                            .as_slice()
+                            .chunks_exact(total.max(1))
+                            .flat_map(|row| &row[off..off + width])
+                            .copied()
+                            .collect();
+                        give(&mut grads, k, Tensor::from_vec(part, pv(k).dims()));
+                        off += width;
                     }
                 }
                 Op::StackRows => {
@@ -382,17 +431,18 @@ impl Graph {
                         give(&mut grads, k, Tensor::from_vec(g.row(k).to_vec(), &[cols]));
                     }
                 }
-                Op::MeanRows => {
-                    let rows = pv(0).dim(0);
+                Op::MeanRows(segs) => {
+                    // Every row of segment s gets that segment's output
+                    // gradient over its row count.
                     let cols = pv(0).dim(1);
-                    let inv = 1.0 / rows as f32;
-                    let mut dg = Tensor::zeros(&[rows, cols]);
-                    for r in 0..rows {
-                        for (d, &gv) in dg.row_mut(r).iter_mut().zip(g.as_slice()) {
-                            *d = gv * inv;
+                    let mut dg = Vec::with_capacity(pv(0).numel());
+                    for (&rows, gs) in segs.iter().zip(g.as_slice().chunks_exact(cols.max(1))) {
+                        let inv = 1.0 / rows as f32;
+                        for _ in 0..rows {
+                            dg.extend(gs.iter().map(|&gv| gv * inv));
                         }
                     }
-                    give(&mut grads, 0, dg);
+                    give(&mut grads, 0, Tensor::from_vec(dg, pv(0).dims()));
                 }
                 Op::SumAll => {
                     give(&mut grads, 0, Tensor::full(pv(0).dims(), g.item()));
@@ -404,29 +454,37 @@ impl Graph {
                 Op::Reshape(old_dims) => {
                     give(&mut grads, 0, g.reshape(old_dims));
                 }
-                Op::Gather(indices) => {
+                Op::Gather { indices, segs } => {
                     // If the parent is a parameter leaf, hand the optimizer a
-                    // sparse slot directly and skip the dense materialization.
+                    // sparse slot directly and skip the dense materialization:
+                    // one slot per segment, last segment first, each summing
+                    // its own rows from +0.
                     let parent = &self.nodes[node.parents[0].0];
                     let cols = parent.value.dim(1);
                     let rows = parent.value.dim(0);
                     if let Op::Param(pid) = parent.op {
-                        let mut entries: HashMap<usize, Vec<f32>> = HashMap::new();
-                        for (k, &row_idx) in indices.iter().enumerate() {
-                            let src = &g.as_slice()[k * cols..(k + 1) * cols];
-                            let e = entries.entry(row_idx).or_insert_with(|| vec![0.0; cols]);
-                            for (d, &s) in e.iter_mut().zip(src) {
-                                *d += s;
+                        let mut end = indices.len();
+                        for &n in segs.iter().rev() {
+                            let start = end - n;
+                            let mut entries: HashMap<usize, Vec<f32>> = HashMap::new();
+                            let src_rows =
+                                g.as_slice()[start * cols..end * cols].chunks_exact(cols);
+                            for (&row_idx, src) in indices[start..end].iter().zip(src_rows) {
+                                let e = entries.entry(row_idx).or_insert_with(|| vec![0.0; cols]);
+                                for (d, &s) in e.iter_mut().zip(src) {
+                                    *d += s;
+                                }
                             }
+                            out.accumulate(
+                                pid,
+                                GradSlot::SparseRows {
+                                    rows,
+                                    cols,
+                                    entries,
+                                },
+                            );
+                            end = start;
                         }
-                        out.accumulate(
-                            pid,
-                            GradSlot::SparseRows {
-                                rows,
-                                cols,
-                                entries,
-                            },
-                        );
                     } else if wants(0) {
                         let mut dg = Tensor::zeros(&[rows, cols]);
                         for (k, &row_idx) in indices.iter().enumerate() {
@@ -439,41 +497,94 @@ impl Graph {
                         give(&mut grads, 0, dg);
                     }
                 }
-                Op::Conv2d { kh, kw } => {
-                    // The first conv of the external CNN reads the speed
-                    // matrix, an input: its input gradient is never read.
+                Op::Conv2d { kh, kw, segs } => {
+                    // Each segment's gradients are the unsegmented conv's;
+                    // the kernel's sum the segments last first. The first
+                    // conv of the external CNN reads the speed matrix, an
+                    // input: its input gradient is never read.
+                    let go = blocks(&g, segs);
                     if wants(0) {
-                        give(&mut grads, 0, crate::conv::conv2d_grad_input(&g, pv(1)));
+                        let mut gi = Vec::with_capacity(pv(0).numel());
+                        for gs in &go {
+                            gi.extend_from_slice(
+                                crate::conv::conv2d_grad_input(gs, pv(1)).as_slice(),
+                            );
+                        }
+                        give(&mut grads, 0, Tensor::from_vec(gi, pv(0).dims()));
                     }
                     if wants(1) {
-                        let gk = crate::conv::conv2d_grad_kernel(&g, pv(0), *kh, *kw);
-                        give(&mut grads, 1, gk);
+                        let parts: Vec<Tensor> = go
+                            .iter()
+                            .zip(blocks(pv(0), segs))
+                            .map(|(gs, xs)| crate::conv::conv2d_grad_kernel(gs, &xs, *kh, *kw))
+                            .collect();
+                        let gk = sum_last_first(parts.iter().map(Tensor::as_slice));
+                        give(&mut grads, 1, Tensor::from_vec(gk, pv(1).dims()));
                     }
                 }
-                Op::BatchNorm { mu, var, eps } => {
-                    // y = gamma * (x - mu) * inv_std + beta, with mu/var constant.
+                Op::BatchNorm { segs, mu, var, eps } => {
+                    // y = gamma * (x - mu) * inv_std + beta, with mu/var
+                    // constant per segment; gamma/beta sum the segments
+                    // last first.
                     let x = pv(0);
-                    let gamma = pv(1);
+                    let gamma = pv(1).as_slice();
                     let c = x.dim(0);
-                    let hw = x.dim(1) * x.dim(2);
-                    let mut dx = Tensor::zeros(x.dims());
-                    let mut dgamma = vec![0.0f32; c];
-                    let mut dbeta = vec![0.0f32; c];
-                    for ch in 0..c {
-                        let inv_std = 1.0 / (var[ch] + eps).sqrt();
-                        let gch = gamma.as_slice()[ch];
-                        for k in 0..hw {
-                            let idx = ch * hw + k;
-                            let gv = g.as_slice()[idx];
-                            let xhat = (x.as_slice()[idx] - mu[ch]) * inv_std;
-                            dx.as_mut_slice()[idx] = gv * gch * inv_std;
-                            dgamma[ch] += gv * xhat;
-                            dbeta[ch] += gv;
+                    let mut dx = Vec::with_capacity(x.numel());
+                    let mut dgammas = Vec::with_capacity(segs.len());
+                    let mut dbetas = Vec::with_capacity(segs.len());
+                    let mut start = 0;
+                    for (s, &h) in segs.iter().enumerate() {
+                        let hw = h * x.dim(2);
+                        let mut dgamma = vec![0.0f32; c];
+                        let mut dbeta = vec![0.0f32; c];
+                        for ch in 0..c {
+                            let (mu, inv_std) =
+                                (mu[s * c + ch], 1.0 / (var[s * c + ch] + eps).sqrt());
+                            let gch = gamma[ch];
+                            let plane = start + ch * hw..start + (ch + 1) * hw;
+                            for (&gv, &xv) in
+                                g.as_slice()[plane.clone()].iter().zip(&x.as_slice()[plane])
+                            {
+                                let xhat = (xv - mu) * inv_std;
+                                dx.push(gv * gch * inv_std);
+                                dgamma[ch] += gv * xhat;
+                                dbeta[ch] += gv;
+                            }
                         }
+                        dgammas.push(dgamma);
+                        dbetas.push(dbeta);
+                        start += c * hw;
                     }
-                    give(&mut grads, 0, dx);
-                    give(&mut grads, 1, Tensor::from_vec(dgamma, &[c]));
-                    give(&mut grads, 2, Tensor::from_vec(dbeta, &[c]));
+                    give(&mut grads, 0, Tensor::from_vec(dx, x.dims()));
+                    give(
+                        &mut grads,
+                        1,
+                        Tensor::from_vec(sum_last_first(dgammas.iter().map(Vec::as_slice)), &[c]),
+                    );
+                    give(
+                        &mut grads,
+                        2,
+                        Tensor::from_vec(sum_last_first(dbetas.iter().map(Vec::as_slice)), &[c]),
+                    );
+                }
+                Op::Lstm(tape) => {
+                    let w = [pv(1), pv(2), pv(3), pv(4)];
+                    let lg = crate::lstm::backward(tape, pv(0), w, g.as_slice(), wants(0));
+                    if let Some(dx) = lg.dx {
+                        give(&mut grads, 0, Tensor::from_vec(dx, pv(0).dims()));
+                    }
+                    for (gate, (dw, db)) in lg.dw.into_iter().zip(lg.db).enumerate() {
+                        give(
+                            &mut grads,
+                            1 + gate,
+                            Tensor::from_vec(dw, pv(1 + gate).dims()),
+                        );
+                        give(
+                            &mut grads,
+                            5 + gate,
+                            Tensor::from_vec(db, pv(5 + gate).dims()),
+                        );
+                    }
                 }
             }
         }
@@ -528,6 +639,51 @@ mod tests {
             }
             other => panic!("expected sparse slot, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn row_batched_linear_matches_one_node_per_row_bitwise() {
+        // Unit 0 is a dead ReLU on every row and the upstream gradient is
+        // negative, so its bias gradient is a sum of -0s: -0 when the rows
+        // are merged first-as-is (what a node per row does), +0 if a sum
+        // were seeded with +0.
+        let mut store = ParamStore::new();
+        let w = store.register(
+            "w",
+            Tensor::from_vec(vec![0.5, -0.25, 0.75, 1.5, -0.5, 0.125], &[3, 2]),
+        );
+        let b = store.register("b", Tensor::from_vec(vec![-100.0, 0.25, -0.5], &[3]));
+        let rows = [[0.3f32, -0.7], [1.1, 0.2], [-0.4, 0.9], [0.0, -0.0]];
+        let loss_of = |g: &mut Graph, y: VarId| {
+            let s = g.sum_all(y);
+            g.scale(s, -1.0)
+        };
+
+        let mut gb = Graph::new();
+        let x = gb.input(Tensor::from_vec(rows.concat(), &[rows.len(), 2]));
+        let (wv, bv) = (gb.param(&store, w), gb.param(&store, b));
+        let y = gb.linear_act(wv, x, bv, deepod_tensor::Activation::Relu);
+        let loss = loss_of(&mut gb, y);
+        let batched = gb.backward(loss);
+
+        let mut gr = Graph::new();
+        let mut total = None;
+        for row in rows {
+            let x = gr.input(Tensor::from_vec(row.to_vec(), &[2]));
+            let (wv, bv) = (gr.param(&store, w), gr.param(&store, b));
+            let y = gr.linear_act(wv, x, bv, deepod_tensor::Activation::Relu);
+            let l = loss_of(&mut gr, y);
+            total = Some(total.map_or(l, |t| gr.add(t, l)));
+        }
+        let per_row = gr.backward(total.expect("rows"));
+
+        let bits = |gr: &Gradients, id, dims: &[usize]| -> Vec<u32> {
+            let t = gr.get(id).expect("gradient").to_dense(dims);
+            t.as_slice().iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(&batched, b, &[3]), bits(&per_row, b, &[3]));
+        assert_eq!(bits(&batched, w, &[3, 2]), bits(&per_row, w, &[3, 2]));
+        assert_eq!(bits(&batched, b, &[3])[0], (-0.0f32).to_bits());
     }
 
     #[test]

@@ -240,7 +240,8 @@ fn grad_concat_stack_meanrows() {
             let av = g.param(s, a);
             let bv = g.param(s, b);
             let m = g.stack_rows(&[av, bv]);
-            let pooled = g.mean_rows(m);
+            let pooled = g.mean_rows(m, &[2]);
+            let pooled = g.reshape(pooled, &[3]);
             let c = g.concat(&[pooled, av]);
             let t = g.tanh(c);
             g.sum_all(t)
@@ -367,19 +368,122 @@ fn grad_euclidean_distance() {
 
 #[test]
 fn grad_lstm_step() {
+    // Weights, biases and the input sequence itself (a parameter here, so
+    // the x-gradient is checked too), for 1-step and 3-step sequences.
     use crate::layers::LstmCell;
-    let mut rng = rng_from_seed(20);
+    for steps in [1usize, 3] {
+        let mut rng = rng_from_seed(20 + steps as u64);
+        let mut store = ParamStore::new();
+        let cell = LstmCell::new(&mut store, "lstm", 2, 3, &mut rng);
+        let x = rand_param_signed(&mut store, "x", &[steps, 2], 30 + steps as u64);
+        check(
+            &mut store,
+            |g, s| {
+                let xv = g.param(s, x);
+                let h = cell.run_sequence(g, s, xv);
+                let t = g.tanh(h);
+                g.sum_all(t)
+            },
+            3e-2,
+        );
+    }
+}
+
+#[test]
+fn grad_linear_act_row_batch() {
+    use deepod_tensor::Activation;
+    for (k, act) in [Activation::Identity, Activation::Sigmoid, Activation::Tanh]
+        .into_iter()
+        .enumerate()
+    {
+        let mut store = ParamStore::new();
+        let w = rand_param_signed(&mut store, "w", &[4, 3], 80 + k as u64);
+        let x = rand_param_signed(&mut store, "x", &[3, 3], 85 + k as u64);
+        let b = rand_param(&mut store, "b", &[4], 90 + k as u64);
+        check(
+            &mut store,
+            |g, s| {
+                let (wv, xv, bv) = (g.param(s, w), g.param(s, x), g.param(s, b));
+                let y = g.linear_act(wv, xv, bv, act);
+                let t = g.tanh(y);
+                g.sum_all(t)
+            },
+            2e-2,
+        );
+    }
+}
+
+#[test]
+fn grad_gather_segments() {
     let mut store = ParamStore::new();
-    let cell = LstmCell::new(&mut store, "lstm", 2, 3, &mut rng);
+    let table = rand_param_signed(&mut store, "emb", &[6, 3], 31);
     check(
         &mut store,
         |g, s| {
-            let x1 = g.input(Tensor::from_vec(vec![0.5, -0.3], &[2]));
-            let x2 = g.input(Tensor::from_vec(vec![-0.2, 0.8], &[2]));
-            let h = cell.run_sequence(g, s, &[x1, x2]);
-            g.sum_all(h)
+            let t = g.param(s, table);
+            let picked = g.gather_segments(t, &[1, 4, 1, 2, 4, 1], &[2, 1, 3]);
+            let sq = g.mul(picked, picked);
+            g.sum_all(sq)
         },
-        3e-2,
+        2e-2,
+    );
+}
+
+#[test]
+fn grad_conv2d_segments() {
+    let mut store = ParamStore::new();
+    let x = rand_param_signed(&mut store, "x", &[2, 5, 3], 32);
+    let k = rand_param_signed(&mut store, "k", &[3, 2, 3, 1], 33);
+    check(
+        &mut store,
+        |g, s| {
+            let xv = g.param(s, x);
+            let kv = g.param(s, k);
+            let y = g.conv2d_segments(xv, kv, &[2, 1, 2]);
+            let t = g.tanh(y);
+            g.sum_all(t)
+        },
+        2e-2,
+    );
+}
+
+#[test]
+fn grad_batchnorm_segments() {
+    let mut store = ParamStore::new();
+    let x = rand_param_signed(&mut store, "x", &[2, 4, 2], 34);
+    let gamma = rand_param(&mut store, "gamma", &[2], 35);
+    let beta = rand_param_signed(&mut store, "beta", &[2], 36);
+    check(
+        &mut store,
+        |g, s| {
+            let xv = g.param(s, x);
+            let gv = g.param(s, gamma);
+            let bv = g.param(s, beta);
+            let (mu, var) = ([0.1, -0.2, 0.3, 0.0], [1.5, 0.8, 0.6, 1.1]);
+            let y = g.batch_norm_segments(xv, gv, bv, &[1, 3], &mu, &var, 1e-5);
+            let t = g.tanh(y);
+            g.sum_all(t)
+        },
+        2e-2,
+    );
+}
+
+#[test]
+fn grad_mean_rows_and_row_concat() {
+    let mut store = ParamStore::new();
+    let m = rand_param_signed(&mut store, "m", &[5, 3], 37);
+    let r = rand_param_signed(&mut store, "r", &[2, 2], 38);
+    check(
+        &mut store,
+        |g, s| {
+            let mv = g.param(s, m);
+            let rv = g.param(s, r);
+            let pooled = g.mean_rows(mv, &[2, 3]);
+            let c = g.concat(&[pooled, rv]);
+            let t = g.tanh(c);
+            g.sum_all(t)
+        },
+        2e-2,
     );
 }
 

@@ -5,9 +5,23 @@
 //! `backward` module) replays the tape in reverse to produce parameter
 //! gradients. Graphs are cheap to build and are thrown away after each
 //! minibatch sample.
+//!
+//! # Segments
+//!
+//! The trajectory encoder runs one small interval tensor per matched road
+//! segment. Rather than one set of nodes per step, the ops it uses carry
+//! *segments*: per-step row counts `segs` that tile the value's row axis.
+//! A segmented `[c, Σh, w]` value is stored segment-major — segment `s`
+//! is one contiguous `[c, h_s, w]` block — and every op computes each
+//! block exactly as the unsegmented op would compute it alone. Where a
+//! per-step tape summed several steps into one parameter gradient, the
+//! segmented backward sums them last step first, the order those
+//! gradients reached the parameter (DESIGN.md §12). The single-segment
+//! case is the plain op (the external CNN).
 
 use crate::param::{ParamId, ParamStore};
 use deepod_tensor::{Activation, Tensor};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Handle to a node in a [`Graph`].
@@ -29,9 +43,10 @@ pub(crate) enum Op {
     Scale(f32),
     /// Matrix product `[m,k] x [k,n]`.
     MatMul,
-    /// Fused fully-connected node `act(W x + b)` for rank-1 `x`; parents
-    /// are `(w, x, b)`. Forward runs the fused tensor kernel; backward
-    /// recovers the activation derivative from the stored output.
+    /// Fused fully-connected node `act(W x + b)`, applied to a rank-1 `x`
+    /// or to every row of a `[rows, in]` matrix; parents are `(w, x, b)`.
+    /// Forward runs the fused tensor kernel; backward recovers the
+    /// activation derivative from the stored output.
     LinearAct(Activation),
     /// Adds a `[n]` bias to every row of a `[m,n]` matrix.
     AddBiasRows,
@@ -40,32 +55,45 @@ pub(crate) enum Op {
     Relu,
     Abs,
     Sqrt,
-    /// Concatenation of rank-1 parents; stores each part's length.
-    ConcatVecs(Vec<usize>),
+    /// Concatenation along the last axis of rank-1 parents, or row by row
+    /// of rank-2 parents with equal row counts; stores each part's width.
+    Concat(Vec<usize>),
     /// Stacks rank-1 parents of equal length into a matrix.
     StackRows,
-    /// Column mean of a matrix (`[r,c] -> [c]`, the paper's avg pooling).
-    MeanRows,
+    /// Column mean of each segment's rows (`[Σr,c] -> [S,c]`, the paper's
+    /// avg pooling); stores the segments.
+    MeanRows(Vec<usize>),
     SumAll,
     MeanAll,
     /// Shape change with identical element count; stores the input dims.
     Reshape(Vec<usize>),
-    /// Row gather from a `[n,d]` matrix; stores the looked-up row indices.
-    Gather(Vec<usize>),
-    /// Same-padded stride-1 conv; parents are (input, kernel).
+    /// Row gather from a `[n,d]` matrix; stores the looked-up row indices
+    /// and the segments that split them into per-step lookups.
+    Gather {
+        indices: Vec<usize>,
+        segs: Vec<usize>,
+    },
+    /// Same-padded stride-1 conv of each segment; parents are
+    /// (input, kernel).
     Conv2d {
         kh: usize,
         kw: usize,
+        segs: Vec<usize>,
     },
     /// Channel-wise affine normalization `(x - mu) / sqrt(var + eps)`
     /// followed by `gamma * xhat + beta`; parents are (input, gamma, beta)
     /// and mu/var are captured constants (running statistics — see
-    /// DESIGN.md §2.1 for why).
+    /// DESIGN.md §2.1 for why), one `[c]` pair per segment, flattened.
     BatchNorm {
+        segs: Vec<usize>,
         mu: Vec<f32>,
         var: Vec<f32>,
         eps: f32,
     },
+    /// The LSTM of Eq. 12–16 over a `[S, d_x]` sequence from zero state;
+    /// parents are `(x, w_f, w_i, w_o, w_c, b_f, b_i, b_o, b_c)` and the
+    /// output is the final hidden state.
+    Lstm(Box<crate::lstm::LstmTape>),
 }
 
 pub(crate) struct Node {
@@ -172,15 +200,24 @@ impl Graph {
         self.linear_act(w, x, b, Activation::Identity)
     }
 
-    /// Fused `act(W x + b)` for a rank-1 `x`: one tape node covering the
-    /// fully-connected layer *and* its activation. Values and gradients are
-    /// bit-identical to the unfused `linear` + activation-node sequence
-    /// (the kernel accumulates in the same ascending-`k` order and the
-    /// activation derivative is an exact function of the stored output).
+    /// Fused `act(W x + b)`: one tape node covering the fully-connected
+    /// layer *and* its activation. Values and gradients are bit-identical
+    /// to the unfused `linear` + activation-node sequence (the kernel
+    /// accumulates in the same ascending-`k` order and the activation
+    /// derivative is an exact function of the stored output).
+    ///
+    /// A `[rows, in]` matrix `x` is a row batch: output row `r` is the
+    /// rank-1 result for row `r` — one matmul, whose per-element
+    /// ascending-`k` sum is the matvec's — and backward sums the rows' `W`
+    /// and `b` gradients last row first, as a tape of one node per row
+    /// would have.
     pub fn linear_act(&mut self, w: VarId, x: VarId, b: VarId, act: Activation) -> VarId {
-        let v = self
-            .value(w)
-            .matvec_bias_act(self.value(x), self.value(b), act);
+        let (wv, xv, bv) = (self.value(w), self.value(x), self.value(b));
+        let v = if xv.rank() == 1 {
+            wv.matvec_bias_act(xv, bv, act)
+        } else {
+            xv.matmul_bias_act(&wv.transpose(), bv, act)
+        };
         self.push(v, Op::LinearAct(act), vec![w, x, b])
     }
 
@@ -228,12 +265,33 @@ impl Graph {
         self.push(v, Op::Sqrt, vec![a])
     }
 
-    /// Concatenates rank-1 vectors.
+    /// Concatenates rank-1 vectors, or `[rows, w_k]` matrices row by row
+    /// into `[rows, Σ w_k]` (each output row is the rank-1 concatenation of
+    /// the parts' rows).
     pub fn concat(&mut self, parts: &[VarId]) -> VarId {
         let tensors: Vec<&Tensor> = parts.iter().map(|&p| self.value(p)).collect();
-        let lens: Vec<usize> = tensors.iter().map(|t| t.numel()).collect();
-        let v = Tensor::concat_vecs(&tensors);
-        self.push(v, Op::ConcatVecs(lens), parts.to_vec())
+        let widths: Vec<usize> = tensors
+            .iter()
+            .map(|t| *t.dims().last().unwrap_or(&1))
+            .collect();
+        let v = match tensors.first().map(|t| t.rank()) {
+            Some(2) => {
+                let (rows, cols) = (tensors[0].dim(0), widths.iter().sum());
+                for t in &tensors {
+                    assert_eq!(t.rank(), 2, "row concat needs matrices");
+                    assert_eq!(t.dim(0), rows, "row concat needs equal row counts");
+                }
+                let mut data = Vec::with_capacity(rows * cols);
+                for r in 0..rows {
+                    for t in &tensors {
+                        data.extend_from_slice(t.row(r));
+                    }
+                }
+                Tensor::from_vec(data, &[rows, cols])
+            }
+            _ => Tensor::concat_vecs(&tensors),
+        };
+        self.push(v, Op::Concat(widths), parts.to_vec())
     }
 
     /// Stacks equal-length rank-1 vectors into a `[rows, cols]` matrix.
@@ -243,10 +301,18 @@ impl Graph {
         self.push(v, Op::StackRows, parts.to_vec())
     }
 
-    /// Column-wise mean (`[r,c] -> [c]`): the avg pooling of Eq. 10.
-    pub fn mean_rows(&mut self, a: VarId) -> VarId {
-        let v = self.value(a).mean_rows();
-        self.push(v, Op::MeanRows, vec![a])
+    /// Column-wise mean of each segment's rows (`[Σr,c] -> [S,c]`): the
+    /// avg pooling of Eq. 10, one output row per step.
+    pub fn mean_rows(&mut self, a: VarId, segs: &[usize]) -> VarId {
+        let x = self.value(a);
+        assert_eq!(x.rank(), 2, "mean_rows requires a matrix");
+        let c = x.dim(1);
+        let mut data = Vec::with_capacity(segs.len() * c);
+        for seg in blocks(x, segs) {
+            data.extend_from_slice(seg.mean_rows().as_slice());
+        }
+        let v = Tensor::from_vec(data, &[segs.len(), c]);
+        self.push(v, Op::MeanRows(segs.to_vec()), vec![a])
     }
 
     /// Sum of all elements, producing a scalar node.
@@ -282,7 +348,28 @@ impl Graph {
             data.extend_from_slice(m.row(i));
         }
         let v = Tensor::from_vec(data, &[indices.len(), d]);
-        self.push(v, Op::Gather(indices.to_vec()), vec![matrix])
+        let op = Op::Gather {
+            indices: indices.to_vec(),
+            segs: vec![indices.len()],
+        };
+        self.push(v, op, vec![matrix])
+    }
+
+    /// [`Graph::gather`] of several per-step lookups at once: `segs`
+    /// splits `indices` into steps, so a parameter table receives one
+    /// sparse gradient per step (last step first), as it would from one
+    /// gather node per step.
+    pub fn gather_segments(&mut self, matrix: VarId, indices: &[usize], segs: &[usize]) -> VarId {
+        assert_eq!(
+            segs.iter().sum::<usize>(),
+            indices.len(),
+            "segments must tile the indices"
+        );
+        let id = self.gather(matrix, indices);
+        if let Op::Gather { segs: s, .. } = &mut self.nodes[id.0].op {
+            *s = segs.to_vec();
+        }
+        id
     }
 
     /// Gathers a single row as a rank-1 vector.
@@ -295,9 +382,27 @@ impl Graph {
     /// Same-padded stride-1 2-D convolution; `input` is `[in_c,h,w]`,
     /// `kernel` is `[out_c,in_c,kh,kw]`.
     pub fn conv2d(&mut self, input: VarId, kernel: VarId) -> VarId {
-        let (kh, kw) = (self.value(kernel).dim(2), self.value(kernel).dim(3));
-        let v = crate::conv::conv2d_forward(self.value(input), self.value(kernel));
-        self.push(v, Op::Conv2d { kh, kw }, vec![input, kernel])
+        let h = self.value(input).dim(1);
+        self.conv2d_segments(input, kernel, &[h])
+    }
+
+    /// [`Graph::conv2d`] of each `[in_c, h_s, w]` block of a segmented
+    /// `[in_c, Σh, w]` input: the blocks are padded separately, so no
+    /// kernel tap reads across a segment boundary.
+    pub fn conv2d_segments(&mut self, input: VarId, kernel: VarId, segs: &[usize]) -> VarId {
+        let (x, k) = (self.value(input), self.value(kernel));
+        let (kh, kw) = (k.dim(2), k.dim(3));
+        let mut data = Vec::with_capacity(k.dim(0) * x.dim(1) * x.dim(2));
+        for block in blocks(x, segs) {
+            data.extend_from_slice(crate::conv::conv2d_forward(&block, k).as_slice());
+        }
+        let v = Tensor::from_vec(data, &[k.dim(0), x.dim(1), x.dim(2)]);
+        let op = Op::Conv2d {
+            kh,
+            kw,
+            segs: segs.to_vec(),
+        };
+        self.push(v, op, vec![input, kernel])
     }
 
     /// Channel-wise batch normalization of a `[c,h,w]` tensor using the
@@ -312,33 +417,73 @@ impl Graph {
         var: &[f32],
         eps: f32,
     ) -> VarId {
+        let h = self.value(input).dim(1);
+        self.batch_norm_segments(input, gamma, beta, &[h], mu, var, eps)
+    }
+
+    /// [`Graph::batch_norm`] of each `[c, h_s, w]` block of a segmented
+    /// `[c, Σh, w]` input with its own statistics: `mu`/`var` hold one
+    /// `[c]` vector per segment, concatenated.
+    #[allow(clippy::too_many_arguments)] // batch_norm's signature plus segments
+    pub fn batch_norm_segments(
+        &mut self,
+        input: VarId,
+        gamma: VarId,
+        beta: VarId,
+        segs: &[usize],
+        mu: &[f32],
+        var: &[f32],
+        eps: f32,
+    ) -> VarId {
         let x = self.value(input);
         assert_eq!(x.rank(), 3, "batch_norm input must be [c,h,w]");
         let c = x.dim(0);
-        assert_eq!(mu.len(), c, "mu length mismatch");
-        assert_eq!(var.len(), c, "var length mismatch");
+        assert_eq!(mu.len(), c * segs.len(), "mu length mismatch");
+        assert_eq!(var.len(), c * segs.len(), "var length mismatch");
         assert_eq!(self.value(gamma).numel(), c, "gamma length mismatch");
         assert_eq!(self.value(beta).numel(), c, "beta length mismatch");
-        let hw = x.dim(1) * x.dim(2);
-        let g = self.value(gamma).as_slice().to_vec();
-        let b = self.value(beta).as_slice().to_vec();
-        let mut out = x.clone();
-        for ch in 0..c {
-            let inv_std = 1.0 / (var[ch] + eps).sqrt();
-            let slice = &mut out.as_mut_slice()[ch * hw..(ch + 1) * hw];
-            for v in slice {
-                *v = g[ch] * ((*v - mu[ch]) * inv_std) + b[ch];
+        let g = self.value(gamma).as_slice();
+        let b = self.value(beta).as_slice();
+        let mut out = Vec::with_capacity(x.numel());
+        for (s, block) in blocks(x, segs).iter().enumerate() {
+            let hw = block.dim(1) * block.dim(2);
+            let (mu, var) = (&mu[s * c..(s + 1) * c], &var[s * c..(s + 1) * c]);
+            for (ch, plane) in block.as_slice().chunks_exact(hw.max(1)).enumerate() {
+                let inv_std = 1.0 / (var[ch] + eps).sqrt();
+                out.extend(
+                    plane
+                        .iter()
+                        .map(|&v| g[ch] * ((v - mu[ch]) * inv_std) + b[ch]),
+                );
             }
         }
-        self.push(
-            out,
-            Op::BatchNorm {
-                mu: mu.to_vec(),
-                var: var.to_vec(),
-                eps,
-            },
-            vec![input, gamma, beta],
-        )
+        let v = Tensor::from_vec(out, x.dims());
+        let op = Op::BatchNorm {
+            segs: segs.to_vec(),
+            mu: mu.to_vec(),
+            var: var.to_vec(),
+            eps,
+        };
+        self.push(v, op, vec![input, gamma, beta])
+    }
+
+    /// The LSTM of Eq. 12–16 run over every row of a `[S, d_x]` sequence
+    /// `x` from zero state, as one node whose value is the final hidden
+    /// state `h_S` (`[d_h]`). `w` and `b` are the forget, input, output
+    /// and candidate gates' `[d_h, d_x + d_h]` weights and `[d_h]` biases.
+    /// Values and gradients are bit-identical to one concat, four
+    /// `linear_act` and five element-wise nodes per step
+    /// (DESIGN.md §12, "Trajectory encoder as step-batched ops").
+    pub fn lstm(&mut self, x: VarId, w: [VarId; 4], b: [VarId; 4]) -> VarId {
+        let (h, tape) = crate::lstm::forward(
+            self.value(x),
+            w.map(|id| self.value(id)),
+            b.map(|id| self.value(id)),
+        );
+        let mut parents = vec![x];
+        parents.extend(w);
+        parents.extend(b);
+        self.push(h, Op::Lstm(Box::new(tape)), parents)
     }
 
     // ----- composite losses -----
@@ -362,6 +507,34 @@ impl Graph {
         let s = self.add(s, eps);
         self.sqrt(s)
     }
+}
+
+/// The per-segment blocks of a segmented value. The segment axis is the
+/// second-to-last (`h` of `[c, h, w]`, the rows of `[r, c]`) and segment
+/// `s` is one contiguous block with `segs[s]` along it; one segment
+/// borrows the value itself.
+pub(crate) fn blocks<'a>(t: &'a Tensor, segs: &[usize]) -> Vec<Cow<'a, Tensor>> {
+    let axis = t.rank() - 2;
+    let total = t.dim(axis);
+    assert_eq!(
+        segs.iter().sum::<usize>(),
+        total,
+        "segments must tile axis {axis}"
+    );
+    if segs.len() == 1 {
+        return vec![Cow::Borrowed(t)];
+    }
+    let per_row = t.numel() / total.max(1);
+    let mut dims = t.dims().to_vec();
+    let mut rest = t.as_slice();
+    segs.iter()
+        .map(|&h| {
+            dims[axis] = h;
+            let (block, tail) = rest.split_at(h * per_row);
+            rest = tail;
+            Cow::Owned(Tensor::from_vec(block.to_vec(), &dims))
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -162,51 +162,13 @@ impl LstmCell {
         }
     }
 
-    /// One LSTM step: returns `(h_j, c_j)` from input `x_j` and previous
-    /// state `(h_{j-1}, c_{j-1})`.
-    pub fn step(
-        &self,
-        g: &mut Graph,
-        store: &ParamStore,
-        x: VarId,
-        h_prev: VarId,
-        c_prev: VarId,
-    ) -> (VarId, VarId) {
-        // Each gate is one fused linear+activation node (Eq. 12–15).
-        let xh = g.concat(&[x, h_prev]);
-        let wf = g.param(store, self.wf);
-        let bf = g.param(store, self.bf);
-        let f = g.linear_act(wf, xh, bf, Activation::Sigmoid);
-        let wi = g.param(store, self.wi);
-        let bi = g.param(store, self.bi);
-        let i = g.linear_act(wi, xh, bi, Activation::Sigmoid);
-        let wo = g.param(store, self.wo);
-        let bo = g.param(store, self.bo);
-        let o = g.linear_act(wo, xh, bo, Activation::Sigmoid);
-        let wc = g.param(store, self.wc);
-        let bc = g.param(store, self.bc);
-        let c_cand = g.linear_act(wc, xh, bc, Activation::Tanh);
-
-        let fc = g.mul(f, c_prev);
-        let ic = g.mul(i, c_cand);
-        let c = g.add(fc, ic);
-        let ct = g.tanh(c);
-        let h = g.mul(o, ct);
-        (h, c)
-    }
-
-    /// Runs the cell over a sequence of rank-1 inputs, starting from zero
-    /// state, and returns the final hidden vector `h_n`.
-    pub fn run_sequence(&self, g: &mut Graph, store: &ParamStore, inputs: &[VarId]) -> VarId {
-        assert!(!inputs.is_empty(), "LSTM sequence must be non-empty");
-        let mut h = g.input(Tensor::zeros(&[self.hidden_dim]));
-        let mut c = g.input(Tensor::zeros(&[self.hidden_dim]));
-        for &x in inputs {
-            let (nh, nc) = self.step(g, store, x, h, c);
-            h = nh;
-            c = nc;
-        }
-        h
+    /// Runs the cell over the rows of a `[S, d_x]` sequence, starting from
+    /// zero state, and returns the final hidden vector `h_n`: one
+    /// [`Graph::lstm`] node.
+    pub fn run_sequence(&self, g: &mut Graph, store: &ParamStore, x: VarId) -> VarId {
+        let w = [self.wf, self.wi, self.wo, self.wc].map(|id| g.param(store, id));
+        let b = [self.bf, self.bi, self.bo, self.bc].map(|id| g.param(store, id));
+        g.lstm(x, w, b)
     }
 }
 
@@ -252,10 +214,17 @@ impl Embedding {
         g.gather_row(t, index)
     }
 
-    /// Looks up several rows as a `[k, dim]` matrix.
-    pub fn lookup_many(&self, g: &mut Graph, store: &ParamStore, indices: &[usize]) -> VarId {
+    /// Looks up several rows as a `[k, dim]` matrix, `segs` splitting them
+    /// into per-step lookups ([`Graph::gather_segments`]).
+    pub fn lookup_many(
+        &self,
+        g: &mut Graph,
+        store: &ParamStore,
+        indices: &[usize],
+        segs: &[usize],
+    ) -> VarId {
         let t = g.param(store, self.table);
-        g.gather(t, indices)
+        g.gather_segments(t, indices, segs)
     }
 }
 
@@ -308,25 +277,48 @@ impl BatchNorm2d {
         x: VarId,
         training: bool,
     ) -> VarId {
+        let h = g.value(x).dim(1);
+        self.forward_segments(g, store, x, &[h], training)
+    }
+
+    /// [`Self::forward`] of each `[c, h_s, w]` block of a segmented input
+    /// ([`Graph::batch_norm_segments`]), strictly in segment order: in
+    /// training mode segment `s` first moves the running statistics, then
+    /// is normalized with them, exactly as `s` separate calls would.
+    pub fn forward_segments(
+        &mut self,
+        g: &mut Graph,
+        store: &ParamStore,
+        x: VarId,
+        segs: &[usize],
+        training: bool,
+    ) -> VarId {
         let xv = g.value(x);
         assert_eq!(xv.dim(0), self.channels, "channel mismatch");
-        if training {
-            let hw = xv.dim(1) * xv.dim(2);
-            for c in 0..self.channels {
-                let s = &xv.as_slice()[c * hw..(c + 1) * hw];
-                let mean = s.iter().sum::<f32>() / hw as f32;
-                let var = s.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / hw as f32;
-                self.running_mean[c] =
-                    (1.0 - self.momentum) * self.running_mean[c] + self.momentum * mean;
-                self.running_var[c] =
-                    (1.0 - self.momentum) * self.running_var[c] + self.momentum * var;
+        let mut mu = Vec::with_capacity(segs.len() * self.channels);
+        let mut var = Vec::with_capacity(segs.len() * self.channels);
+        let mut rest = xv.as_slice();
+        for &h in segs {
+            let hw = h * xv.dim(2);
+            let (block, tail) = rest.split_at(self.channels * hw);
+            rest = tail;
+            if training {
+                for c in 0..self.channels {
+                    let s = &block[c * hw..(c + 1) * hw];
+                    let mean = s.iter().sum::<f32>() / hw as f32;
+                    let var = s.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / hw as f32;
+                    self.running_mean[c] =
+                        (1.0 - self.momentum) * self.running_mean[c] + self.momentum * mean;
+                    self.running_var[c] =
+                        (1.0 - self.momentum) * self.running_var[c] + self.momentum * var;
+                }
             }
+            mu.extend_from_slice(&self.running_mean);
+            var.extend_from_slice(&self.running_var);
         }
         let gamma = g.param(store, self.gamma);
         let beta = g.param(store, self.beta);
-        let mu = self.running_mean.clone();
-        let var = self.running_var.clone();
-        g.batch_norm(x, gamma, beta, &mu, &var, self.eps)
+        g.batch_norm_segments(x, gamma, beta, segs, &mu, &var, self.eps)
     }
 }
 
@@ -353,19 +345,19 @@ mod tests {
         let mut rng = rng_from_seed(1);
         let mut store = ParamStore::new();
         let cell = LstmCell::new(&mut store, "lstm", 3, 5, &mut rng);
+        let seq = || {
+            let rows: Vec<f32> = (0..4).flat_map(|i| [i as f32 * 0.1; 3]).collect();
+            Tensor::from_vec(rows, &[4, 3])
+        };
         let mut g = Graph::new();
-        let xs: Vec<VarId> = (0..4)
-            .map(|i| g.input(Tensor::full(&[3], i as f32 * 0.1)))
-            .collect();
-        let h = cell.run_sequence(&mut g, &store, &xs);
+        let xs = g.input(seq());
+        let h = cell.run_sequence(&mut g, &store, xs);
         assert_eq!(g.value(h).dims(), &[5]);
 
         // Same inputs → same output (pure function of params).
         let mut g2 = Graph::new();
-        let xs2: Vec<VarId> = (0..4)
-            .map(|i| g2.input(Tensor::full(&[3], i as f32 * 0.1)))
-            .collect();
-        let h2 = cell.run_sequence(&mut g2, &store, &xs2);
+        let xs2 = g2.input(seq());
+        let h2 = cell.run_sequence(&mut g2, &store, xs2);
         assert_eq!(g.value(h).as_slice(), g2.value(h2).as_slice());
     }
 
@@ -377,10 +369,8 @@ mod tests {
         let mut store = ParamStore::new();
         let cell = LstmCell::new(&mut store, "lstm", 2, 4, &mut rng);
         let mut g = Graph::new();
-        let xs: Vec<VarId> = (0..10)
-            .map(|_| g.input(Tensor::full(&[2], 100.0)))
-            .collect();
-        let h = cell.run_sequence(&mut g, &store, &xs);
+        let xs = g.input(Tensor::full(&[10, 2], 100.0));
+        let h = cell.run_sequence(&mut g, &store, xs);
         assert!(g.value(h).as_slice().iter().all(|v| v.abs() <= 1.0));
     }
 
@@ -394,7 +384,7 @@ mod tests {
         let mut g = Graph::new();
         let v = emb.lookup(&mut g, &store, 2);
         assert_eq!(g.value(v).as_slice(), &[4.0, 5.0]);
-        let m = emb.lookup_many(&mut g, &store, &[0, 5]);
+        let m = emb.lookup_many(&mut g, &store, &[0, 5], &[2]);
         assert_eq!(g.value(m).as_slice(), &[0.0, 1.0, 10.0, 11.0]);
     }
 
@@ -460,11 +450,8 @@ mod tests {
         for _ in 0..150 {
             for (s, &y) in seqs.iter().zip(&labels) {
                 let mut g = Graph::new();
-                let xs: Vec<VarId> = s
-                    .iter()
-                    .map(|&v| g.input(Tensor::from_vec(vec![v], &[1])))
-                    .collect();
-                let h = cell.run_sequence(&mut g, &store, &xs);
+                let xs = g.input(Tensor::from_vec(s.clone(), &[s.len(), 1]));
+                let h = cell.run_sequence(&mut g, &store, xs);
                 let logit = head.forward(&mut g, &store, h);
                 let p = g.sigmoid(logit);
                 let t = g.input(Tensor::from_vec(vec![y], &[1]));
@@ -477,11 +464,8 @@ mod tests {
         let mut correct = 0;
         for (s, &y) in seqs.iter().zip(&labels) {
             let mut g = Graph::new();
-            let xs: Vec<VarId> = s
-                .iter()
-                .map(|&v| g.input(Tensor::from_vec(vec![v], &[1])))
-                .collect();
-            let h = cell.run_sequence(&mut g, &store, &xs);
+            let xs = g.input(Tensor::from_vec(s.clone(), &[s.len(), 1]));
+            let h = cell.run_sequence(&mut g, &store, xs);
             let logit = head.forward(&mut g, &store, h);
             let p = g.sigmoid(logit);
             if (g.value(p).item() > 0.5) == (y > 0.5) {

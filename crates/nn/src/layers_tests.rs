@@ -87,14 +87,15 @@ fn lstm_zero_length_panics_but_len_one_ok() {
     let mut store = ParamStore::new();
     let cell = LstmCell::new(&mut store, "l", 2, 3, &mut rng);
     let mut g = Graph::new();
+    let empty = g.input(Tensor::zeros(&[0, 2]));
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        cell.run_sequence(&mut g, &store, &[])
+        cell.run_sequence(&mut g, &store, empty)
     }));
     assert!(result.is_err());
 
     let mut g = Graph::new();
-    let x = g.input(Tensor::ones(&[2]));
-    let h = cell.run_sequence(&mut g, &store, &[x]);
+    let x = g.input(Tensor::ones(&[1, 2]));
+    let h = cell.run_sequence(&mut g, &store, x);
     assert_eq!(g.value(h).numel(), 3);
 }
 

@@ -52,6 +52,7 @@
 mod backward;
 mod conv;
 mod graph;
+mod lstm;
 mod optim;
 mod param;
 

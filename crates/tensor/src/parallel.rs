@@ -48,12 +48,11 @@ pub fn set_configured_threads(n: usize) {
 
 /// Number of worker threads configured for this process: the value
 /// installed via [`set_configured_threads`] when positive, otherwise the
-/// machine's available parallelism.
+/// machine's available parallelism (the cached [`hardware_parallelism`]
+/// probe, so a default-threaded `Tensor::matmul` pays no cgroup read).
 pub fn configured_threads() -> usize {
     match CONFIGURED.load(Ordering::Relaxed) {
-        0 => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
+        0 => hardware_parallelism(),
         n => n,
     }
 }
@@ -322,6 +321,13 @@ mod tests {
         assert_eq!(configured_threads(), 7);
         set_configured_threads(0);
         assert!(configured_threads() >= 1);
+    }
+
+    #[test]
+    fn configured_threads_unset_is_the_cached_hardware_probe() {
+        let _guard = THREADS_GUARD.lock().unwrap_or_else(|p| p.into_inner());
+        set_configured_threads(0);
+        assert_eq!(configured_threads(), hardware_parallelism());
     }
 
     #[test]

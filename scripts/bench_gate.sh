@@ -4,15 +4,18 @@
 #
 #   scripts/bench_gate.sh <parent-ref> [pairs=10]
 #
-# Checks <parent-ref> out into a temporary git worktree, builds the
+# Extracts <parent-ref> into a temporary directory (git archive), builds the
 # benchmark package of both trees (the change is this working tree) into
 # separate target directories, then for each pair runs every workload once
 # per side with the contract's own command and seed = pair number. The
 # parent goes first on odd pairs and the change on even ones, because this
-# host's speed drifts by a fifth over minutes. Prints, per workload and
-# end-to-end metric, both medians, the relative change and the contract's
-# bound; exits 1 if a median is worse than its bound or any run reports a
-# failed operation. A full gate is 8 x pairs runs of ~25 s each. Needs jq.
+# host's speed drifts by a fifth over minutes. Logs every run's metrics to
+# stderr and prints, per workload and end-to-end metric, both medians, the
+# relative change, the contract's bound, the pairs the change won and the
+# parent's interquartile range (a claimed gain needs >= 9/10 wins and a
+# median shift beyond that range); exits 1 if a median is worse than its
+# bound or any run reports a failed operation. A full gate is 8 x pairs
+# runs of ~25 s each. Needs jq.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,12 +30,9 @@ command -v jq >/dev/null || { echo "bench_gate.sh: jq not found" >&2; exit 2; }
 change=$PWD
 work=$(mktemp -d)
 parent=$work/parent
-cleanup() {
-  git -C "$change" worktree remove --force "$parent" 2>/dev/null || true
-  rm -rf "$work"
-}
-trap cleanup EXIT
-git worktree add --quiet --detach "$parent" "$parent_ref"
+trap 'rm -rf "$work"' EXIT
+mkdir -p "$parent"
+git archive "$parent_ref" | tar -x -C "$parent"
 
 mapfile -t cmd < <(jq -r '.command[]' BENCHMARK.json)
 mapfile -t workloads < <(jq -r '.workloads[].name' BENCHMARK.json)
@@ -53,7 +53,7 @@ for side in parent change; do
     --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
 done
 
-# One row per run and metric: workload, side, metric, value.
+# One row per run and metric: pair, workload, side, metric, value.
 runs=$work/runs.tsv
 : >"$runs"
 failed_runs=0
@@ -70,21 +70,45 @@ for ((pair = 1; pair <= pairs; pair++)); do
         failed_runs=$((failed_runs + 1))
         continue
       fi
-      jq -r --arg w "$w" --arg s "$side" \
-        '.metrics | to_entries[] | [$w, $s, .key, .value.value] | @tsv' <<<"$last" >>"$runs"
+      jq -c '.metrics | map_values(.value)' <<<"$last" >&2
+      jq -r --arg p "$pair" --arg w "$w" --arg s "$side" \
+        '.metrics | to_entries[] | [$p, $w, $s, .key, .value.value] | @tsv' <<<"$last" >>"$runs"
     done
   done
 done
 
+# values <workload> <side> <metric>: that side's runs, sorted.
+values() {
+  awk -F'\t' -v w="$1" -v s="$2" -v m="$3" '$2 == w && $3 == s && $4 == m {print $5}' "$runs" |
+    sort -g
+}
+
 # median <workload> <side> <metric>
 median() {
-  awk -F'\t' -v w="$1" -v s="$2" -v m="$3" '$1 == w && $2 == s && $3 == m {print $4}' "$runs" |
-    sort -g |
-    awk '{v[NR] = $1} END {if (NR) print (v[int((NR + 1) / 2)] + v[int(NR / 2) + 1]) / 2}'
+  values "$@" | awk '{v[NR] = $1} END {if (NR) print (v[int((NR + 1) / 2)] + v[int(NR / 2) + 1]) / 2}'
+}
+
+# iqr <workload> <side> <metric>: third minus first quartile (nearest rank).
+iqr() {
+  values "$@" | awk '{v[NR] = $1} END {if (NR) print v[int((3 * NR + 3) / 4)] - v[int((NR + 3) / 4)]}'
+}
+
+# wins <workload> <metric> <better>: pairs in which the change beat the
+# parent, out of the pairs where both sides ran.
+wins() {
+  awk -F'\t' -v w="$1" -v m="$2" -v better="$3" '$2 == w && $4 == m {v[$1, $3] = $5; seen[$1] = 1}
+    END {
+      for (p in seen) if ((p, "parent") in v && (p, "change") in v) {
+        n++
+        d = v[p, "change"] - v[p, "parent"]
+        won += (better == "higher") ? (d > 0) : (d < 0)
+      }
+      printf "%d/%d\n", won, n
+    }' "$runs"
 }
 
 worse=0
-printf '\n%-14s %-15s %12s %12s %8s %6s\n' workload metric parent change delta bound
+printf '\n%-14s %-15s %12s %12s %8s %6s %6s %10s\n' workload metric parent change delta bound wins p_iqr
 for w in "${workloads[@]}"; do
   while IFS=$'\t' read -r metric better bound; do
     p=$(median "$w" parent "$metric")
@@ -99,7 +123,8 @@ for w in "${workloads[@]}"; do
       bad = (better == "lower") ? (d > b) : (-d > b)
       printf "%+.1f%% %s\n", 100 * d, bad ? "WORSE" : "ok"
     }')
-    printf '%-14s %-15s %12s %12s %8s %6s' "$w" "$metric" "$p" "$c" "$delta" "$bound"
+    printf '%-14s %-15s %12s %12s %8s %6s %6s %10s' "$w" "$metric" "$p" "$c" "$delta" "$bound" \
+      "$(wins "$w" "$metric" "$better")" "$(iqr "$w" parent "$metric")"
     if [ "$verdict" = WORSE ]; then
       printf '  WORSE than the bound'
       worse=$((worse + 1))

@@ -76,14 +76,19 @@ stage net        cargo test -q -p deepod-cli --test serve_net
 # serving instead of wrong answers.
 stage cache      cargo test -q -p deepod-cli --test serve_cache
 # Kernel stage: property tests proving the packed/SIMD matmul, matvec,
-# axpy, and int8 paths bit-identical to the scalar reference, and the
+# axpy, and int8 paths bit-identical to the scalar reference, the
 # matmul-form conv gradients bit-identical to their scalar reference
-# loops plus their finite-difference gradchecks (DESIGN.md §12 determinism
-# contract); then the eval-side precision gate on a fixture model —
-# int8 MAPE must stay within the configured delta of f32.
+# loops, every tape op's finite-difference gradcheck, and the step-batched
+# trajectory encoder bit-identical to the per-step tape it replaced
+# (DESIGN.md §12 determinism contract); then the eval-side precision gate
+# on a fixture model — int8 MAPE must stay within the configured delta of
+# f32.
 kernel_tests() {
   cargo test -q -p deepod-tensor --test kernel_props &&
-    cargo test -q -p deepod-nn conv
+    cargo test -q -p deepod-nn conv &&
+    cargo test -q -p deepod-nn gradcheck &&
+    cargo test -q -p deepod-nn row_batched &&
+    cargo test -q -p deepod-core --lib mt_reference_tests
 }
 stage kernels    kernel_tests
 stage precision  cargo test -q -p deepod-eval precision
