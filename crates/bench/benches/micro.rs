@@ -113,8 +113,8 @@ fn bench_map_matching(c: &mut Criterion) {
 /// Dense-kernel and training-throughput benches (`BENCH_kernels.json`):
 /// the blocked matmul at the three module-characteristic shapes, the
 /// scalar-reference vs production dispatch path, the small-matmul fork
-/// crossover, the packed/SIMD kernels, the int8 serving path, and a full
-/// training epoch at one worker vs the configured count. Run with
+/// crossover, the packed/SIMD kernels, and a full training epoch at one
+/// worker vs the configured count. Run with
 /// `DEEPOD_BENCH_JSON=BENCH_kernels.json cargo bench -p deepod-bench -- kernels`.
 fn bench_kernels(c: &mut Criterion) {
     use deepod_tensor::{kernels, Tensor};
@@ -210,53 +210,6 @@ fn bench_kernels(c: &mut Criterion) {
                 },
                 BatchSize::SmallInput,
             );
-        });
-    }
-    group.finish();
-
-    // The int8 serving path against f32, end to end through
-    // `estimate_batch` (the serving hot loop) and at the raw matvec.
-    let mut group = c.benchmark_group("kernels_int8");
-    let qrows = kernels::quantize_rows(w.as_slice(), 512, 512);
-    let packed = kernels::pack_quantized(&qrows);
-    group.bench_function("matvec_512_int8", |b| {
-        b.iter_batched(
-            || vec![0.0f32; 512],
-            |mut out| {
-                kernels::matvec_i8_bias_act(
-                    &packed,
-                    &qrows.scales,
-                    bias.as_slice(),
-                    x.as_slice(),
-                    deepod_tensor::Activation::Relu,
-                    &mut out,
-                );
-                black_box(out)
-            },
-            BatchSize::SmallInput,
-        );
-    });
-    {
-        use deepod_core::{FeatureContext, InferenceModel, PredictRequest};
-        let ds = small_dataset();
-        let cfg = small_config();
-        let mut trainer = Trainer::new(&ds, cfg.clone(), TrainOptions::default()).expect("trainer");
-        trainer.train();
-        let model = trainer.model().clone();
-        let quantized = InferenceModel::quantized(&model);
-        let ctx = FeatureContext::build(&ds, cfg.slot_seconds).expect("valid bench config");
-        let reqs: Vec<PredictRequest> = ds
-            .test
-            .iter()
-            .chain(ds.train.iter())
-            .take(64)
-            .map(|o| PredictRequest::Raw(o.od))
-            .collect();
-        group.bench_function("estimate_batch_64_f32", |b| {
-            b.iter(|| black_box(model.estimate_batch(&ctx, &ds.net, black_box(&reqs), 1)));
-        });
-        group.bench_function("estimate_batch_64_int8", |b| {
-            b.iter(|| black_box(quantized.estimate_batch(&ctx, &ds.net, black_box(&reqs), 1)));
         });
     }
     group.finish();

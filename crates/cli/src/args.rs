@@ -10,10 +10,11 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses everything after the subcommand. `--key value` becomes a
+    /// Parses everything after subcommand `cmd`. `--key value` becomes a
     /// value; a `--key` followed by another flag (or nothing) becomes a
-    /// switch. Errors on tokens that don't start with `--`.
-    pub fn parse(argv: &[String]) -> Result<Args, String> {
+    /// switch. Errors on tokens that don't start with `--` and on any key
+    /// not in `known` (the subcommand's declared flags).
+    pub fn parse(argv: &[String], cmd: &str, known: &[&str]) -> Result<Args, String> {
         let mut args = Args::default();
         let mut i = 0;
         while i < argv.len() {
@@ -23,6 +24,9 @@ impl Args {
                 .ok_or_else(|| format!("unexpected argument '{tok}' (flags start with --)"))?;
             if key.is_empty() {
                 return Err("empty flag name".into());
+            }
+            if !known.contains(&key) {
+                return Err(format!("unknown flag --{key} for {cmd}"));
             }
             let next_is_value = argv
                 .get(i + 1)
@@ -92,9 +96,15 @@ mod tests {
         s.iter().map(|v| v.to_string()).collect()
     }
 
+    const KNOWN: &[&str] = &["orders", "verbose", "out", "epochs", "from"];
+
+    fn parse(s: &[&str]) -> Result<Args, String> {
+        Args::parse(&argv(s), "test", KNOWN)
+    }
+
     #[test]
     fn parses_values_and_switches() {
-        let a = Args::parse(&argv(&["--orders", "100", "--verbose", "--out", "x.json"])).unwrap();
+        let a = parse(&["--orders", "100", "--verbose", "--out", "x.json"]).unwrap();
         assert_eq!(a.get("orders"), Some("100"));
         assert_eq!(a.get("out"), Some("x.json"));
         assert!(a.has_switch("verbose"));
@@ -103,30 +113,30 @@ mod tests {
 
     #[test]
     fn rejects_non_flags() {
-        assert!(Args::parse(&argv(&["orders", "100"])).is_err());
+        assert!(parse(&["orders", "100"]).is_err());
     }
 
     #[test]
     fn typed_parsing_with_default() {
-        let a = Args::parse(&argv(&["--epochs", "7"])).unwrap();
+        let a = parse(&["--epochs", "7"]).unwrap();
         assert_eq!(a.get_parsed("epochs", 3usize).unwrap(), 7);
         assert_eq!(a.get_parsed("missing", 3usize).unwrap(), 3);
         assert!(a.get_parsed::<usize>("epochs", 0).is_ok());
-        let b = Args::parse(&argv(&["--epochs", "seven"])).unwrap();
+        let b = parse(&["--epochs", "seven"]).unwrap();
         assert!(b.get_parsed::<usize>("epochs", 0).is_err());
     }
 
     #[test]
     fn point_parsing() {
-        let a = Args::parse(&argv(&["--from", "12.5,-3"])).unwrap();
+        let a = parse(&["--from", "12.5,-3"]).unwrap();
         assert_eq!(a.get_point("from").unwrap(), (12.5, -3.0));
-        let b = Args::parse(&argv(&["--from", "12.5"])).unwrap();
+        let b = parse(&["--from", "12.5"]).unwrap();
         assert!(b.get_point("from").is_err());
     }
 
     #[test]
     fn require_reports_missing() {
-        let a = Args::parse(&[]).unwrap();
+        let a = parse(&[]).unwrap();
         assert!(a.require("data").unwrap_err().contains("--data"));
     }
 }

@@ -19,16 +19,14 @@ USAGE:
   deepod simulate --profile <chengdu|xian|beijing> [--orders N] --out FILE
   deepod train    --data FILE [--epochs N] [--loss-weight W] [--seed S]
                   [--threads T] [--checkpoint-every N] [--checkpoint FILE]
-                  [--resume FILE] [--report FILE] --out FILE
+                  [--resume FILE] [--report FILE] [--verbose] --out FILE
   deepod predict  --data FILE --model FILE --from X,Y --to X,Y --depart T
-  deepod eval     --data FILE --model FILE [--precision <f32|int8>]
-                  [--int8-mape-bound PP] [--oracle FILE]
+  deepod eval     --data FILE --model FILE [--oracle FILE]
   deepod precompute --data FILE --model FILE --out FILE [--cells K]
                   [--slots N] [--cell-meters M] [--threads T]
   deepod serve    --data FILE --model FILE [--max-batch N] [--max-wait-ms MS]
                   [--queue N] [--threads T] [--workers N] [--deadline-ms MS]
                   [--retry-budget N] [--reject-when-full]
-                  [--precision <f32|int8>] [--int8-mape-bound PP]
                   [--oracle FILE] [--cache-capacity N] [--cache-ttl-s S]
                   [--listen ADDR] [--max-conns N] [--max-in-flight N]
                   [--max-frame-bytes N]
@@ -84,13 +82,6 @@ entry stays bit-identical to a fresh model run and exits with the
 degraded code (2) on any drift. Requests with a pre-epoch departure
 (depart < 0) are rejected per request on the wire.
 
-Precision: --precision int8 serves per-row-quantized weights (f32
-accumulation) — faster and smaller, *gated* on accuracy: the int8 model
-must stay within --int8-mape-bound percentage points of the f32 model's
-MAPE on held-out orders (default 1.0). serve falls back to f32 with a
-warning when the gate fails; eval prints both metric rows, the delta,
-and the verdict, and exits with the degraded code (2) on a failing gate.
-
 Global flags (any subcommand):
   --log-format <text|json>   structured-event format on stderr
                              (env DEEPOD_LOG_FORMAT; verbosity via
@@ -116,21 +107,6 @@ pub enum Outcome {
     Degraded,
 }
 
-/// Serving/eval numeric precision selected with `--precision`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Precision {
-    F32,
-    Int8,
-}
-
-fn precision_of(args: &Args) -> Result<Precision, String> {
-    match args.get("precision").unwrap_or("f32") {
-        "f32" => Ok(Precision::F32),
-        "int8" => Ok(Precision::Int8),
-        other => Err(format!("unknown precision '{other}' (f32|int8)")),
-    }
-}
-
 fn profile_of(name: &str) -> Result<CityProfile, String> {
     match name.to_ascii_lowercase().as_str() {
         "chengdu" => Ok(CityProfile::SynthChengdu),
@@ -140,26 +116,89 @@ fn profile_of(name: &str) -> Result<CityProfile, String> {
     }
 }
 
+/// A subcommand handler.
+type Handler = fn(&Args) -> Result<Outcome, String>;
+
+/// Every subcommand with the one list of flags it accepts (without the
+/// leading `--`; the global `--log-format` / `--metrics` are stripped
+/// before dispatch) and its handler. Any other flag is a usage error.
+const SUBCOMMANDS: [(&str, &[&str], Handler); 7] = [
+    ("simulate", &["profile", "orders", "out"], simulate),
+    (
+        "train",
+        &[
+            "data",
+            "epochs",
+            "loss-weight",
+            "seed",
+            "threads",
+            "checkpoint-every",
+            "checkpoint",
+            "resume",
+            "report",
+            "verbose",
+            "out",
+        ],
+        train,
+    ),
+    (
+        "predict",
+        &["data", "model", "from", "to", "depart"],
+        predict,
+    ),
+    ("eval", &["data", "model", "oracle"], eval_cmd),
+    (
+        "precompute",
+        &[
+            "data",
+            "model",
+            "out",
+            "cells",
+            "slots",
+            "cell-meters",
+            "threads",
+        ],
+        precompute_cmd,
+    ),
+    (
+        "serve",
+        &[
+            "data",
+            "model",
+            "max-batch",
+            "max-wait-ms",
+            "queue",
+            "threads",
+            "workers",
+            "deadline-ms",
+            "retry-budget",
+            "reject-when-full",
+            "oracle",
+            "cache-capacity",
+            "cache-ttl-s",
+            "listen",
+            "max-conns",
+            "max-in-flight",
+            "max-frame-bytes",
+        ],
+        serve,
+    ),
+    ("info", &["data"], info),
+];
+
 /// Dispatches to the subcommand handlers.
 pub fn dispatch(argv: &[String]) -> Result<Outcome, String> {
     let Some(cmd) = argv.first() else {
         return Err("no subcommand given".into());
     };
-    let rest = &argv[1..];
-    match cmd.as_str() {
-        "simulate" => simulate(&Args::parse(rest)?),
-        "train" => train(&Args::parse(rest)?),
-        "predict" => predict(&Args::parse(rest)?),
-        "eval" => eval_cmd(&Args::parse(rest)?),
-        "precompute" => precompute_cmd(&Args::parse(rest)?),
-        "serve" => serve(&Args::parse(rest)?),
-        "info" => info(&Args::parse(rest)?),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(Outcome::Ok)
-        }
-        other => Err(format!("unknown subcommand '{other}'")),
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        println!("{USAGE}");
+        return Ok(Outcome::Ok);
     }
+    let Some((name, flags, handler)) = SUBCOMMANDS.iter().find(|(name, ..)| name == cmd) else {
+        return Err(format!("unknown subcommand '{cmd}'"));
+    };
+    handler(&Args::parse(&argv[1..], name, flags)?)
 }
 
 fn simulate(args: &Args) -> Result<Outcome, String> {
@@ -402,27 +441,6 @@ fn eval_cmd(args: &Args) -> Result<Outcome, String> {
         m.mape_pct,
         m.mare_pct
     );
-    if precision_of(args)? == Precision::Int8 {
-        let bound = args.get_parsed(
-            "int8-mape-bound",
-            deepod_eval::PrecisionGate::DEFAULT_MAPE_DELTA_PCT,
-        )?;
-        let qm = deepod_core::InferenceModel::quantized(&model);
-        let rep = deepod_eval::PrecisionGate::new(bound)
-            .evaluate(&model, &qm, &ctx, &ds, &ds.test, 0)
-            .map_err(|e| format!("precision gate: {e}"))?;
-        println!(
-            "test metrics over {} trips (int8): MAE {:.1}s | MAPE {:.2}% | MARE {:.2}%",
-            pairs.len(),
-            rep.int8_metrics.mae,
-            rep.int8_metrics.mape_pct,
-            rep.int8_metrics.mare_pct
-        );
-        println!("precision gate: {rep}");
-        if !rep.passed {
-            return Ok(Outcome::Degraded);
-        }
-    }
     Ok(Outcome::Ok)
 }
 
@@ -460,64 +478,6 @@ fn precompute_cmd(args: &Args) -> Result<Outcome, String> {
         oracle.model_fingerprint
     );
     Ok(Outcome::Ok)
-}
-
-/// Builds the int8 serving backend, gated on accuracy: the quantized
-/// model must stay within `--int8-mape-bound` percentage points of the
-/// f32 model's MAPE on held-out orders. A failing (or unevaluable) gate
-/// keeps the f32 model serving — precision is an optimization, never a
-/// silent accuracy regression.
-fn int8_backend(
-    args: &Args,
-    model: DeepOdModel,
-    ctx: &FeatureContext,
-    ds: &deepod_traj::CityDataset,
-) -> Result<deepod_serve::Backend, String> {
-    use deepod_serve::Backend;
-    let bound = args.get_parsed(
-        "int8-mape-bound",
-        deepod_eval::PrecisionGate::DEFAULT_MAPE_DELTA_PCT,
-    )?;
-    let qm = deepod_core::InferenceModel::quantized(&model);
-    let sample = if ds.test.is_empty() {
-        &ds.train
-    } else {
-        &ds.test
-    };
-    let sample = &sample[..sample.len().min(256)];
-    match deepod_eval::PrecisionGate::new(bound).evaluate(&model, &qm, ctx, ds, sample, 0) {
-        Ok(rep) if rep.passed => {
-            deepod_core::obs::info(
-                "serve",
-                "int8 precision gate passed; serving quantized weights",
-                &[
-                    ("mape_delta_pp", f64::from(rep.mape_delta_pct).into()),
-                    ("bound_pp", f64::from(rep.bound_pct).into()),
-                    ("model_bytes", qm.size_bytes().into()),
-                ],
-            );
-            Ok(Backend::Inference(std::sync::Arc::new(qm)))
-        }
-        Ok(rep) => {
-            deepod_core::obs::warn(
-                "serve",
-                "int8 precision gate FAILED; serving f32 weights instead",
-                &[
-                    ("mape_delta_pp", f64::from(rep.mape_delta_pct).into()),
-                    ("bound_pp", f64::from(rep.bound_pct).into()),
-                ],
-            );
-            Ok(Backend::Model(Box::new(model)))
-        }
-        Err(e) => {
-            deepod_core::obs::warn(
-                "serve",
-                "int8 precision gate could not be evaluated; serving f32 weights",
-                &[("why", e.to_string().into())],
-            );
-            Ok(Backend::Model(Box::new(model)))
-        }
-    }
 }
 
 /// Builds the serving cache tier from `--oracle` / `--cache-capacity`
@@ -599,6 +559,7 @@ fn cache_tier(
 }
 
 fn serve(args: &Args) -> Result<Outcome, String> {
+    use deepod_core::InferenceModel;
     use deepod_serve::net::{self, Submission};
     use deepod_serve::{Backend, EngineConfig, InferenceEngine};
     use std::io::{BufRead, Write};
@@ -634,10 +595,7 @@ fn serve(args: &Args) -> Result<Outcome, String> {
     let ctx =
         FeatureContext::build(&ds, slot_seconds).map_err(|e| format!("slot configuration: {e}"))?;
     let backend = match loaded {
-        Ok(model) => match precision_of(args)? {
-            Precision::F32 => Backend::Model(Box::new(model)),
-            Precision::Int8 => int8_backend(args, model, &ctx, &ds)?,
-        },
+        Ok(model) => Backend::Inference(Arc::new(InferenceModel::from_model(&model))),
         Err(why) => {
             deepod_core::obs::warn(
                 "serve",
@@ -649,7 +607,6 @@ fn serve(args: &Args) -> Result<Outcome, String> {
             Backend::RouteTte(Box::new(fallback))
         }
     };
-    let precision_name = backend.precision_name();
     // Cache tier: flags beat DEEPOD_ORACLE / DEEPOD_CACHE_CAPACITY. With
     // an unusable model the process serves fallback answers only — those
     // are degraded and must never be cached, and no fingerprint exists to
@@ -717,7 +674,6 @@ fn serve(args: &Args) -> Result<Outcome, String> {
                 "retry_budget",
                 u64::from(engine.config().retry_budget).into(),
             ),
-            ("precision", precision_name.into()),
             ("degraded", degraded_backend.into()),
             ("cache", cache_enabled.into()),
             ("cache_capacity", cache_capacity.into()),
@@ -886,6 +842,7 @@ fn info(args: &Args) -> Result<Outcome, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn profile_parsing() {
@@ -896,14 +853,48 @@ mod tests {
         assert!(profile_of("gotham").is_err());
     }
 
+    fn argv(s: &[&str]) -> Vec<String> {
+        s.iter().map(|v| v.to_string()).collect()
+    }
+
     #[test]
-    fn precision_flag_parsing() {
-        let args = Args::parse(&["--precision".into(), "int8".into()]).unwrap();
-        assert_eq!(precision_of(&args).unwrap(), Precision::Int8);
-        let args = Args::parse(&[]).unwrap();
-        assert_eq!(precision_of(&args).unwrap(), Precision::F32);
-        let args = Args::parse(&["--precision".into(), "fp16".into()]).unwrap();
-        assert!(precision_of(&args).is_err());
+    fn undeclared_flags_are_rejected_by_name() {
+        let err = dispatch(&argv(&["train", "--data", "x.ds", "--epoch", "3"])).unwrap_err();
+        assert_eq!(err, "unknown flag --epoch for train");
+        let err = dispatch(&argv(&["serve", "--precision", "int8"])).unwrap_err();
+        assert_eq!(err, "unknown flag --precision for serve");
+    }
+
+    /// The flags USAGE lists under one subcommand (its `deepod <name>`
+    /// line and the indented continuation lines below it).
+    fn usage_flags(name: &str) -> BTreeSet<&'static str> {
+        let synopsis = USAGE
+            .split("USAGE:\n")
+            .nth(1)
+            .and_then(|rest| rest.split("\n\n").next())
+            .expect("USAGE has a synopsis block");
+        let mut flags = BTreeSet::new();
+        let mut inside = false;
+        for line in synopsis.lines() {
+            if let Some(cmd) = line.trim_start().strip_prefix("deepod ") {
+                inside = cmd.split_whitespace().next() == Some(name);
+            }
+            if inside {
+                flags.extend(
+                    line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                        .filter_map(|tok| tok.strip_prefix("--")),
+                );
+            }
+        }
+        flags
+    }
+
+    #[test]
+    fn usage_lists_exactly_the_declared_flags() {
+        for (name, flags, _) in SUBCOMMANDS {
+            let declared: BTreeSet<&str> = flags.iter().copied().collect();
+            assert_eq!(usage_flags(name), declared, "subcommand {name}");
+        }
     }
 
     #[test]

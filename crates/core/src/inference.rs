@@ -1,24 +1,19 @@
 //! The estimation forward of Alg. 1 (`Estimation`: only M_O and M_E run),
-//! tape-free and immutable — the one inference path for every precision.
+//! tape-free and immutable — the one inference path.
 //!
 //! [`InferenceModel`] is lowered from a trained [`DeepOdModel`]:
 //! embedding row lookup → external CNN (conv + eval-mode batch norm + ReLU
 //! ×3 → average pool → MLP) → Z⁹ concat → MLP1 → M_E head →
-//! de-standardise. Its dense layers are the only thing that differs
-//! between precisions. [`InferenceModel::from_model`] shares the
-//! `ParamStore`'s f32 `Arc<Tensor>` weights (no copy) and evaluates them
-//! through [`kernels::matvec_bias_act`], the kernel behind the training
-//! tape's `linear_act` node, so its answers are `to_bits`-identical to
-//! the training forward in eval mode (pinned by
-//! `tests/inference_differential.rs`). [`InferenceModel::quantized`]
-//! packs the same layers per row to int8 for
-//! [`kernels::matvec_i8_bias_act`]; embeddings, conv kernels, batch-norm
-//! statistics and the pool stay f32. Whether int8 may *serve* is decided
-//! by `deepod-eval`'s precision gate, not here (DESIGN.md §12).
+//! de-standardise. [`InferenceModel::from_model`] shares the
+//! `ParamStore`'s f32 `Arc<Tensor>` weights (no copy) and evaluates its
+//! dense layers through [`kernels::matvec_bias_act`], the kernel behind
+//! the training tape's `linear_act` node, so its answers are
+//! `to_bits`-identical to the training forward in eval mode (pinned by
+//! `tests/inference_differential.rs`, DESIGN.md §12).
 //!
 //! Every accumulation is ascending-`k` f32 regardless of ISA and requests
 //! never share state, so answers are bit-stable across machines, thread
-//! counts and batch compositions at either precision.
+//! counts and batch compositions.
 
 use crate::features::{EncodedOd, FeatureContext};
 use crate::model::{DeepOdModel, ModelError, PredictRequest, PredictResponse};
@@ -28,69 +23,26 @@ use deepod_tensor::{kernels, Activation, Tensor};
 use deepod_traffic::NUM_WEATHER_TYPES;
 use std::sync::Arc;
 
-/// One fully-connected layer's weights, at the precision it serves.
-enum Dense {
-    /// The trained `[out, in]` weight and `[out]` bias, shared with the
-    /// `ParamStore`.
-    F32 { w: Arc<Tensor>, b: Arc<Tensor> },
-    /// Per-row int8 weights in the [`kernels::pack_quantized`] panel
-    /// layout; the f32 scale and bias are fused into the epilogue.
-    Int8 {
-        packed: Vec<i8>,
-        scales: Vec<f32>,
-        bias: Vec<f32>,
-    },
+/// One fully-connected layer: the trained `[out, in]` weight and `[out]`
+/// bias, shared with the `ParamStore`.
+struct Dense {
+    w: Arc<Tensor>,
+    b: Arc<Tensor>,
 }
 
 impl Dense {
     fn lower(store: &ParamStore, l: &Linear) -> Dense {
-        Dense::F32 {
+        Dense {
             w: store.value_rc(l.w),
             b: store.value_rc(l.b),
         }
     }
 
-    /// Repacks f32 weights per row to int8 (done once, at lowering).
-    fn quantize(&mut self) {
-        let Dense::F32 { w, b } = self else { return };
-        let &[rows, cols] = w.dims() else { return };
-        let qr = kernels::quantize_rows(w.as_slice(), rows, cols);
-        *self = Dense::Int8 {
-            packed: kernels::pack_quantized(&qr),
-            scales: qr.scales,
-            bias: b.as_slice().to_vec(),
-        };
-    }
-
     /// `act(W x + b)`.
     fn apply(&self, x: &[f32], act: Activation) -> Vec<f32> {
-        match self {
-            Dense::F32 { w, b } => {
-                let mut out = vec![0.0f32; b.numel()];
-                kernels::matvec_bias_act(w.as_slice(), x, b.as_slice(), act, &mut out);
-                out
-            }
-            Dense::Int8 {
-                packed,
-                scales,
-                bias,
-            } => {
-                let mut out = vec![0.0f32; bias.len()];
-                kernels::matvec_i8_bias_act(packed, scales, bias, x, act, &mut out);
-                out
-            }
-        }
-    }
-
-    fn size_bytes(&self) -> usize {
-        match self {
-            Dense::F32 { w, b } => (w.numel() + b.numel()) * 4,
-            Dense::Int8 {
-                packed,
-                scales,
-                bias,
-            } => packed.len() + (scales.len() + bias.len()) * 4,
-        }
+        let mut out = vec![0.0f32; self.b.numel()];
+        kernels::matvec_bias_act(self.w.as_slice(), x, self.b.as_slice(), act, &mut out);
+        out
     }
 }
 
@@ -111,10 +63,6 @@ impl Mlp {
     fn apply(&self, x: &[f32]) -> Vec<f32> {
         let hidden = self.l1.apply(x, Activation::Relu);
         self.l2.apply(&hidden, Activation::Identity)
-    }
-
-    fn size_bytes(&self) -> usize {
-        self.l1.size_bytes() + self.l2.size_bytes()
     }
 }
 
@@ -174,7 +122,7 @@ fn table_row<'t>(table: &'t Tensor, i: usize, what: &'static str) -> Result<&'t 
     rows.nth(i).ok_or(ModelError::MalformedEncoding(what))
 }
 
-/// The immutable estimation model (M_O + M_E) at one weight precision.
+/// The immutable estimation model (M_O + M_E).
 pub struct InferenceModel {
     road_emb: Arc<Tensor>,
     slot_emb: Arc<Tensor>,
@@ -186,13 +134,12 @@ pub struct InferenceModel {
     head: Mlp,
     uses_external: bool,
     embeds_time: bool,
-    int8: bool,
     y_mean: f32,
     y_std: f32,
 }
 
 impl InferenceModel {
-    /// The f32 view of `m`'s current weights: `Arc` clones of the
+    /// The view of `m`'s current weights: `Arc` clones of the
     /// parameter tensors plus the (per-channel) batch-norm statistics, so
     /// deriving it per call is cheap and can never go stale.
     pub fn from_model(m: &DeepOdModel) -> InferenceModel {
@@ -208,41 +155,9 @@ impl InferenceModel {
             head: Mlp::lower(store, &m.head),
             uses_external: m.od_enc.uses_external(),
             embeds_time: m.od_enc.embeds_time(),
-            int8: false,
             y_mean: m.y_mean,
             y_std: m.y_std,
         }
-    }
-
-    /// `m`'s estimation path with the three MLPs quantized per row to
-    /// int8. The source model is unchanged.
-    pub fn quantized(m: &DeepOdModel) -> InferenceModel {
-        let mut q = InferenceModel::from_model(m);
-        for mlp in [&mut q.ext_mlp, &mut q.od_mlp, &mut q.head] {
-            mlp.l1.quantize();
-            mlp.l2.quantize();
-        }
-        q.int8 = true;
-        q
-    }
-
-    /// `"f32"` or `"int8"` (logs and the `serve.precision` metric).
-    pub fn precision_name(&self) -> &'static str {
-        if self.int8 {
-            "int8"
-        } else {
-            "f32"
-        }
-    }
-
-    /// Bytes of weights the estimation path holds (serving logs).
-    pub fn size_bytes(&self) -> usize {
-        let convs = [&self.conv1, &self.conv2, &self.conv3].map(|c| &c.kernel);
-        let f32_tensors = [&self.road_emb, &self.slot_emb].into_iter().chain(convs);
-        f32_tensors.map(|t| t.numel() * 4).sum::<usize>()
-            + self.ext_mlp.size_bytes()
-            + self.od_mlp.size_bytes()
-            + self.head.size_bytes()
     }
 
     /// `ocode` (Eq. 18): the speed matrix through the CNN, averaged per
@@ -383,61 +298,13 @@ mod tests {
         (ds, ctx, model)
     }
 
-    fn raw_requests(ds: &CityDataset, n: usize) -> Vec<PredictRequest> {
-        let ods = ds.train.iter().take(n);
-        ods.map(|o| PredictRequest::Raw(o.od)).collect()
-    }
-
-    #[test]
-    fn quantized_predictions_track_f32_closely() {
-        let (ds, ctx, model) = tiny_setup();
-        let reqs = raw_requests(&ds, 8);
-        let f32_out = InferenceModel::from_model(&model).estimate_batch(&ctx, &ds.net, &reqs, 1);
-        let i8_out = InferenceModel::quantized(&model).estimate_batch(&ctx, &ds.net, &reqs, 1);
-        assert_eq!(f32_out.len(), i8_out.len());
-        for (a, b) in f32_out.iter().zip(&i8_out) {
-            let (a, b) = (a.as_ref().expect("matched"), b.as_ref().expect("matched"));
-            let rel = (a.eta_seconds - b.eta_seconds).abs() / a.eta_seconds.max(1.0);
-            assert!(
-                rel < 0.05,
-                "int8 drifted {rel:.4} ({} vs {})",
-                a.eta_seconds,
-                b.eta_seconds
-            );
-            assert!(b.eta_seconds >= 0.0);
-        }
-    }
-
-    #[test]
-    fn quantized_is_bit_deterministic_across_threads_and_batches() {
-        let (ds, ctx, model) = tiny_setup();
-        let qm = InferenceModel::quantized(&model);
-        let reqs = raw_requests(&ds, 9);
-        let serial = qm.estimate_batch(&ctx, &ds.net, &reqs, 1);
-        for threads in [2usize, 3, 8] {
-            let par = qm.estimate_batch(&ctx, &ds.net, &reqs, threads);
-            for (a, b) in serial.iter().zip(&par) {
-                let (a, b) = (a.as_ref().expect("matched"), b.as_ref().expect("matched"));
-                assert_eq!(a.eta_seconds.to_bits(), b.eta_seconds.to_bits());
-            }
-        }
-        // One-by-one equals batched.
-        for (i, req) in reqs.iter().enumerate() {
-            let one = qm.estimate_batch(&ctx, &ds.net, std::slice::from_ref(req), 1);
-            assert_eq!(
-                one[0].as_ref().expect("matched").eta_seconds.to_bits(),
-                serial[i].as_ref().expect("matched").eta_seconds.to_bits()
-            );
-        }
-    }
-
     #[test]
     fn unmatched_endpoints_fail_per_request() {
         let (ds, ctx, model) = tiny_setup();
         let good = ds.train[0].od;
         let mut bad = good;
         bad.origin = deepod_roadnet::Point::new(-1e7, -1e7);
-        let out = InferenceModel::quantized(&model).estimate_batch(
+        let out = InferenceModel::from_model(&model).estimate_batch(
             &ctx,
             &ds.net,
             &[PredictRequest::Raw(good), PredictRequest::Raw(bad)],
@@ -445,18 +312,5 @@ mod tests {
         );
         assert!(out[0].is_ok());
         assert_eq!(out[1], Err(ModelError::UnmatchedEndpoints));
-    }
-
-    #[test]
-    fn size_is_smaller_than_f32_mlps() {
-        let (_ds, _ctx, model) = tiny_setup();
-        let (qm, fm) = (
-            InferenceModel::quantized(&model),
-            InferenceModel::from_model(&model),
-        );
-        assert_eq!((qm.precision_name(), fm.precision_name()), ("int8", "f32"));
-        assert!(qm.size_bytes() > 0);
-        assert!(qm.size_bytes() < fm.size_bytes());
-        assert!(fm.size_bytes() < model.size_bytes());
     }
 }

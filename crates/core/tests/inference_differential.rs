@@ -135,23 +135,6 @@ proptest! {
             );
         }
     }
-
-    #[test]
-    fn int8_inference_stays_within_five_percent_of_f32(i in 0..1000usize) {
-        let fx = fixture();
-        let od = train_od(fx, i);
-        for model in &fx.models {
-            let f32_eta = InferenceModel::from_model(model)
-                .eval_encoded(&od)
-                .expect("well-formed encoding");
-            let i8_eta = InferenceModel::quantized(model)
-                .eval_encoded(&od)
-                .expect("well-formed encoding");
-            let rel = (f32_eta - i8_eta).abs() / f32_eta.max(1.0);
-            prop_assert!(rel < 0.05, "int8 drifted {rel:.4} ({f32_eta} vs {i8_eta})");
-            prop_assert!(i8_eta >= 0.0);
-        }
-    }
 }
 
 /// `DeepOdModel::estimate_batch` derives its inference view per call, so a

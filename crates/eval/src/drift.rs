@@ -3,8 +3,7 @@
 //! [`DeepOdModel::estimate_batch`] run answers for the same canonical
 //! request (DESIGN.md §15).
 //!
-//! Unlike the precision gate (a tolerance on an accuracy *metric*), this
-//! gate tolerates nothing: the oracle stores the model's own answers, so
+//! The gate tolerates nothing: the oracle stores the model's own answers, so
 //! any difference means the artifact and the model have diverged — a
 //! retrained model behind a stale oracle, a corrupted entry that slipped
 //! past the checksum, or a nondeterminism bug in the inference path. All

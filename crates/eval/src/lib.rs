@@ -7,11 +7,9 @@
 mod drift;
 mod harness;
 mod metrics;
-mod precision;
 mod report;
 
 pub use drift::{check_drift, DriftReport};
 pub use harness::{all_baselines, run_method, DeepOdMethod, HarnessError, Method, MethodResult};
 pub use metrics::{histogram, mae, mape, mare, Metrics, MetricsError, PredPair, MAPE_MIN_ACTUAL};
-pub use precision::{PrecisionGate, PrecisionReport};
 pub use report::{metric_cell, write_csv, TextTable};

@@ -141,11 +141,12 @@ impl Default for EngineConfig {
 /// the model could not be loaded (graceful degradation — the process
 /// keeps serving, each reply is marked degraded).
 pub enum Backend {
-    /// A loaded DeepOD model, served at f32; replies are not degraded.
+    /// A loaded DeepOD model, lowered to an `InferenceModel` at engine
+    /// start; replies are not degraded.
     Model(Box<DeepOdModel>),
-    /// An already-lowered inference model at whichever precision it was
-    /// built with (`--precision int8` passes the quantized one, after the
-    /// eval accuracy gate). Replies are not degraded.
+    /// An already-lowered inference model (`deepod serve` passes
+    /// `InferenceModel::from_model` of the loaded model). Replies are not
+    /// degraded.
     Inference(Arc<InferenceModel>),
     /// The shortest-route-over-historical-speeds fallback (must already be
     /// fit); every reply is marked degraded.
@@ -153,15 +154,6 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// Short name used in logs and the `serve.precision` metric.
-    pub fn precision_name(&self) -> &'static str {
-        match self {
-            Backend::Model(_) => "f32",
-            Backend::Inference(m) => m.precision_name(),
-            Backend::RouteTte(_) => "fallback",
-        }
-    }
-
     /// What the workers run: both model variants lower to the one
     /// immutable inference type, so a worker has one model arm.
     fn lower(self) -> Replica {

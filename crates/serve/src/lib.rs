@@ -117,28 +117,37 @@ mod tests {
             .collect();
         let direct = model.estimate_batch(&ctx, &ds.net, &reqs, 1);
 
-        let engine = InferenceEngine::start(
-            Backend::Model(Box::new(model)),
-            ctx,
-            Arc::clone(&ds),
-            EngineConfig {
-                max_batch: 4,
-                max_wait_ms: 1,
-                ..EngineConfig::default()
-            },
-        );
-        let rxs: Vec<_> = reqs
-            .iter()
-            .map(|r| engine.submit(r.clone()).expect("queue accepts"))
-            .collect();
-        for (rx, expect) in rxs.into_iter().zip(direct) {
-            let reply = rx.recv().expect("engine answers before shutdown");
-            assert!(!reply.degraded);
-            let got = reply.result.expect("encoded od resolves");
-            let want = expect.expect("direct call resolves");
-            assert_eq!(got.eta_seconds.to_bits(), want.eta_seconds.to_bits());
+        // Both model arms — the one `deepod serve` uses and the one the
+        // engine lowers itself — must answer with the direct call's bits.
+        let inference = Arc::new(deepod_core::InferenceModel::from_model(&model));
+        let ctx2 = FeatureContext::build(&ds, model.config.slot_seconds).expect("valid slot size");
+        for (backend, ctx) in [
+            (Backend::Model(Box::new(model)), ctx),
+            (Backend::Inference(inference), ctx2),
+        ] {
+            let engine = InferenceEngine::start(
+                backend,
+                ctx,
+                Arc::clone(&ds),
+                EngineConfig {
+                    max_batch: 4,
+                    max_wait_ms: 1,
+                    ..EngineConfig::default()
+                },
+            );
+            let rxs: Vec<_> = reqs
+                .iter()
+                .map(|r| engine.submit(r.clone()).expect("queue accepts"))
+                .collect();
+            for (rx, expect) in rxs.into_iter().zip(&direct) {
+                let reply = rx.recv().expect("engine answers before shutdown");
+                assert!(!reply.degraded);
+                let got = reply.result.expect("encoded od resolves");
+                let want = expect.as_ref().expect("direct call resolves");
+                assert_eq!(got.eta_seconds.to_bits(), want.eta_seconds.to_bits());
+            }
+            engine.shutdown();
         }
-        engine.shutdown();
     }
 
     #[test]

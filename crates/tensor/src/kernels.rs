@@ -4,12 +4,11 @@
 //! goes through (DESIGN.md §12): `Tensor::matmul`, the fused
 //! `matmul_bias_act` / `matvec_bias_act` primitives (and therefore every
 //! `linear_act` node on the autodiff tape, including the LSTM gates), the
-//! convolution forward (via [`axpy`]) and gradients (via [`matmul`]), and
-//! the int8 inference path.
+//! convolution forward (via [`axpy`]) and gradients (via [`matmul`]).
 //!
 //! # Layout and dispatch
 //!
-//! Three kernel families live here:
+//! Two kernel families live here:
 //!
 //! * **Scalar reference** ([`matmul_ref`], [`matvec_ref`]) — the blocked
 //!   i-k-j kernel that has always been the workspace's serial path. It is
@@ -19,8 +18,6 @@
 //!   working set stays in L1/L2; a register-blocked 4×16 AVX micro-kernel
 //!   runs over the panels. Matvec packs [`PR`]-row panels and broadcasts
 //!   the input vector.
-//! * **Int8** — per-row-quantized weights ([`quantize_rows`]) accumulated
-//!   in f32, with the `scale`/bias dequantization fused into the epilogue.
 //!
 //! SIMD paths are selected at runtime via [`active_isa`] (cached
 //! `is_x86_feature_detected!` probes); every intrinsic call site sits in a
@@ -29,9 +26,9 @@
 //!
 //! # Determinism contract
 //!
-//! Every path — scalar, AVX, AVX2, int8 — accumulates each output element
-//! in ascending-`k` order with separate multiply and add (no FMA
-//! contraction), so **all paths are bit-identical to the scalar
+//! Both paths — scalar, AVX — accumulate each output element in
+//! ascending-`k` order with separate multiply and add (no FMA
+//! contraction), so **the SIMD path is bit-identical to the scalar
 //! reference** on every machine: 0 ulp, stronger than the ≤1-ulp budget
 //! the SIMD path is allowed. Vectorization rides on lane-parallelism
 //! across *output* elements (rows for matvec, columns for matmul), never
@@ -79,8 +76,6 @@ pub enum Isa {
     Scalar,
     /// AVX f32 kernels (packed matmul/matvec, axpy).
     Avx,
-    /// AVX plus the AVX2 int8→f32 widening used by the quantized matvec.
-    Avx2,
 }
 
 impl Isa {
@@ -89,7 +84,6 @@ impl Isa {
         match self {
             Isa::Scalar => "scalar",
             Isa::Avx => "avx",
-            Isa::Avx2 => "avx2",
         }
     }
 }
@@ -102,13 +96,11 @@ pub fn active_isa() -> Isa {
     match ISA.load(Ordering::Relaxed) {
         1 => Isa::Scalar,
         2 => Isa::Avx,
-        3 => Isa::Avx2,
         _ => {
             let isa = detect_isa();
             let code = match isa {
                 Isa::Scalar => 1,
                 Isa::Avx => 2,
-                Isa::Avx2 => 3,
             };
             ISA.store(code, Ordering::Relaxed);
             isa
@@ -118,9 +110,7 @@ pub fn active_isa() -> Isa {
 
 #[cfg(target_arch = "x86_64")]
 fn detect_isa() -> Isa {
-    if std::arch::is_x86_feature_detected!("avx2") {
-        Isa::Avx2
-    } else if std::arch::is_x86_feature_detected!("avx") {
+    if std::arch::is_x86_feature_detected!("avx") {
         Isa::Avx
     } else {
         Isa::Scalar
@@ -340,7 +330,7 @@ fn pack_b_strip(
 /// Packed AVX matvec: rows are processed [`PR`] at a time; the panel is
 /// k-major so one vector load yields the 8 rows' weights at a given `k`
 /// and the input scalar is broadcast. Each accumulator lane sums in
-/// ascending-`k` order; the scale/bias/activation epilogue is scalar and
+/// ascending-`k` order; the bias/activation epilogue is scalar and
 /// identical to [`matvec_ref`]'s.
 #[cfg(target_arch = "x86_64")]
 fn matvec_packed(w: &[f32], x: &[f32], bias: &[f32], act: Activation, out: &mut [f32]) {
@@ -367,115 +357,6 @@ fn matvec_packed(w: &[f32], x: &[f32], bias: &[f32], act: Activation, out: &mut 
 }
 
 // ---------------------------------------------------------------------------
-// Int8 quantized inference kernels
-// ---------------------------------------------------------------------------
-
-/// A row-major `[rows, cols]` matrix quantized per row to int8.
-///
-/// Each row stores `q[i][j] = round(w[i][j] / scale[i])` with
-/// `scale[i] = max_j |w[i][j]| / 127`, so the dequantized weight
-/// `q·scale` is within `scale/2` of the original — the bound the
-/// round-trip property test pins down. All-zero rows get scale 1.0.
-#[derive(Clone, Debug, PartialEq)]
-pub struct QuantizedRows {
-    /// Quantized values, row-major `[rows, cols]`.
-    pub q: Vec<i8>,
-    /// Per-row dequantization scales.
-    pub scales: Vec<f32>,
-    /// Row count.
-    pub rows: usize,
-    /// Column count.
-    pub cols: usize,
-}
-
-/// Quantizes a row-major `[rows, cols]` f32 matrix per row to int8.
-pub fn quantize_rows(w: &[f32], rows: usize, cols: usize) -> QuantizedRows {
-    assert_eq!(w.len(), rows * cols, "quantize_rows shape mismatch");
-    let mut q = Vec::with_capacity(rows * cols);
-    let mut scales = Vec::with_capacity(rows);
-    for row in w.chunks(cols) {
-        let absmax = row.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-        let scale = if absmax > 0.0 { absmax / 127.0 } else { 1.0 };
-        scales.push(scale);
-        for &v in row {
-            let r = (v / scale).round().clamp(-127.0, 127.0);
-            // deepod-lint: allow(truncating-cast) — value clamped to i8 range above
-            q.push(r as i8);
-        }
-    }
-    QuantizedRows {
-        q,
-        scales,
-        rows,
-        cols,
-    }
-}
-
-/// Packs quantized rows into [`PR`]-row panels, k-major
-/// (`packed[panel][p·PR + r] = q[i0+r][p]`), zero-padding the ragged
-/// final panel. This is the layout [`matvec_i8_bias_act`] consumes; do it
-/// once at model-load time, not per request.
-pub fn pack_quantized(qr: &QuantizedRows) -> Vec<i8> {
-    let blocks = qr.rows.div_ceil(PR);
-    let mut packed = vec![0i8; blocks * PR * qr.cols];
-    for (bi, i0) in (0..qr.rows).step_by(PR).enumerate() {
-        let pr = (i0 + PR).min(qr.rows) - i0;
-        let panel = &mut packed[bi * PR * qr.cols..(bi + 1) * PR * qr.cols];
-        for r in 0..pr {
-            let row = &qr.q[(i0 + r) * qr.cols..(i0 + r + 1) * qr.cols];
-            for (p, &v) in row.iter().enumerate() {
-                panel[p * PR + r] = v;
-            }
-        }
-    }
-    packed
-}
-
-/// Quantized fused matvec:
-/// `out[i] = act((Σ_k q[i,k]·x[k]) · scale[i] + bias[i])` with the sum
-/// accumulated in f32, ascending-`k`. `packed` is the [`pack_quantized`]
-/// layout. Dispatches to AVX2 (int8→f32 lane widening) or the scalar
-/// loop; identical bits either way.
-pub fn matvec_i8_bias_act(
-    packed: &[i8],
-    scales: &[f32],
-    bias: &[f32],
-    x: &[f32],
-    act: Activation,
-    out: &mut [f32],
-) {
-    let m = out.len();
-    let k = x.len();
-    debug_assert_eq!(packed.len(), m.div_ceil(PR) * PR * k);
-    debug_assert_eq!(scales.len(), m);
-    debug_assert_eq!(bias.len(), m);
-    #[cfg(target_arch = "x86_64")]
-    if active_isa() >= Isa::Avx2 {
-        let mut accs = [0.0f32; PR];
-        for (bi, i0) in (0..m).step_by(PR).enumerate() {
-            let pr = (i0 + PR).min(m) - i0;
-            let panel = &packed[bi * PR * k..(bi + 1) * PR * k];
-            x86::run_mv8_i8(panel, x, &mut accs);
-            for r in 0..pr {
-                out[i0 + r] = act.apply(accs[r] * scales[i0 + r] + bias[i0 + r]);
-            }
-        }
-        return;
-    }
-    for (bi, i0) in (0..m).step_by(PR).enumerate() {
-        let pr = (i0 + PR).min(m) - i0;
-        let panel = &packed[bi * PR * k..(bi + 1) * PR * k];
-        for r in 0..pr {
-            let mut acc = 0.0f32;
-            for (p, &xv) in x.iter().enumerate() {
-                acc += f32::from(panel[p * PR + r]) * xv;
-            }
-            out[i0 + r] = act.apply(acc * scales[i0 + r] + bias[i0 + r]);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // x86_64 intrinsic micro-kernels
 // ---------------------------------------------------------------------------
 
@@ -489,9 +370,8 @@ pub fn matvec_i8_bias_act(
 mod x86 {
     use super::{Isa, MR, NR, PR};
     use core::arch::x86_64::{
-        __m128i, __m256, _mm256_add_ps, _mm256_broadcast_ss, _mm256_cvtepi32_ps,
-        _mm256_cvtepi8_epi32, _mm256_loadu_ps, _mm256_mul_ps, _mm256_setzero_ps, _mm256_storeu_ps,
-        _mm_loadl_epi64,
+        __m256, _mm256_add_ps, _mm256_broadcast_ss, _mm256_loadu_ps, _mm256_mul_ps,
+        _mm256_setzero_ps, _mm256_storeu_ps,
     };
 
     /// 4×16 register-blocked micro-kernel: `acc[r][c] += Σ_p a[r][p]·b[p][c]`
@@ -569,32 +449,6 @@ mod x86 {
         debug_assert!(panel.len() >= x.len() * PR);
         // SAFETY: AVX probed at runtime; panel length debug-asserted.
         unsafe { mv8(panel.as_ptr(), x.as_ptr(), x.len(), accs.as_mut_ptr()) }
-    }
-
-    /// 8-row int8 matvec micro-kernel: widens 8 packed int8 weights to
-    /// f32 lanes (exact conversion) and accumulates like [`mv8`].
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2; `panel` must hold `x.len()·PR` bytes.
-    #[target_feature(enable = "avx2")]
-    unsafe fn mv8_i8(panel: *const i8, x: *const f32, k: usize, out: *mut f32) {
-        let mut acc = _mm256_setzero_ps();
-        for p in 0..k {
-            let q = _mm_loadl_epi64(panel.add(p * PR).cast::<__m128i>());
-            let w = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(q));
-            let xv = _mm256_broadcast_ss(&*x.add(p));
-            acc = _mm256_add_ps(acc, _mm256_mul_ps(w, xv));
-        }
-        _mm256_storeu_ps(out, acc);
-    }
-
-    /// Safe wrapper for [`mv8_i8`]; only reachable via [`super::active_isa`].
-    pub(super) fn run_mv8_i8(panel: &[i8], x: &[f32], accs: &mut [f32; PR]) {
-        debug_assert!(super::active_isa() >= Isa::Avx2);
-        debug_assert!(panel.len() >= x.len() * PR);
-        // SAFETY: AVX2 probed at runtime; panel length debug-asserted.
-        unsafe { mv8_i8(panel.as_ptr(), x.as_ptr(), x.len(), accs.as_mut_ptr()) }
     }
 
     /// Vectorized `y += a·x` with a scalar tail; element-wise, so lane
@@ -697,56 +551,6 @@ mod tests {
             }
             assert_eq!(got, want, "n={n}");
         }
-    }
-
-    #[test]
-    fn int8_matvec_scalar_and_simd_agree() {
-        for (m, k) in [(1, 3), (8, 16), (13, 45), (32, 67)] {
-            let w = rand_vec(m * k, 800 + m as u64);
-            let x = rand_vec(k, 900 + k as u64);
-            let bias = rand_vec(m, 1000 + m as u64);
-            let qr = quantize_rows(&w, m, k);
-            let packed = pack_quantized(&qr);
-            let mut got = vec![0.0f32; m];
-            matvec_i8_bias_act(&packed, &qr.scales, &bias, &x, Activation::Relu, &mut got);
-            // Scalar recomputation over the same packed layout.
-            let mut want = vec![0.0f32; m];
-            for (bi, i0) in (0..m).step_by(PR).enumerate() {
-                let pr = (i0 + PR).min(m) - i0;
-                let panel = &packed[bi * PR * k..(bi + 1) * PR * k];
-                for r in 0..pr {
-                    let mut acc = 0.0f32;
-                    for (p, &xv) in x.iter().enumerate() {
-                        acc += f32::from(panel[p * PR + r]) * xv;
-                    }
-                    want[i0 + r] = Activation::Relu.apply(acc * qr.scales[i0 + r] + bias[i0 + r]);
-                }
-            }
-            assert_eq!(got, want, "({m},{k})");
-        }
-    }
-
-    #[test]
-    fn quantize_round_trip_error_is_bounded() {
-        let w = rand_vec(37 * 19, 42);
-        let qr = quantize_rows(&w, 37, 19);
-        for (i, row) in w.chunks(19).enumerate() {
-            let scale = qr.scales[i];
-            for (j, &v) in row.iter().enumerate() {
-                let deq = f32::from(qr.q[i * 19 + j]) * scale;
-                assert!(
-                    (v - deq).abs() <= scale * 0.5 + 1e-6,
-                    "row {i} col {j}: {v} vs {deq} (scale {scale})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn quantize_handles_zero_rows() {
-        let qr = quantize_rows(&[0.0; 8], 2, 4);
-        assert_eq!(qr.scales, vec![1.0, 1.0]);
-        assert!(qr.q.iter().all(|&q| q == 0));
     }
 
     #[test]

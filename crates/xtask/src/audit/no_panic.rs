@@ -20,12 +20,11 @@ use std::collections::BTreeMap;
 /// front end's per-connection reader/writer loops. A missing root is
 /// itself a finding — the certification must never silently narrow
 /// because a function moved.
-pub const DEFAULT_ROOTS: [(&str, &str); 13] = [
+pub const DEFAULT_ROOTS: [(&str, &str); 12] = [
     ("crates/core/src/model.rs", "estimate_batch"),
     ("crates/core/src/inference.rs", "estimate_batch"),
     ("crates/tensor/src/kernels.rs", "matmul"),
     ("crates/tensor/src/kernels.rs", "matvec_bias_act"),
-    ("crates/tensor/src/kernels.rs", "matvec_i8_bias_act"),
     ("crates/tensor/src/kernels.rs", "axpy"),
     ("crates/serve/src/worker.rs", "worker_loop"),
     ("crates/serve/src/engine.rs", "submit"),

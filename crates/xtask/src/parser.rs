@@ -1007,7 +1007,7 @@ mod tests {
 
     #[test]
     fn feature_check_detection() {
-        let src = "fn dispatch() { if active_isa() >= Isa::Avx2 { x86::run(); } }";
+        let src = "fn dispatch() { if active_isa() >= Isa::Avx { x86::run(); } }";
         assert!(parse(src).functions[0].has_feature_check);
     }
 }

@@ -75,14 +75,12 @@ stage net        cargo test -q -p deepod-cli --test serve_net
 # entries, and a corrupt or mismatched oracle degrades to cacheless
 # serving instead of wrong answers.
 stage cache      cargo test -q -p deepod-cli --test serve_cache
-# Kernel stage: property tests proving the packed/SIMD matmul, matvec,
-# axpy, and int8 paths bit-identical to the scalar reference, the
+# Kernel stage: property tests proving the packed/SIMD matmul, matvec
+# and axpy paths bit-identical to the scalar reference, the
 # matmul-form conv gradients bit-identical to their scalar reference
 # loops, every tape op's finite-difference gradcheck, and the step-batched
 # trajectory encoder bit-identical to the per-step tape it replaced
-# (DESIGN.md §12 determinism contract); then the eval-side precision gate
-# on a fixture model — int8 MAPE must stay within the configured delta of
-# f32.
+# (DESIGN.md §12 determinism contract).
 kernel_tests() {
   cargo test -q -p deepod-tensor --test kernel_props &&
     cargo test -q -p deepod-nn conv &&
@@ -91,7 +89,6 @@ kernel_tests() {
     cargo test -q -p deepod-core --lib mt_reference_tests
 }
 stage kernels    kernel_tests
-stage precision  cargo test -q -p deepod-eval precision
 # Benchmark smoke stage: one short pass of every workload of the repo
 # benchmark (BENCHMARK.json). Its gate — each served reply `to_bits`-equal
 # to `estimate_batch(threads = 1)` on the same request — is the end-to-end
