@@ -34,13 +34,14 @@ USAGE:
   deepod help
 
 serve reads newline-delimited JSON requests on stdin —
-  {\"v\": 1, \"id\": 1, \"from\": [X, Y], \"to\": [X, Y], \"depart\": T}
+  {\"v\": 2, \"id\": 1, \"from\": [X, Y], \"to\": [X, Y], \"depart\": T}
 — coalesces them into micro-batches (up to --max-batch requests or
 --max-wait-ms of waiting), and answers in input order on stdout:
   {\"id\":1,\"eta_s\":412.5,\"degraded\":false}
-The \"v\" protocol-version field is optional (absent means v1); frames
-declaring any other version get a typed structured reject
-{\"id\":null,\"error\":{\"kind\":\"unsupported_version\",\"msg\":...}}.
+Every error is one typed frame, with the request's id when readable:
+  {\"id\":1,\"error\":{\"kind\":\"queue_full\",\"msg\":...}}
+The \"v\" protocol-version field is optional (absent means v2); frames
+declaring any other version, 1 included, get kind unsupported_version.
 
 With --listen ADDR the same protocol is served over TCP instead (the
 first stdout line reports the bound address; the process serves until
@@ -62,8 +63,8 @@ Fault tolerance: --workers N shards the queue over N supervised workers
 (env DEEPOD_SERVE_WORKERS; default 1) sharing one immutable inference
 model; a panicking worker is restarted and its in-flight requests are
 retried up to --retry-budget times (deterministic backoff) before
-failing with a typed \"worker crashed\" reply. --deadline-ms sheds
-requests that wait longer than MS in the queue (\"deadline exceeded\")
+failing with a typed worker_crashed reply. --deadline-ms sheds
+requests that wait longer than MS in the queue (deadline_exceeded)
 before they reach a batch. Chaos-test the machinery with
 DEEPOD_FAILPOINTS sites serve::worker_batch / serve::slow_batch /
 serve::drop_reply (actions kill|panic|sleep[=MS]).

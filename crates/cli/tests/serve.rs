@@ -5,17 +5,18 @@
 //! * one long-lived process answers ≥ 1000 requests, in input order, with
 //!   one response line per request line and a clean exit 0 at EOF;
 //! * malformed lines and unmatchable ODs get per-request error lines
-//!   without disturbing their neighbors;
+//!   without disturbing their neighbors, each byte-equal to a frozen
+//!   golden transcript (`golden/serve_rejects.*.ndjson`);
 //! * `--reject-when-full` turns overload into explicit typed error lines
-//!   (`queue full` / the degradation ladder's `overloaded`) instead of
+//!   (`queue_full` / the degradation ladder's `overloaded`) instead of
 //!   unbounded buffering;
 //! * a corrupt model file degrades to route-tte fallback answers
 //!   (`"degraded":true` on every reply, exit code 2), never a crash.
 
 use deepod_core::{DeepOdConfig, DeepOdModel, EmbeddingInit, FeatureContext};
 use deepod_roadnet::CityProfile;
+use deepod_serve::{ErrorKind, WireResponse};
 use deepod_traj::{CityDataset, DatasetBuilder, DatasetConfig};
-use serde::json::{self, Value};
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
@@ -122,30 +123,21 @@ fn run_serve(extra_args: &[&str], model: &str, input: String) -> Output {
     out
 }
 
-struct Reply {
-    id: Option<u64>,
-    eta_s: Option<f64>,
-    degraded: Option<bool>,
-    error: Option<String>,
+/// Every stdout line of a serve run, parsed by the one wire codec.
+fn replies(out: &Output) -> Vec<WireResponse> {
+    String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .map(|line| {
+            WireResponse::parse(line).unwrap_or_else(|e| panic!("bad response line {line:?}: {e}"))
+        })
+        .collect()
 }
 
-fn parse_reply(line: &str) -> Reply {
-    let v = json::parse(line).unwrap_or_else(|e| panic!("bad response line {line:?}: {e}"));
-    let num = |field: &str| match json::obj_field(&v, field) {
-        Ok(Value::Num(raw)) => Some(raw.parse::<f64>().expect("numeric field")),
-        _ => None,
-    };
-    Reply {
-        id: num("id").map(|n| n as u64), // deepod-lint: allow(truncating-cast)
-        eta_s: num("eta_s"),
-        degraded: match json::obj_field(&v, "degraded") {
-            Ok(Value::Bool(b)) => Some(*b),
-            _ => None,
-        },
-        error: match json::obj_field(&v, "error") {
-            Ok(Value::Str(s)) => Some(s.clone()),
-            _ => None,
-        },
+/// The kind of an error frame; `None` for an answer.
+fn kind(r: &WireResponse) -> Option<ErrorKind> {
+    match r {
+        WireResponse::Ok { .. } => None,
+        WireResponse::Err { error, .. } => Some(error.kind),
     }
 }
 
@@ -161,15 +153,24 @@ fn one_process_answers_a_thousand_requests_in_order() {
         out.status.code(),
         String::from_utf8_lossy(&out.stderr)
     );
-    let stdout = String::from_utf8(out.stdout).expect("utf8 stdout");
-    let lines: Vec<&str> = stdout.lines().collect();
-    assert_eq!(lines.len(), N, "one response line per request line");
-    for (i, line) in lines.iter().enumerate() {
-        let r = parse_reply(line);
-        assert_eq!(r.id, Some(i as u64), "responses arrive in input order");
-        assert_eq!(r.degraded, Some(false), "real model is not degraded");
-        let eta = r.eta_s.expect("answered request carries eta_s");
-        assert!(eta.is_finite() && eta >= 0.0, "sane ETA, got {eta}");
+    let replies = replies(&out);
+    assert_eq!(replies.len(), N, "one response line per request line");
+    for (i, r) in replies.iter().enumerate() {
+        match r {
+            WireResponse::Ok {
+                id,
+                eta_seconds,
+                degraded,
+            } => {
+                assert_eq!(*id, i as u64, "responses arrive in input order");
+                assert!(!degraded, "real model is not degraded");
+                assert!(
+                    eta_seconds.is_finite() && *eta_seconds >= 0.0,
+                    "sane ETA, got {eta_seconds}"
+                );
+            }
+            other => panic!("request {i} was not answered: {other:?}"),
+        }
     }
 }
 
@@ -185,29 +186,26 @@ fn bad_lines_get_error_replies_without_killing_the_stream() {
     );
     let out = run_serve(&[], &s.model, input);
     assert!(out.status.success());
-    let stdout = String::from_utf8(out.stdout).expect("utf8 stdout");
-    let replies: Vec<Reply> = stdout.lines().map(parse_reply).collect();
+    let replies = replies(&out);
     assert_eq!(
         replies.len(),
         4,
         "blank lines are skipped, bad lines are not"
     );
-    assert!(replies[0].eta_s.is_some());
-    assert_eq!(replies[1].id, None, "unparseable line has no id to echo");
-    assert!(replies[1]
-        .error
-        .as_deref()
-        .is_some_and(|e| e.contains("JSON")));
+    assert!(replies[0].is_ok());
+    assert_eq!(replies[1].id(), None, "unparseable line has no id to echo");
+    assert_eq!(kind(&replies[1]), Some(ErrorKind::BadRequest));
     assert_eq!(
-        replies[2].id,
+        replies[2].id(),
         Some(77),
         "id echoed even for failed requests"
     );
-    assert!(
-        replies[2].error.is_some(),
+    assert_eq!(
+        kind(&replies[2]),
+        Some(ErrorKind::Model),
         "unmatchable od fails per-request"
     );
-    assert!(replies[3].eta_s.is_some(), "stream continues after errors");
+    assert!(replies[3].is_ok(), "stream continues after errors");
 }
 
 #[test]
@@ -221,20 +219,15 @@ fn reject_when_full_sheds_load_with_queue_full_errors() {
         input,
     );
     assert!(out.status.success());
-    let stdout = String::from_utf8(out.stdout).expect("utf8 stdout");
-    let replies: Vec<Reply> = stdout.lines().map(parse_reply).collect();
+    let replies = replies(&out);
     assert_eq!(replies.len(), N, "every request gets a verdict line");
-    let answered = replies.iter().filter(|r| r.eta_s.is_some()).count();
-    // A saturated capacity-1 queue sheds either as a raw `queue full` or,
+    let answered = replies.iter().filter(|r| r.is_ok()).count();
+    // A saturated capacity-1 queue sheds either as a raw `queue_full` or,
     // once the degradation ladder trips, as `overloaded` — both are
     // explicit typed backpressure.
     let shed = replies
         .iter()
-        .filter(|r| {
-            r.error
-                .as_deref()
-                .is_some_and(|e| e.contains("queue full") || e.contains("overloaded"))
-        })
+        .filter(|r| matches!(kind(r), Some(ErrorKind::QueueFull | ErrorKind::Overloaded)))
         .count();
     assert_eq!(answered + shed, N, "only answers and typed shed rejections");
     assert!(answered > 0, "a capacity-1 queue still makes progress");
@@ -258,11 +251,26 @@ fn corrupt_model_serves_degraded_fallback_answers_and_exits_2() {
         "degraded serving uses the dedicated exit code: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let stdout = String::from_utf8(out.stdout).expect("utf8 stdout");
-    let replies: Vec<Reply> = stdout.lines().map(parse_reply).collect();
+    let replies = replies(&out);
     assert_eq!(replies.len(), 8, "fallback still answers every request");
     for r in &replies {
-        assert_eq!(r.degraded, Some(true), "fallback replies are flagged");
-        assert!(r.eta_s.is_some(), "train ods resolve on the baseline");
+        assert!(
+            matches!(r, WireResponse::Ok { degraded: true, .. }),
+            "train ods resolve on the baseline, flagged degraded: {r:?}"
+        );
     }
+}
+
+/// The stdin bytes of every request-level reject, pinned by a frozen
+/// transcript: any change to an error frame's bytes must be a deliberate
+/// edit of `golden/serve_rejects.out.ndjson`. No line depends on model
+/// weights (the one model-kind line is an OD no road matches).
+#[test]
+fn reject_bytes_match_the_golden_transcript() {
+    let s = setup();
+    let input = include_str!("golden/serve_rejects.in.ndjson");
+    let out = run_serve(&[], &s.model, input.to_string());
+    assert!(out.status.success());
+    let stdout = String::from_utf8(out.stdout).expect("utf8 stdout");
+    assert_eq!(stdout, include_str!("golden/serve_rejects.out.ndjson"));
 }

@@ -19,6 +19,7 @@
 use deepod_core::obs::registry::MetricsSnapshot;
 use deepod_core::{DeepOdConfig, DeepOdModel, EmbeddingInit, FeatureContext};
 use deepod_roadnet::CityProfile;
+use deepod_serve::{ErrorKind, WireResponse};
 use deepod_traj::{CityDataset, DatasetBuilder, DatasetConfig};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -445,23 +446,20 @@ fn pre_epoch_departures_get_typed_rejections_in_a_mixed_stream() {
         &s.model,
         input,
     );
-    let lines = stdout_lines(&out);
-    assert_eq!(lines.len(), 3, "exactly one reply per request line");
-    assert!(
-        lines[0].contains("\"eta_s\":"),
-        "neighbor answered: {}",
-        lines[0]
-    );
-    assert!(
-        lines[1].contains("\"id\":1") && lines[1].contains("before the dataset epoch"),
-        "pre-epoch depart gets a typed per-request error: {}",
-        lines[1]
-    );
-    assert!(
-        lines[2].contains("\"eta_s\":"),
-        "stream continues: {}",
-        lines[2]
-    );
+    let replies: Vec<WireResponse> = stdout_lines(&out)
+        .iter()
+        .map(|line| WireResponse::parse(line).unwrap_or_else(|e| panic!("bad reply {line:?}: {e}")))
+        .collect();
+    assert_eq!(replies.len(), 3, "exactly one reply per request line");
+    assert!(replies[0].is_ok(), "neighbor answered: {:?}", replies[0]);
+    match &replies[1] {
+        WireResponse::Err { id, error } => {
+            assert_eq!(*id, Some(1), "the reject echoes its id");
+            assert_eq!(error.kind, ErrorKind::BadRequest);
+        }
+        other => panic!("pre-epoch depart gets a typed per-request error, got {other:?}"),
+    }
+    assert!(replies[2].is_ok(), "stream continues: {:?}", replies[2]);
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! §14 contract under each fault:
 //!
 //! * **exactly one reply per request, never a hang** — a crashed worker
-//!   turns its in-flight batch into typed `worker crashed` error lines
+//!   turns its in-flight batch into typed `worker_crashed` error lines
 //!   (or, with a retry budget, into answered requests), and the process
 //!   still drains cleanly at EOF;
 //! * **supervision is observable** — `serve.worker_restarts` counts every
@@ -19,8 +19,8 @@
 use deepod_core::obs::registry::MetricsSnapshot;
 use deepod_core::{DeepOdConfig, DeepOdModel, EmbeddingInit, FeatureContext};
 use deepod_roadnet::CityProfile;
+use deepod_serve::{ErrorKind, WireResponse};
 use deepod_traj::{CityDataset, DatasetBuilder, DatasetConfig};
-use serde::json::{self, Value};
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
@@ -128,26 +128,27 @@ fn run_serve(extra_args: &[&str], env: &[(&str, &str)], input: String) -> Output
     out
 }
 
-struct Reply {
-    id: Option<u64>,
-    eta_s: Option<f64>,
-    error: Option<String>,
+/// Every stdout line of a serve run, parsed by the one wire codec.
+fn replies(out: &Output) -> Vec<WireResponse> {
+    String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .map(|line| {
+            WireResponse::parse(line).unwrap_or_else(|e| panic!("bad response line {line:?}: {e}"))
+        })
+        .collect()
 }
 
-fn parse_reply(line: &str) -> Reply {
-    let v = json::parse(line).unwrap_or_else(|e| panic!("bad response line {line:?}: {e}"));
-    let num = |field: &str| match json::obj_field(&v, field) {
-        Ok(Value::Num(raw)) => Some(raw.parse::<f64>().expect("numeric field")),
-        _ => None,
-    };
-    Reply {
-        id: num("id").map(|n| n as u64), // deepod-lint: allow(truncating-cast)
-        eta_s: num("eta_s"),
-        error: match json::obj_field(&v, "error") {
-            Ok(Value::Str(s)) => Some(s.clone()),
-            _ => None,
-        },
-    }
+/// How many replies are error frames of one of `kinds`.
+fn count_kinds(replies: &[WireResponse], kinds: &[ErrorKind]) -> usize {
+    replies
+        .iter()
+        .filter(|r| matches!(r, WireResponse::Err { error, .. } if kinds.contains(&error.kind)))
+        .count()
+}
+
+/// How many replies are answers.
+fn count_ok(replies: &[WireResponse]) -> usize {
+    replies.iter().filter(|r| r.is_ok()).count()
 }
 
 fn read_metrics(path: &str) -> MetricsSnapshot {
@@ -165,11 +166,11 @@ fn counter(snap: &MetricsSnapshot, name: &str) -> u64 {
 }
 
 /// Every request id in 0..n appears on exactly one reply line.
-fn assert_exactly_one_reply_each(replies: &[Reply], n: usize) {
+fn assert_exactly_one_reply_each(replies: &[WireResponse], n: usize) {
     assert_eq!(replies.len(), n, "one reply line per request line");
     let mut seen = vec![0u32; n];
     for r in replies {
-        let id = r.id.expect("every chaos request carries an id") as usize;
+        let id = r.id().expect("every chaos request carries an id") as usize;
         assert!(id < n, "unknown reply id {id}");
         seen[id] += 1;
     }
@@ -198,20 +199,12 @@ fn worker_panic_is_supervised_and_every_request_still_gets_a_reply() {
         out.status.code(),
         String::from_utf8_lossy(&out.stderr)
     );
-    let stdout = String::from_utf8(out.stdout).expect("utf8 stdout");
-    let replies: Vec<Reply> = stdout.lines().map(parse_reply).collect();
+    let replies = replies(&out);
     assert_exactly_one_reply_each(&replies, N);
     // With no retry budget the doomed batch fails with a typed error;
     // everything else is answered normally.
-    let crashed = replies
-        .iter()
-        .filter(|r| {
-            r.error
-                .as_deref()
-                .is_some_and(|e| e.contains("worker crashed"))
-        })
-        .count();
-    let answered = replies.iter().filter(|r| r.eta_s.is_some()).count();
+    let crashed = count_kinds(&replies, &[ErrorKind::WorkerCrashed]);
+    let answered = count_ok(&replies);
     assert!(crashed >= 1, "the in-flight batch surfaces typed errors");
     assert_eq!(answered + crashed, N, "no third reply kind under panic");
     let snap = read_metrics(&metrics);
@@ -240,16 +233,13 @@ fn retry_budget_turns_a_worker_crash_into_answered_requests() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let stdout = String::from_utf8(out.stdout).expect("utf8 stdout");
-    let replies: Vec<Reply> = stdout.lines().map(parse_reply).collect();
+    let replies = replies(&out);
     assert_exactly_one_reply_each(&replies, N);
     for r in &replies {
         assert!(
-            r.eta_s.is_some(),
+            r.is_ok(),
             "with retry budget the requeued batch succeeds on the fresh \
-             replica; got error {:?} for id {:?}",
-            r.error,
-            r.id
+             replica; got {r:?}"
         );
     }
     let snap = read_metrics(&metrics);
@@ -279,18 +269,10 @@ fn slow_batch_makes_queued_requests_miss_their_deadline() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let stdout = String::from_utf8(out.stdout).expect("utf8 stdout");
-    let replies: Vec<Reply> = stdout.lines().map(parse_reply).collect();
+    let replies = replies(&out);
     assert_exactly_one_reply_each(&replies, N);
-    let expired = replies
-        .iter()
-        .filter(|r| {
-            r.error
-                .as_deref()
-                .is_some_and(|e| e.contains("deadline exceeded"))
-        })
-        .count();
-    let answered = replies.iter().filter(|r| r.eta_s.is_some()).count();
+    let expired = count_kinds(&replies, &[ErrorKind::DeadlineExceeded]);
+    let answered = count_ok(&replies);
     assert!(
         expired >= 1,
         "requests stuck behind a 300ms batch must miss a 100ms deadline"
@@ -315,23 +297,15 @@ fn a_dropped_reply_surfaces_as_a_typed_error_not_a_hang() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let stdout = String::from_utf8(out.stdout).expect("utf8 stdout");
-    let replies: Vec<Reply> = stdout.lines().map(parse_reply).collect();
+    let replies = replies(&out);
     assert_exactly_one_reply_each(&replies, N);
-    let dropped = replies
-        .iter()
-        .filter(|r| {
-            r.error
-                .as_deref()
-                .is_some_and(|e| e.contains("worker crashed"))
-        })
-        .count();
+    let dropped = count_kinds(&replies, &[ErrorKind::WorkerCrashed]);
     assert_eq!(
         dropped, 1,
         "exactly the dropped reply becomes a typed error"
     );
     assert_eq!(
-        replies.iter().filter(|r| r.eta_s.is_some()).count(),
+        count_ok(&replies),
         N - 1,
         "every other request is answered normally"
     );
@@ -353,18 +327,10 @@ fn saturation_sheds_with_typed_errors_and_counts_them() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let stdout = String::from_utf8(out.stdout).expect("utf8 stdout");
-    let replies: Vec<Reply> = stdout.lines().map(parse_reply).collect();
+    let replies = replies(&out);
     assert_exactly_one_reply_each(&replies, N);
-    let answered = replies.iter().filter(|r| r.eta_s.is_some()).count();
-    let shed = replies
-        .iter()
-        .filter(|r| {
-            r.error
-                .as_deref()
-                .is_some_and(|e| e.contains("queue full") || e.contains("overloaded"))
-        })
-        .count();
+    let answered = count_ok(&replies);
+    let shed = count_kinds(&replies, &[ErrorKind::QueueFull, ErrorKind::Overloaded]);
     assert_eq!(answered + shed, N, "answers and typed rejections only");
     assert!(answered > 0 && shed > 0, "{answered} answered, {shed} shed");
     let snap = read_metrics(&metrics);

@@ -10,8 +10,8 @@
 //!   without killing the connection they arrived on;
 //! * closing the server's stdin drains every owed reply before sockets
 //!   close;
-//! * stdin mode stays byte-identical across runs (the pre-TCP wire
-//!   contract);
+//! * stdin mode stays byte-identical across runs, and answered frames
+//!   keep their exact `{"id":N,"eta_s":X.X,"degraded":B}` shape;
 //! * worker-crash chaos failpoints never lose or duplicate a reply.
 
 use deepod_core::{DeepOdConfig, DeepOdModel, EmbeddingInit, FeatureContext};
@@ -318,14 +318,14 @@ fn protocol_rejects_are_typed_and_do_not_kill_the_connection() {
         WireResponse::parse(line.trim_end()).unwrap_or_else(|e| panic!("bad reply {line:?}: {e}"))
     };
 
-    // Malformed JSON: flat legacy error with no id to echo.
+    // Malformed JSON: typed bad request with no id to echo.
     send_raw("this is not json");
     match recv() {
         WireResponse::Err { id: None, error } => {
             assert_eq!(error.kind, ErrorKind::BadRequest);
             assert!(error.msg.contains("JSON"), "got {}", error.msg);
         }
-        other => panic!("malformed frame must fail flat, got {other:?}"),
+        other => panic!("malformed frame must be a bad request, got {other:?}"),
     }
 
     // Oversized frame: typed structured reject, connection survives.
@@ -338,10 +338,11 @@ fn protocol_rejects_are_typed_and_do_not_kill_the_connection() {
         other => panic!("oversized frame must be rejected, got {other:?}"),
     }
 
-    // Unknown protocol version: typed structured reject.
-    send_raw("{\"v\": 2, \"id\": 5, \"from\": [0, 0], \"to\": [1, 1], \"depart\": 0}");
+    // Unknown protocol version: typed reject that echoes the id.
+    send_raw("{\"v\": 7, \"id\": 5, \"from\": [0, 0], \"to\": [1, 1], \"depart\": 0}");
     match recv() {
-        WireResponse::Err { error, .. } => {
+        WireResponse::Err { id, error } => {
+            assert_eq!(id, Some(5), "the reject echoes the readable id");
             assert_eq!(
                 error.kind,
                 ErrorKind::UnsupportedVersion,
@@ -349,10 +350,10 @@ fn protocol_rejects_are_typed_and_do_not_kill_the_connection() {
                 error.msg
             )
         }
-        other => panic!("v2 frame must be rejected, got {other:?}"),
+        other => panic!("v7 frame must be rejected, got {other:?}"),
     }
 
-    // The same connection still answers a well-formed v1 frame.
+    // The same connection still answers a well-formed frame.
     let req = request(s, 0, 42);
     let mut line = req.to_line();
     line.push('\n');
@@ -478,7 +479,7 @@ fn stdin_mode_is_byte_identical_across_runs() {
     let a = run(&input);
     let b = run(&input);
     assert_eq!(a, b, "stdin serving must stay deterministic");
-    // And each frame keeps the exact pre-versioning flat shape.
+    // And each answered frame keeps its exact shape.
     let text = String::from_utf8(a).expect("utf8 stdout");
     for (i, line) in text.lines().enumerate() {
         assert!(

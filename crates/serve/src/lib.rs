@@ -39,10 +39,11 @@
 //!   never consumes worker capacity; entries expire on wall-clock
 //!   time-slot boundaries, and degraded answers are never cached.
 //! * [`protocol`] — the versioned newline-delimited JSON wire format
-//!   (`"v":1`) the `deepod serve` subcommand speaks, identically over
+//!   (`"v":2`) the `deepod serve` subcommand speaks, identically over
 //!   stdin/stdout and TCP; pre-epoch departures are rejected per request
 //!   at this layer ([`protocol::validate_depart`]) instead of aliasing
-//!   slot 0, and errors carry a typed [`protocol::ErrorKind`].
+//!   slot 0, and every error is one structured frame carrying a typed
+//!   [`protocol::ErrorKind`].
 //! * [`net`] — the TCP front end (`deepod serve --listen`): std-only
 //!   listener, one reader/writer pair per connection, per-client
 //!   admission control (per-connection in-flight caps plus a

@@ -130,27 +130,21 @@ pub enum Submission {
 /// Decodes one request line, shared by stdin and TCP so the two modes
 /// cannot drift. Returns `None` for blank lines (no reply owed);
 /// `Some(Err(line))` is a fully rendered error reply (bad JSON, invalid
-/// fields, pre-epoch departure, or a typed protocol reject for an
-/// unsupported version).
+/// fields, pre-epoch departure, or an unsupported version).
 pub fn decode_line(ds: &CityDataset, line: &str) -> Option<Result<DecodedRequest, String>> {
     if line.trim().is_empty() {
         return None;
     }
+    let reject = |id, error| Some(Err(WireResponse::Err { id, error }.to_line()));
     let wire = match WireRequest::parse(line) {
         Ok(wire) => wire,
-        // Protocol-level rejects (unsupported version) render as the
-        // structured typed frame; plain bad requests keep the flat
-        // encoding stdin clients have always seen.
-        Err(e) if e.kind.is_protocol_level() => {
-            return Some(Err(WireResponse::Err { id: None, error: e }.to_line()))
-        }
-        Err(e) => return Some(Err(protocol::render_error(None, &e.msg))),
+        Err((id, error)) => return reject(id, error),
     };
     // Pre-epoch (or non-finite) departures cannot be attributed to a
     // time slot; reject them per request instead of letting the encoder
     // clamp them onto slot 0's conditions.
     if let Err(why) = protocol::validate_depart(wire.depart) {
-        return Some(Err(protocol::render_error(Some(wire.id), &why)));
+        return reject(Some(wire.id), WireError::new(ErrorKind::BadRequest, why));
     }
     let od = OdInput {
         origin: Point::new(wire.from.0, wire.from.1),
@@ -187,7 +181,7 @@ pub fn submit_decoded(
     };
     match submitted {
         Ok(handle) => Submission::Pending(id, handle),
-        Err(e) => Submission::Ready(protocol::render_error(Some(id), &e.to_string())),
+        Err(e) => Submission::Ready(render_reply(id, Err(e))),
     }
 }
 
@@ -205,20 +199,31 @@ pub fn process_line(
     }
 }
 
-/// Renders the final reply line for a submitted request: the answer, the
-/// per-request model error, or the typed queueing failure — all in the
-/// stable wire encoding.
+/// Renders the final reply line for a request: the answer, the
+/// per-request model error, or the typed engine failure (an admission
+/// reject, a worker crash past its retry budget, an expired deadline, or
+/// shutdown — a handle resolves rather than hangs, so exactly one line
+/// per id).
 pub fn render_reply(id: u64, reply: Result<EngineReply, ServeError>) -> String {
-    match reply {
-        Ok(reply) => match reply.result {
-            Ok(resp) => protocol::render_ok(id, resp.eta_seconds, reply.degraded),
-            Err(e) => protocol::render_error(Some(id), &e.to_string()),
+    let frame = match reply {
+        Ok(EngineReply {
+            result: Ok(resp),
+            degraded,
+        }) => WireResponse::Ok {
+            id,
+            eta_seconds: resp.eta_seconds,
+            degraded,
         },
-        // Typed queueing failure: worker crash past its retry budget, an
-        // expired deadline, or shutdown. The handle resolves rather than
-        // hangs — exactly one line per id.
-        Err(e) => protocol::render_error(Some(id), &e.to_string()),
-    }
+        Ok(EngineReply { result: Err(e), .. }) => WireResponse::Err {
+            id: Some(id),
+            error: WireError::new(ErrorKind::Model, e.to_string()),
+        },
+        Err(e) => WireResponse::Err {
+            id: Some(id),
+            error: (&e).into(),
+        },
+    };
+    frame.to_line()
 }
 
 /// A running TCP listener bound to one engine. Dropping (or calling
@@ -344,7 +349,7 @@ fn reject_connection(mut stream: TcpStream, cap: usize) {
     registry::counter_inc("serve.net_conn_rejected");
     let mut frame = WireResponse::Err {
         id: None,
-        error: WireError::protocol(
+        error: WireError::new(
             ErrorKind::ConnectionLimit,
             format!("server is at its connection limit ({cap}); retry later"),
         ),
@@ -487,7 +492,7 @@ fn reject_oversized(tx: &mpsc::Sender<Submission>, cap: usize) -> bool {
     registry::counter_inc("serve.net_frame_errors");
     let frame = WireResponse::Err {
         id: None,
-        error: WireError::protocol(
+        error: WireError::new(
             ErrorKind::FrameTooLarge,
             format!("request frame exceeds {cap} bytes"),
         ),
@@ -533,7 +538,7 @@ fn handle_frame(
                 Submission::Ready(
                     WireResponse::Err {
                         id: Some(decoded.id),
-                        error: WireError::protocol(
+                        error: WireError::new(
                             ErrorKind::InFlightLimit,
                             format!(
                                 "too many requests in flight on this connection (cap {})",

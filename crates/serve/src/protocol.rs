@@ -5,14 +5,15 @@
 //! One request per line:
 //!
 //! ```text
-//! {"v": 1, "id": 1, "from": [1200.0, 3400.0], "to": [4100.0, 800.0], "depart": 3600.0}
+//! {"v": 2, "id": 1, "from": [1200.0, 3400.0], "to": [4100.0, 800.0], "depart": 3600.0}
 //! ```
 //!
 //! The `"v"` field is the protocol version. It is optional on the way in
-//! — a frame without it is treated as v1, which is exactly what every
-//! pre-versioning client sent — but [`WireRequest::render`] always emits
-//! it explicitly. A frame with any other version is rejected with a typed
-//! [`ErrorKind::UnsupportedVersion`] error instead of being guessed at.
+//! — a frame without it is read as the current version
+//! ([`PROTOCOL_VERSION`]) — but [`WireRequest::to_line`] always emits it
+//! explicitly. A frame declaring any other version, `1` included, is
+//! rejected with a typed [`ErrorKind::UnsupportedVersion`] error: this
+//! server no longer renders v1's flat error strings.
 //!
 //! An optional `"priority": "low"` field tags best-effort traffic that the
 //! degradation ladder sheds first under load (`"normal"`, the default, is
@@ -21,19 +22,16 @@
 //! One response per line, in input order per client:
 //!
 //! ```text
-//! {"id":1,"eta_s":412.5,"degraded":false}                          (answered)
-//! {"id":2,"error":"queue full (capacity 256)"}                     (rejected or failed)
-//! {"id":null,"error":{"kind":"unsupported_version","msg":"..."}}   (protocol reject)
+//! {"id":1,"eta_s":412.5,"degraded":false}                              (answered)
+//! {"id":2,"error":{"kind":"queue_full","msg":"queue full (capacity 256)"}}  (rejected or failed)
+//! {"id":null,"error":{"kind":"bad_request","msg":"bad request JSON: ..."}}
 //! ```
 //!
-//! Every error carries a typed [`ErrorKind`] internally. On the wire,
-//! kinds that the pre-versioning protocol could produce (bad requests,
-//! model failures, every [`ServeError`]) keep the historical *flat* string
-//! encoding — the stdin byte format is bit-identical to the unversioned
-//! protocol for v1 frames. Only the protocol-level rejects that never
-//! existed before versioning (unsupported version, oversized frame, and
-//! the per-client admission rejects of the TCP front end) use the
-//! structured `{"error":{"kind":...,"msg":...}}` frame.
+//! Every error is the structured frame: a machine-readable [`ErrorKind`]
+//! plus a human-readable message. A reject echoes the request's `id`
+//! whenever the line's `id` field was readable; it is `null` only for
+//! unparseable JSON, an invalid `id`, or an error that concerns the
+//! connection rather than one request.
 //!
 //! `id` is an opaque correlation token chosen by the client; the server
 //! echoes it verbatim. Coordinates are meters in the dataset's plane,
@@ -43,7 +41,7 @@ use crate::engine::ServeError;
 use serde::json::{self, Value};
 
 /// The wire protocol version this build speaks.
-pub const PROTOCOL_VERSION: u32 = 1;
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Typed classification of every error frame — the wire-level mirror of
 /// [`ServeError`] plus the request- and protocol-level failure modes.
@@ -128,56 +126,6 @@ impl ErrorKind {
             ServeError::Overloaded => ErrorKind::Overloaded,
         }
     }
-
-    /// Kinds introduced *with* protocol versioning: they render as the
-    /// structured `{"error":{"kind":...,"msg":...}}` frame. Everything the
-    /// pre-versioning protocol could produce keeps the flat string
-    /// encoding so stdin v1 output stays bit-identical.
-    pub fn is_protocol_level(self) -> bool {
-        matches!(
-            self,
-            ErrorKind::UnsupportedVersion
-                | ErrorKind::FrameTooLarge
-                | ErrorKind::InFlightLimit
-                | ErrorKind::ConnectionLimit
-        )
-    }
-
-    /// Recovers the kind of a legacy flat error string. The engine-level
-    /// messages are stable [`ServeError`] display strings (exact
-    /// prefixes); request-level parse/validation messages carry their
-    /// field prefix, or are `json::obj_field`'s two messages for an absent
-    /// field and a non-object body; anything else was produced by the model.
-    fn classify_flat(msg: &str) -> ErrorKind {
-        const REQUEST_PREFIXES: [&str; 9] = [
-            "bad request JSON:",
-            "missing field `",
-            "expected object for field `",
-            "v:",
-            "id:",
-            "from:",
-            "to:",
-            "depart:",
-            "priority:",
-        ];
-        if msg.starts_with("queue full") {
-            ErrorKind::QueueFull
-        } else if msg.starts_with("engine is shutting down") {
-            ErrorKind::ShuttingDown
-        } else if msg.starts_with("worker crashed") {
-            ErrorKind::WorkerCrashed
-        } else if msg.starts_with("deadline exceeded") {
-            ErrorKind::DeadlineExceeded
-        } else if msg.starts_with("low-priority request shed") {
-            ErrorKind::ShedLow
-        } else if msg.starts_with("overloaded") {
-            ErrorKind::Overloaded
-        } else if REQUEST_PREFIXES.iter().any(|p| msg.starts_with(p)) {
-            ErrorKind::BadRequest
-        } else {
-            ErrorKind::Model
-        }
-    }
 }
 
 impl std::fmt::Display for ErrorKind {
@@ -196,16 +144,8 @@ pub struct WireError {
 }
 
 impl WireError {
-    /// A request-level parse/validation failure.
-    pub fn bad_request(msg: impl Into<String>) -> WireError {
-        WireError {
-            kind: ErrorKind::BadRequest,
-            msg: msg.into(),
-        }
-    }
-
-    /// A protocol-level failure with an explicit kind.
-    pub fn protocol(kind: ErrorKind, msg: impl Into<String>) -> WireError {
+    /// An error of `kind` explained by `msg`.
+    pub fn new(kind: ErrorKind, msg: impl Into<String>) -> WireError {
         WireError {
             kind,
             msg: msg.into(),
@@ -250,9 +190,9 @@ pub enum WireResponse {
         /// The answer came from a degraded (fallback) path.
         degraded: bool,
     },
-    /// A rejected or failed request. `id` is `None` when the line could
-    /// not be parsed far enough to recover a correlation id (or the error
-    /// concerns the connection rather than one request).
+    /// A rejected or failed request. `id` is `None` when the line had no
+    /// readable correlation id (or the error concerns the connection
+    /// rather than one request).
     Err {
         /// The request's correlation id, when recoverable.
         id: Option<u64>,
@@ -308,40 +248,37 @@ fn id_of(v: &Value) -> Result<u64, String> {
 impl WireRequest {
     /// Parses one request line, with typed errors: an unsupported `"v"`
     /// version is [`ErrorKind::UnsupportedVersion`]; everything else is
-    /// [`ErrorKind::BadRequest`]. A frame without `"v"` is treated as v1
-    /// — that is exactly what every pre-versioning client sent.
-    pub fn parse(line: &str) -> Result<WireRequest, WireError> {
-        let v = json::parse(line)
-            .map_err(|e| WireError::bad_request(format!("bad request JSON: {e}")))?;
+    /// [`ErrorKind::BadRequest`]. A frame without `"v"` is read as
+    /// [`PROTOCOL_VERSION`]. An error comes with the line's correlation id
+    /// whenever its `id` field was readable, so the reject can echo it.
+    pub fn parse(line: &str) -> Result<WireRequest, (Option<u64>, WireError)> {
+        let bad = |msg| WireError::new(ErrorKind::BadRequest, msg);
+        let v = json::parse(line).map_err(|e| (None, bad(format!("bad request JSON: {e}"))))?;
+        // The id is read first so every later reject can echo it.
+        let id = json::obj_field(&v, "id")
+            .map_err(|e| e.to_string())
+            .and_then(id_of);
+        let echo = id.as_ref().ok().copied();
+        let reject = |msg| (echo, bad(msg));
         if let Ok(ver) = json::obj_field(&v, "v") {
-            let raw = num_of(ver, "v").map_err(WireError::bad_request)?;
+            let raw = num_of(ver, "v").map_err(reject)?;
             // Versions are exact small integers by construction.
             // deepod-lint: allow(float-eq)
             if raw != f64::from(PROTOCOL_VERSION) {
-                return Err(WireError::protocol(
-                    ErrorKind::UnsupportedVersion,
-                    format!("v: protocol version {raw} is not supported (this server speaks v{PROTOCOL_VERSION})"),
+                return Err((
+                    echo,
+                    WireError::new(
+                        ErrorKind::UnsupportedVersion,
+                        format!("v: protocol version {raw} is not supported (this server speaks v{PROTOCOL_VERSION})"),
+                    ),
                 ));
             }
         }
-        let id =
-            id_of(json::obj_field(&v, "id").map_err(|e| WireError::bad_request(e.to_string()))?)
-                .map_err(WireError::bad_request)?;
-        let from = point_of(
-            json::obj_field(&v, "from").map_err(|e| WireError::bad_request(e.to_string()))?,
-            "from",
-        )
-        .map_err(WireError::bad_request)?;
-        let to = point_of(
-            json::obj_field(&v, "to").map_err(|e| WireError::bad_request(e.to_string()))?,
-            "to",
-        )
-        .map_err(WireError::bad_request)?;
-        let depart = num_of(
-            json::obj_field(&v, "depart").map_err(|e| WireError::bad_request(e.to_string()))?,
-            "depart",
-        )
-        .map_err(WireError::bad_request)?;
+        let id = id.map_err(reject)?;
+        let field = |name| json::obj_field(&v, name).map_err(|e| reject(e.to_string()));
+        let from = point_of(field("from")?, "from").map_err(reject)?;
+        let to = point_of(field("to")?, "to").map_err(reject)?;
+        let depart = num_of(field("depart")?, "depart").map_err(reject)?;
         // Optional field: absent means normal priority. A present-but-unknown
         // value is an error — a client that *meant* to shed politely should
         // not silently get normal treatment because of a typo.
@@ -350,7 +287,7 @@ impl WireRequest {
             Some(Value::Str(p)) if p == "low" => true,
             Some(Value::Str(p)) if p == "normal" => false,
             Some(other) => {
-                return Err(WireError::bad_request(format!(
+                return Err(reject(format!(
                     "priority: expected \"low\" or \"normal\", got {other:?}"
                 )))
             }
@@ -397,20 +334,15 @@ impl WireResponse {
         matches!(self, WireResponse::Ok { .. })
     }
 
-    /// Renders the response as one wire line (no trailing newline).
-    /// Answers and pre-versioning error kinds use the historical flat
-    /// encoding (bit-identical to the unversioned protocol); protocol-
-    /// level kinds use the structured typed frame.
+    /// Renders the response as one wire line (no trailing newline): the
+    /// answer with its ETA to one decimal, or the structured error frame.
     pub fn to_line(&self) -> String {
         match self {
             WireResponse::Ok {
                 id,
                 eta_seconds,
                 degraded,
-            } => render_ok(*id, *eta_seconds, *degraded),
-            WireResponse::Err { id, error } if !error.kind.is_protocol_level() => {
-                render_error(*id, &error.msg)
-            }
+            } => format!("{{\"id\":{id},\"eta_s\":{eta_seconds:.1},\"degraded\":{degraded}}}"),
             WireResponse::Err { id, error } => {
                 let mut out = String::with_capacity(64 + error.msg.len());
                 out.push_str("{\"id\":");
@@ -431,9 +363,9 @@ impl WireResponse {
         }
     }
 
-    /// Parses one response line — both the flat and the structured error
-    /// encodings. The error string is a transport-level parse failure
-    /// (the frame itself was not a valid response).
+    /// Parses one response line. The error string is a transport-level
+    /// parse failure: the frame itself was not a valid response (a flat
+    /// `"error":"msg"` string included).
     pub fn parse(line: &str) -> Result<WireResponse, String> {
         let v = json::parse(line).map_err(|e| format!("bad response JSON: {e}"))?;
         let id = match json::obj_field(&v, "id") {
@@ -441,35 +373,18 @@ impl WireResponse {
             Ok(field) => Some(id_of(field)?),
         };
         if let Ok(err_field) = json::obj_field(&v, "error") {
-            return match err_field {
-                Value::Str(msg) => Ok(WireResponse::Err {
-                    id,
-                    error: WireError {
-                        kind: ErrorKind::classify_flat(msg),
-                        msg: msg.clone(),
-                    },
-                }),
-                Value::Obj(_) => {
-                    let kind_name = json::expect_str(
-                        json::obj_field(err_field, "kind").map_err(|e| e.to_string())?,
-                    )
-                    .map_err(|e| format!("error.kind: {e}"))?;
-                    let kind = ErrorKind::from_name(kind_name)
-                        .ok_or_else(|| format!("error.kind: unknown kind '{kind_name}'"))?;
-                    let msg = json::expect_str(
-                        json::obj_field(err_field, "msg").map_err(|e| e.to_string())?,
-                    )
-                    .map_err(|e| format!("error.msg: {e}"))?;
-                    Ok(WireResponse::Err {
-                        id,
-                        error: WireError {
-                            kind,
-                            msg: msg.to_string(),
-                        },
-                    })
-                }
-                other => Err(format!("error: expected string or object, got {other:?}")),
+            let text = |name| {
+                json::obj_field(err_field, name)
+                    .and_then(json::expect_str)
+                    .map_err(|e| format!("error.{name}: {e}"))
             };
+            let kind_name = text("kind")?;
+            let kind = ErrorKind::from_name(kind_name)
+                .ok_or_else(|| format!("error.kind: unknown kind '{kind_name}'"))?;
+            return Ok(WireResponse::Err {
+                id,
+                error: WireError::new(kind, text("msg")?),
+            });
         }
         let id = id.ok_or_else(|| "id: missing on an ok frame".to_string())?;
         let eta = num_of(
@@ -486,13 +401,6 @@ impl WireResponse {
             degraded,
         })
     }
-}
-
-/// Parses one request line. Errors are human-readable strings meant to be
-/// echoed back on the wire in an error response. Prefer
-/// [`WireRequest::parse`], which keeps the typed [`ErrorKind`].
-pub fn parse_request(line: &str) -> Result<WireRequest, String> {
-    WireRequest::parse(line).map_err(|e| e.msg)
 }
 
 /// Validates a parsed request's departure time against the dataset's
@@ -514,36 +422,13 @@ pub fn validate_depart(depart: f64) -> Result<(), String> {
     Ok(())
 }
 
-/// Renders a successful response line (the historical flat encoding).
-pub fn render_ok(id: u64, eta_seconds: f32, degraded: bool) -> String {
-    format!("{{\"id\":{id},\"eta_s\":{eta_seconds:.1},\"degraded\":{degraded}}}")
-}
-
-/// Renders a flat error response line. `id` is `None` when the line could
-/// not even be parsed far enough to recover a correlation id.
-pub fn render_error(id: Option<u64>, why: &str) -> String {
-    let mut out = String::with_capacity(32 + why.len());
-    out.push_str("{\"id\":");
-    match id {
-        Some(id) => {
-            use std::fmt::Write as _;
-            let _ = write!(out, "{id}");
-        }
-        None => out.push_str("null"),
-    }
-    out.push_str(",\"error\":");
-    json::escape_str(why, &mut out);
-    out.push('}');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn parses_a_full_request() {
-        let w = parse_request(
+        let w = WireRequest::parse(
             r#"{"id": 7, "from": [1200.0, 3400], "to": [4100, 800.5], "depart": 3600.0}"#,
         )
         .expect("valid request");
@@ -557,33 +442,65 @@ mod tests {
     #[test]
     fn parses_priority_tags() {
         let base = r#""from": [1, 2], "to": [3, 4], "depart": 0"#;
-        let low =
-            parse_request(&format!(r#"{{"id": 1, {base}, "priority": "low"}}"#)).expect("valid");
+        let low = WireRequest::parse(&format!(r#"{{"id": 1, {base}, "priority": "low"}}"#))
+            .expect("valid");
         assert!(low.low_priority);
-        let normal =
-            parse_request(&format!(r#"{{"id": 1, {base}, "priority": "normal"}}"#)).expect("valid");
+        let normal = WireRequest::parse(&format!(r#"{{"id": 1, {base}, "priority": "normal"}}"#))
+            .expect("valid");
         assert!(!normal.low_priority);
-        let err = parse_request(&format!(r#"{{"id": 1, {base}, "priority": "lo"}}"#))
+        let (_, err) = WireRequest::parse(&format!(r#"{{"id": 1, {base}, "priority": "lo"}}"#))
             .expect_err("typo'd priority must not pass silently");
-        assert!(err.contains("priority"), "got: {err}");
+        assert_eq!(err.kind, ErrorKind::BadRequest);
+        assert!(err.msg.starts_with("priority:"), "got: {}", err.msg);
     }
 
     #[test]
     fn version_field_gates_parsing() {
         let base = r#""id": 1, "from": [1, 2], "to": [3, 4], "depart": 0"#;
-        // Absent and explicit v1 both parse.
-        assert!(parse_request(&format!(r#"{{{base}}}"#)).is_ok());
-        assert!(parse_request(&format!(r#"{{"v": 1, {base}}}"#)).is_ok());
-        // Any other version is a typed protocol-level reject.
-        let err =
-            WireRequest::parse(&format!(r#"{{"v": 2, {base}}}"#)).expect_err("v2 must be rejected");
-        assert_eq!(err.kind, ErrorKind::UnsupportedVersion);
-        assert!(err.kind.is_protocol_level());
-        let err = WireRequest::parse(&format!(r#"{{"v": 0, {base}}}"#)).expect_err("v0 rejected");
-        assert_eq!(err.kind, ErrorKind::UnsupportedVersion);
+        // Absent and explicit current version both parse.
+        assert!(WireRequest::parse(&format!(r#"{{{base}}}"#)).is_ok());
+        assert!(WireRequest::parse(&format!(r#"{{"v": 2, {base}}}"#)).is_ok());
+        // Any other version, the retired v1 included, is a typed reject.
+        for v in [0, 1, 7] {
+            let (_, err) = WireRequest::parse(&format!(r#"{{"v": {v}, {base}}}"#))
+                .expect_err("other versions are rejected");
+            assert_eq!(err.kind, ErrorKind::UnsupportedVersion, "v{v}");
+        }
         // A non-numeric version is a plain bad request.
-        let err = WireRequest::parse(&format!(r#"{{"v": "one", {base}}}"#)).expect_err("bad v");
+        let (_, err) =
+            WireRequest::parse(&format!(r#"{{"v": "one", {base}}}"#)).expect_err("bad v");
         assert_eq!(err.kind, ErrorKind::BadRequest);
+    }
+
+    #[test]
+    fn rejects_echo_the_id_whenever_it_was_readable() {
+        for (line, id) in [
+            (
+                r#"{"v": 7, "id": 9, "from": [0, 0], "to": [1, 1], "depart": 0}"#,
+                Some(9),
+            ),
+            (
+                r#"{"v": 1, "id": 9, "from": [0, 0], "to": [1, 1], "depart": 0}"#,
+                Some(9),
+            ),
+            (r#"{"id": 1}"#, Some(1)),
+            (
+                r#"{"id": 3, "from": [0, 0], "to": [1, 1], "depart": 0, "priority": 1}"#,
+                Some(3),
+            ),
+            ("not json", None),
+            (
+                r#"{"id": -2, "from": [1, 2], "to": [2, 3], "depart": 0}"#,
+                None,
+            ),
+            (
+                r#"{"v": 7, "id": "x", "from": [0, 0], "to": [1, 1], "depart": 0}"#,
+                None,
+            ),
+        ] {
+            let (echo, _) = WireRequest::parse(line).expect_err(line);
+            assert_eq!(echo, id, "{line}");
+        }
     }
 
     #[test]
@@ -620,7 +537,7 @@ mod tests {
             },
         ] {
             let line = req.to_line();
-            assert!(line.contains("\"v\":1"), "explicit version: {line}");
+            assert!(line.contains("\"v\":2"), "explicit version: {line}");
             let back = WireRequest::parse(&line).expect("rendered request parses");
             assert_eq!(back, req);
         }
@@ -654,17 +571,17 @@ mod tests {
     #[test]
     fn rejects_malformed_requests_with_reasons() {
         for (line, reason) in MALFORMED {
-            let err = parse_request(line).expect_err(line);
-            assert!(err.contains(reason), "{line}: got {err}");
+            let (_, err) = WireRequest::parse(line).expect_err(line);
+            assert!(err.msg.contains(reason), "{line}: got {}", err.msg);
         }
     }
 
     #[test]
     fn a_client_recovers_the_kind_the_server_raised_for_a_bad_request() {
         for (line, _) in MALFORMED {
-            let error = WireRequest::parse(line).expect_err(line);
+            let (id, error) = WireRequest::parse(line).expect_err(line);
             let raised = error.kind;
-            let reply = WireResponse::Err { id: None, error }.to_line();
+            let reply = WireResponse::Err { id, error }.to_line();
             match WireResponse::parse(&reply).expect("reply parses") {
                 WireResponse::Err { error, .. } => assert_eq!(error.kind, raised, "{line}"),
                 other => panic!("expected error frame, got {other:?}"),
@@ -684,36 +601,43 @@ mod tests {
 
     #[test]
     fn responses_are_valid_json() {
-        let ok = render_ok(3, 412.51, false);
+        let ok = WireResponse::Ok {
+            id: 3,
+            eta_seconds: 412.51,
+            degraded: false,
+        }
+        .to_line();
+        assert_eq!(ok, r#"{"id":3,"eta_s":412.5,"degraded":false}"#);
         let v = json::parse(&ok).expect("ok line parses");
         assert_eq!(
             json::obj_field(&v, "eta_s").expect("eta_s"),
             &Value::Num("412.5".into())
         );
+        let err = WireResponse::Err {
+            id: Some(9),
+            error: (&ServeError::QueueFull { capacity: 2 }).into(),
+        }
+        .to_line();
         assert_eq!(
-            json::obj_field(&v, "degraded").expect("degraded"),
-            &Value::Bool(false)
+            err,
+            r#"{"id":9,"error":{"kind":"queue_full","msg":"queue full (capacity 2)"}}"#
         );
-        let err = render_error(Some(9), "queue full (capacity 2)");
-        let v = json::parse(&err).expect("error line parses");
-        assert_eq!(
-            json::obj_field(&v, "id").expect("id"),
-            &Value::Num("9".into())
-        );
-        let err = render_error(None, "bad \"quoted\" input");
+        let err = WireResponse::Err {
+            id: None,
+            error: WireError::new(ErrorKind::Model, "bad \"quoted\" input"),
+        }
+        .to_line();
         let v = json::parse(&err).expect("escaped error parses");
         assert_eq!(json::obj_field(&v, "id").expect("id"), &Value::Null);
     }
 
     #[test]
     fn response_codec_round_trips_both_encodings() {
-        // Ok frame: flat, bit-identical to the historical renderer.
         let ok = WireResponse::Ok {
             id: 3,
             eta_seconds: 412.5,
             degraded: false,
         };
-        assert_eq!(ok.to_line(), render_ok(3, 412.5, false));
         assert_eq!(WireResponse::parse(&ok.to_line()).expect("parses"), ok);
         // Ids an `f64` cannot hold exactly are echoed verbatim on both arms.
         for id in [(1 << 53) + 1, u64::MAX] {
@@ -729,79 +653,13 @@ mod tests {
             };
             assert_eq!(WireResponse::parse(&err.to_line()).expect("parses"), err);
         }
-
-        // Engine-level error: flat, classified back to its typed kind.
-        let err = WireResponse::Err {
-            id: Some(9),
-            error: (&ServeError::QueueFull { capacity: 2 }).into(),
-        };
-        assert_eq!(
-            err.to_line(),
-            render_error(Some(9), "queue full (capacity 2)")
-        );
-        match WireResponse::parse(&err.to_line()).expect("parses") {
-            WireResponse::Err { id, error } => {
-                assert_eq!(id, Some(9));
-                assert_eq!(error.kind, ErrorKind::QueueFull);
-            }
-            other => panic!("expected error frame, got {other:?}"),
-        }
-
-        // Protocol-level error: structured typed frame.
         let reject = WireResponse::Err {
             id: None,
-            error: WireError::protocol(ErrorKind::UnsupportedVersion, "v: not supported"),
+            error: WireError::new(ErrorKind::UnsupportedVersion, "v: not supported"),
         };
-        let line = reject.to_line();
-        assert!(
-            line.contains("\"kind\":\"unsupported_version\""),
-            "structured frame: {line}"
-        );
-        assert_eq!(WireResponse::parse(&line).expect("parses"), reject);
-    }
-
-    #[test]
-    fn every_serve_error_keeps_its_flat_legacy_encoding() {
-        for e in [
-            ServeError::QueueFull { capacity: 256 },
-            ServeError::ShuttingDown,
-            ServeError::WorkerCrashed,
-            ServeError::DeadlineExceeded,
-            ServeError::ShedLow,
-            ServeError::Overloaded,
-        ] {
-            let frame = WireResponse::Err {
-                id: Some(1),
-                error: (&e).into(),
-            };
-            assert_eq!(
-                frame.to_line(),
-                render_error(Some(1), &e.to_string()),
-                "{e:?} must stay bit-identical to the unversioned encoding"
-            );
-            // And the classification recovers the same kind.
-            match WireResponse::parse(&frame.to_line()).expect("parses") {
-                WireResponse::Err { error, .. } => {
-                    assert_eq!(error.kind, ErrorKind::of_serve_error(&e))
-                }
-                other => panic!("expected error frame, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn flat_classification_distinguishes_request_and_model_errors() {
         assert_eq!(
-            ErrorKind::classify_flat("bad request JSON: trailing characters at byte 3"),
-            ErrorKind::BadRequest
-        );
-        assert_eq!(
-            ErrorKind::classify_flat("depart: -1 is before the dataset epoch (t >= 0)"),
-            ErrorKind::BadRequest
-        );
-        assert_eq!(
-            ErrorKind::classify_flat("origin or destination cannot be matched to the road network"),
-            ErrorKind::Model
+            WireResponse::parse(&reject.to_line()).expect("parses"),
+            reject
         );
     }
 

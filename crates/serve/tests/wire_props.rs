@@ -1,10 +1,13 @@
 //! Property tests for the wire codec (`deepod_serve::protocol`) and the
-//! line decoder stdin and TCP share (`net::decode_line`): valid frames
-//! round-trip, and no input — arbitrary bytes, or a truncated or
-//! bit-flipped valid frame — makes a parser panic.
+//! line decoder and reply renderer stdin and TCP share
+//! (`net::decode_line`, `net::render_reply`): valid frames round-trip,
+//! every error comes back with its typed kind, and no input — arbitrary
+//! bytes, or a truncated or bit-flipped valid frame — makes a parser
+//! panic.
 
+use deepod_core::ModelError;
 use deepod_roadnet::CityProfile;
-use deepod_serve::{net, ErrorKind, WireError, WireRequest, WireResponse};
+use deepod_serve::{net, EngineReply, ErrorKind, ServeError, WireError, WireRequest, WireResponse};
 use deepod_traj::{CityDataset, DatasetBuilder, DatasetConfig};
 use proptest::collection::vec;
 use proptest::{any, prop_assert_eq, proptest, Strategy};
@@ -42,7 +45,8 @@ fn parse_everything(line: &str) {
 #[test]
 fn a_deeply_nested_line_is_a_bad_request_not_a_stack_overflow() {
     let line = "[".repeat(60_000);
-    let err = WireRequest::parse(&line).expect_err("deep nesting is rejected");
+    let (id, err) = WireRequest::parse(&line).expect_err("deep nesting is rejected");
+    assert_eq!(id, None);
     assert_eq!(err.kind, ErrorKind::BadRequest);
     assert!(err.msg.starts_with("bad request JSON: "), "{}", err.msg);
     assert!(WireResponse::parse(&line).is_err());
@@ -51,6 +55,14 @@ fn a_deeply_nested_line_is_a_bad_request_not_a_stack_overflow() {
         Some(Ok(_)) => panic!("deep nesting decoded as a request"),
         None => panic!("a non-blank line owes a reply"),
     }
+}
+
+/// A flat `"error":"msg"` string is not a v2 frame: it is a parse error,
+/// not a guessed kind.
+#[test]
+fn a_flat_error_line_does_not_parse() {
+    let flat = r#"{"id":1,"error":"queue full (capacity 2)"}"#;
+    assert!(WireResponse::parse(flat).is_err(), "{flat}");
 }
 
 proptest! {
@@ -69,9 +81,7 @@ proptest! {
         let _ = net::decode_line(dataset(), &line);
     }
 
-    /// Every kind's error frame keeps its id and message; the structured
-    /// (protocol-level) kinds also keep their kind. Flat kinds are
-    /// classified from the message text, so theirs depends on `msg`.
+    /// Every kind's error frame keeps its id, kind and message.
     #[test]
     fn rendered_error_frames_parse_back(
         id in any::<u64>(),
@@ -89,9 +99,38 @@ proptest! {
                 Ok(WireResponse::Err { id: back_id, error }) => {
                     prop_assert_eq!(back_id, id);
                     prop_assert_eq!(&error.msg, &msg);
-                    if kind.is_protocol_level() {
-                        prop_assert_eq!(error.kind, kind);
-                    }
+                    prop_assert_eq!(error.kind, kind);
+                }
+                other => return Err(format!("{kind}: expected an error frame, got {other:?}")),
+            }
+        }
+    }
+
+    /// Every engine failure and the per-request model error, rendered by
+    /// the reply path both modes share, parse back to their kind and id.
+    #[test]
+    fn rendered_replies_parse_back_to_their_kind(id in any::<u64>(), capacity in any::<usize>()) {
+        let failures = [
+            ServeError::QueueFull { capacity },
+            ServeError::ShuttingDown,
+            ServeError::WorkerCrashed,
+            ServeError::DeadlineExceeded,
+            ServeError::ShedLow,
+            ServeError::Overloaded,
+        ];
+        let model_error = EngineReply {
+            result: Err(ModelError::UnmatchedEndpoints),
+            degraded: false,
+        };
+        let cases = failures
+            .into_iter()
+            .map(|e| (ErrorKind::of_serve_error(&e), Err(e)))
+            .chain([(ErrorKind::Model, Ok(model_error))]);
+        for (kind, reply) in cases {
+            match WireResponse::parse(&net::render_reply(id, reply)) {
+                Ok(WireResponse::Err { id: back_id, error }) => {
+                    prop_assert_eq!(back_id, Some(id));
+                    prop_assert_eq!(error.kind, kind);
                 }
                 other => return Err(format!("{kind}: expected an error frame, got {other:?}")),
             }

@@ -54,8 +54,10 @@ stage crash      cargo test -q -p deepod-cli --test crash_resume
 stage obs        cargo test -q -p deepod-cli --test observability
 # Serving stage: drives `deepod serve` over its stdin/stdout JSON
 # protocol — 1000 requests through one process in input order,
-# queue-full backpressure under --reject-when-full, and corrupt-model
-# degradation to route-tte fallback answers with exit code 2.
+# queue-full backpressure under --reject-when-full, corrupt-model
+# degradation to route-tte fallback answers with exit code 2, and the
+# stdin bytes of every request-level reject byte-equal to the frozen
+# golden transcript (crates/cli/tests/golden/serve_rejects.*.ndjson).
 stage serve      cargo test -q -p deepod-cli --test serve
 # Chaos stage: the same binary under DEEPOD_FAILPOINTS fault schedules
 # aimed at the serving engine (worker panic, slow batch, dropped reply,
@@ -64,10 +66,16 @@ stage serve      cargo test -q -p deepod-cli --test serve
 stage chaos      cargo test -q -p deepod-cli --test serve_chaos
 # Network stage: the TCP front end end to end (DESIGN.md §16) —
 # concurrent clients answered exactly once, per-connection in-flight
-# shedding isolated from polite clients, typed protocol rejects that do
-# not kill the connection, clean drain on stdin close, stdin-mode byte
-# identity, and worker-crash chaos.
-stage net        cargo test -q -p deepod-cli --test serve_net
+# shedding isolated from polite clients, typed rejects that do not kill
+# the connection, clean drain on stdin close, deterministic stdin
+# output, and worker-crash chaos — plus the wire codec's properties:
+# every error kind parses back, flat error lines are rejected, and no
+# damaged frame panics a parser.
+net_tests() {
+  cargo test -q -p deepod-cli --test serve_net &&
+    cargo test -q -p deepod-serve --test wire_props
+}
+stage net        net_tests
 # Cache stage: the serving-cache tier end to end (DESIGN.md §15) —
 # precompute writes a fingerprinted OD-oracle artifact, canonical
 # requests hit it without touching the queue, LRU repeats answer
