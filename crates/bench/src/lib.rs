@@ -30,13 +30,18 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Resolves a scale choice string (default quick). The caller supplies
-    /// the choice — typically `argv[1]` falling back to `DEEPOD_SCALE` via
-    /// [`startup`] — so this library never reads the environment.
-    pub fn resolve(choice: Option<&str>) -> Scale {
+    /// Resolves a scale choice string: exactly `quick` or `full`, absent
+    /// meaning quick. Any other value is an error naming it, so a typo
+    /// never runs the wrong experiment. The caller supplies the choice —
+    /// typically `argv[1]` falling back to `DEEPOD_SCALE` via [`startup`] —
+    /// so this library never reads the environment.
+    pub fn resolve(choice: Option<&str>) -> Result<Scale, String> {
         match choice {
-            Some("full") => Scale::Full,
-            _ => Scale::Quick,
+            None | Some("quick") => Ok(Scale::Quick),
+            Some("full") => Ok(Scale::Full),
+            Some(other) => Err(format!(
+                "unknown scale {other:?} (expected \"quick\" or \"full\")"
+            )),
         }
     }
 }
@@ -44,7 +49,9 @@ impl Scale {
 /// One-stop startup for a benchmark binary: applies the process
 /// [`deepod_core::RuntimeConfig`] (thread count, log gate, metrics keys)
 /// from the provided environment lookup, then resolves the scale from
-/// `argv[1]` falling back to `DEEPOD_SCALE`. Bench binaries call
+/// `argv[1]` falling back to `DEEPOD_SCALE`. A malformed runtime config or
+/// an unknown scale prints `fatal: …` and exits with
+/// [`deepod_tensor::failpoint::CONFIG_EXIT_CODE`]. Bench binaries call
 /// `deepod_bench::startup(std::env::args().nth(1), |k| std::env::var(k).ok())`
 /// as their first line — the env closures keep all environment reads in
 /// the binaries themselves (deepod-lint rule `no-env-read-in-lib`).
@@ -52,13 +59,19 @@ pub fn startup(argv1: Option<String>, env: impl Fn(&str) -> Option<String>) -> S
     let runtime =
         deepod_core::RuntimeConfig::resolve(deepod_core::RuntimeOverrides::default(), &env);
     if let Err(e) = runtime.apply() {
-        // Benchmarks have no fault-injection story; a malformed spec in
-        // the environment is a configuration error worth dying over.
-        // deepod-lint: allow(no-bare-eprintln)
-        eprintln!("fatal: {e}");
-        std::process::exit(deepod_tensor::failpoint::CONFIG_EXIT_CODE);
+        config_fatal(e);
     }
     Scale::resolve(argv1.or_else(|| env("DEEPOD_SCALE")).as_deref())
+        .unwrap_or_else(|e| config_fatal(e))
+}
+
+/// Benchmarks have no fault-injection story; a malformed spec in the
+/// environment or an unknown scale is a configuration error worth dying
+/// over.
+fn config_fatal(e: impl std::fmt::Display) -> ! {
+    // deepod-lint: allow(no-bare-eprintln)
+    eprintln!("fatal: {e}");
+    std::process::exit(deepod_tensor::failpoint::CONFIG_EXIT_CODE);
 }
 
 /// The three city profiles in the paper's order.
@@ -193,10 +206,11 @@ mod tests {
 
     #[test]
     fn scale_parsing_defaults_quick() {
-        assert_eq!(Scale::resolve(None), Scale::Quick);
-        assert_eq!(Scale::resolve(Some("full")), Scale::Full);
-        assert_eq!(Scale::resolve(Some("FULL")), Scale::Quick, "case-sensitive");
-        assert_eq!(Scale::resolve(Some("quick")), Scale::Quick);
+        assert_eq!(Scale::resolve(None), Ok(Scale::Quick));
+        assert_eq!(Scale::resolve(Some("full")), Ok(Scale::Full));
+        let err = Scale::resolve(Some("FULL")).expect_err("case-sensitive: FULL is rejected");
+        assert!(err.contains("\"FULL\""), "error names the value: {err}");
+        assert_eq!(Scale::resolve(Some("quick")), Ok(Scale::Quick));
     }
 
     #[test]

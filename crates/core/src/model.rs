@@ -426,26 +426,6 @@ impl DeepOdModel {
         }
     }
 
-    /// Trajectory-branch-only loss: supervise st_head on stcode, ignore
-    /// the OD path entirely (diagnostic / pre-training use).
-    pub fn sample_loss_st_only(&mut self, g: &mut Graph, sample: &EncodedSample) -> VarId {
-        let st = self.traj_enc.encode(
-            g,
-            &self.store,
-            &mut self.interval_enc,
-            &self.road_emb,
-            &self.slot_emb,
-            &sample.steps,
-            sample.traj_r_start,
-            sample.traj_r_end,
-            true,
-        );
-        let y_norm = self.normalize_y(sample.travel_time);
-        let target = g.input(Tensor::from_vec(vec![y_norm], &[1]));
-        let pred = self.st_head.forward(g, &self.store, st);
-        g.mean_abs_error(pred, target)
-    }
-
     /// Gradients for one sample (builds and differentiates a fresh tape).
     pub fn sample_gradients(&mut self, sample: &EncodedSample) -> (f32, Gradients) {
         let (parts, grads) = self.sample_gradients_traced(sample);

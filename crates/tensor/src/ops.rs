@@ -8,11 +8,33 @@
 
 use crate::Tensor;
 
-/// Fork threshold for [`Tensor::matmul`]: below ~8 MFLOP the product takes
-/// well under a millisecond through the packed kernels and thread spawn /
-/// join coordination dominates — the BENCH_kernels `matmul_crossover`
-/// entries pin the crossover. Small matmuls therefore never fan out.
+/// Fork threshold for [`Tensor::matmul`]: products below 2²³ FLOP (~8
+/// MFLOP) never fan out, on the reasoning that they take well under a
+/// millisecond through the packed kernels, so thread spawn / join
+/// coordination would dominate. The floor is a policy pinned by the
+/// `matmul_fork_floor` test over [`matmul_fanout`], not a measured
+/// crossover.
 const PAR_MIN_FLOPS: usize = 1 << 23;
+
+/// Number of row spans `[m,k] x [k,n]` is split across (`1` = serial).
+/// `threads` follows [`Tensor::matmul_with_threads`]: `0` resolves the
+/// configured default and clamps it to the machine's hardware
+/// parallelism, an explicit count is honored as-is; either way there are
+/// never more spans than rows, and a product below [`PAR_MIN_FLOPS`]
+/// never forks.
+fn matmul_fanout(m: usize, k: usize, n: usize, threads: usize) -> usize {
+    let mut t = crate::parallel::resolve_threads(threads).min(m.max(1));
+    if threads == 0 {
+        // Default-threaded callers never fan out wider than the machine:
+        // oversubscribed workers only add coordination cost.
+        t = t.min(crate::parallel::hardware_parallelism());
+    }
+    if t > 1 && 2 * m * k * n >= PAR_MIN_FLOPS {
+        t
+    } else {
+        1
+    }
+}
 
 /// Debug-only finiteness check on a matmul operand. A NaN entering the
 /// shared `code`/`stcode` binding silently corrupts all three encoders'
@@ -181,8 +203,8 @@ impl Tensor {
 
     /// [`Tensor::matmul`] with an explicit thread count (`0` = configured
     /// default, clamped to hardware parallelism; explicit counts are
-    /// honored as-is). Exposed so benchmarks and property tests can pin
-    /// the serial and parallel paths independently of the environment.
+    /// honored as-is). Exposed so tests can pin the serial and parallel
+    /// paths independently of the environment.
     pub fn matmul_with_threads(&self, other: &Tensor, threads: usize) -> Tensor {
         assert_eq!(self.rank(), 2, "matmul lhs must be rank-2");
         assert_eq!(other.rank(), 2, "matmul rhs must be rank-2");
@@ -194,13 +216,8 @@ impl Tensor {
         let a = self.as_slice();
         let b = other.as_slice();
         let mut out = vec![0.0f32; m * n];
-        let mut t = crate::parallel::resolve_threads(threads).min(m.max(1));
-        if threads == 0 {
-            // Default-threaded callers never fan out wider than the machine:
-            // oversubscribed workers only add coordination cost.
-            t = t.min(crate::parallel::hardware_parallelism());
-        }
-        if t > 1 && 2 * m * k * n >= PAR_MIN_FLOPS {
+        let t = matmul_fanout(m, k, n, threads);
+        if t > 1 {
             let spans = crate::parallel::split_ranges(m, t);
             std::thread::scope(|scope| {
                 let mut rest: &mut [f32] = &mut out;
@@ -501,6 +518,27 @@ mod tests {
             let par = a.matmul_with_threads(&b, t);
             assert_eq!(serial.as_slice(), par.as_slice(), "threads={t}");
         }
+    }
+
+    #[test]
+    fn matmul_fork_floor() {
+        // (m, k, n, threads) -> row spans; 2·m·k·n = 2^23 is the floor.
+        for (m, k, n, threads, want) in [
+            (64, 64, 64, 8, 1),
+            (128, 128, 256, 8, 8),
+            (127, 128, 256, 8, 1),
+            (3, 4096, 4096, 8, 3),
+            (4096, 4096, 4096, 1, 1),
+        ] {
+            assert_eq!(
+                matmul_fanout(m, k, n, threads),
+                want,
+                "({m},{k},{n}) at threads={threads}"
+            );
+        }
+        let hw = crate::parallel::hardware_parallelism();
+        let default = matmul_fanout(4096, 4096, 4096, 0);
+        assert!((1..=hw).contains(&default), "{default} spans on {hw} cores");
     }
 
     #[test]

@@ -29,11 +29,6 @@
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Lower bound a caller can use to decide whether forking is worth the
-/// thread spawn cost (roughly: only fork when each span does much more
-/// work than the ~10 µs it costs to start a worker).
-pub const SPAWN_COST_HINT_NS: u64 = 10_000;
-
 /// Process-wide configured worker-thread count. `0` means "not configured":
 /// fall back to the machine's available parallelism.
 static CONFIGURED: AtomicUsize = AtomicUsize::new(0);
@@ -71,8 +66,7 @@ pub fn resolve_threads(requested: usize) -> usize {
 /// parallelism, probed once and cached. Call sites that resolve a
 /// *default* thread count clamp with this so a generous `DEEPOD_THREADS`
 /// can never oversubscribe the machine — threads beyond cores only add
-/// coordination cost (the `matmul_256_parallel` regression in
-/// BENCH_kernels.json). Explicit nonzero requests stay unclamped so tests
+/// coordination cost. Explicit nonzero requests stay unclamped so tests
 /// and benchmarks can pin exact counts.
 pub fn hardware_parallelism() -> usize {
     static HW: AtomicUsize = AtomicUsize::new(0);

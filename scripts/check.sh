@@ -84,13 +84,16 @@ stage net        net_tests
 # serving instead of wrong answers.
 stage cache      cargo test -q -p deepod-cli --test serve_cache
 # Kernel stage: property tests proving the packed/SIMD matmul, matvec
-# and axpy paths bit-identical to the scalar reference, the
-# matmul-form conv gradients bit-identical to their scalar reference
-# loops, every tape op's finite-difference gradcheck, and the step-batched
-# trajectory encoder bit-identical to the per-step tape it replaced
-# (DESIGN.md §12 determinism contract).
+# and axpy paths bit-identical to the scalar reference, the matmul fork
+# floor (products below 2^23 FLOP never fork, spans clamp to rows and
+# cores) pinned by its unit test, the matmul-form conv gradients
+# bit-identical to their scalar reference loops, every tape op's
+# finite-difference gradcheck, and the step-batched trajectory encoder
+# bit-identical to the per-step tape it replaced (DESIGN.md §12
+# determinism contract).
 kernel_tests() {
   cargo test -q -p deepod-tensor --test kernel_props &&
+    cargo test -q -p deepod-tensor --lib matmul_fork_floor &&
     cargo test -q -p deepod-nn conv &&
     cargo test -q -p deepod-nn gradcheck &&
     cargo test -q -p deepod-nn row_batched &&
