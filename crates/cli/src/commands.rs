@@ -53,11 +53,13 @@ greedy client sheds itself instead of filling the shared queue),
 --max-frame-bytes caps one request line (typed frame_too_large; the
 connection survives).
 
-By default a full queue blocks the reader (backpressure); with
---reject-when-full admission runs through a degradation ladder driven by
-queue depth (healthy -> degrade-to-fallback -> shed \"priority\":\"low\"
-requests -> reject all) with hysteresis, instead of a binary \"queue
-full\" cliff.
+By default a full queue blocks the stdin reader (backpressure); with
+--reject-when-full, and always over TCP, a request whose queue shard is
+full is retried up to --retry-budget times (deterministic 1/4/16/64 ms
+backoff) and then rejected with kind queue_full. A full shard is the
+only queue-depth reject; cache hits are never rejected. The optional
+\"priority\" request field (\"low\" or \"normal\") is accepted and has
+no effect.
 
 Fault tolerance: --workers N shards the queue over N supervised workers
 (env DEEPOD_SERVE_WORKERS; default 1) sharing one immutable inference
@@ -639,26 +641,9 @@ fn serve(args: &Args) -> Result<Outcome, String> {
             config.workers.max(1),
         )?
     };
-    // The degradation ladder only acts on the try_submit path, so the
-    // per-request fallback replica is only worth fitting when
-    // --reject-when-full enables that path (and the primary backend is not
-    // already the fallback).
-    let ladder_fallback = if reject_when_full && !matches!(backend, Backend::RouteTte(_)) {
-        let mut fb = RouteTtePredictor::new();
-        fb.fit(&ds);
-        Some(fb)
-    } else {
-        None
-    };
     let cache_enabled = cache.is_some();
-    let engine = InferenceEngine::start_with_cache(
-        backend,
-        ladder_fallback,
-        cache,
-        ctx,
-        Arc::clone(&ds),
-        config,
-    );
+    let engine =
+        InferenceEngine::start_with_cache(backend, None, cache, ctx, Arc::clone(&ds), config);
     if let Some(addr) = args.get("listen") {
         return serve_listen(args, engine, ds, addr, degraded_backend);
     }
@@ -702,8 +687,8 @@ fn serve(args: &Args) -> Result<Outcome, String> {
     });
 
     // Admission policy: by default a full queue blocks this reader
-    // (single-client backpressure); --reject-when-full runs the
-    // degradation ladder with queue-full retries up to --retry-budget.
+    // (single-client backpressure); --reject-when-full rejects with
+    // queue_full after retries up to --retry-budget.
     let admission = if reject_when_full {
         net::Admission::Shed
     } else {

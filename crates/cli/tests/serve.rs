@@ -7,9 +7,8 @@
 //! * malformed lines and unmatchable ODs get per-request error lines
 //!   without disturbing their neighbors, each byte-equal to a frozen
 //!   golden transcript (`golden/serve_rejects.*.ndjson`);
-//! * `--reject-when-full` turns overload into explicit typed error lines
-//!   (`queue_full` / the degradation ladder's `overloaded`) instead of
-//!   unbounded buffering;
+//! * `--reject-when-full` turns overload into explicit typed
+//!   `queue_full` error lines instead of unbounded buffering;
 //! * a corrupt model file degrades to route-tte fallback answers
 //!   (`"degraded":true` on every reply, exit code 2), never a crash.
 
@@ -222,12 +221,11 @@ fn reject_when_full_sheds_load_with_queue_full_errors() {
     let replies = replies(&out);
     assert_eq!(replies.len(), N, "every request gets a verdict line");
     let answered = replies.iter().filter(|r| r.is_ok()).count();
-    // A saturated capacity-1 queue sheds either as a raw `queue_full` or,
-    // once the degradation ladder trips, as `overloaded` — both are
-    // explicit typed backpressure.
+    // A saturated capacity-1 queue sheds as `queue_full`: a full shard
+    // is the one queue-depth reject.
     let shed = replies
         .iter()
-        .filter(|r| matches!(kind(r), Some(ErrorKind::QueueFull | ErrorKind::Overloaded)))
+        .filter(|r| kind(r) == Some(ErrorKind::QueueFull))
         .count();
     assert_eq!(answered + shed, N, "only answers and typed shed rejections");
     assert!(answered > 0, "a capacity-1 queue still makes progress");

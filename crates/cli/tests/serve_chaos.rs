@@ -12,6 +12,9 @@
 //! * **deadlines shed stale work** — a slow batch makes queued requests
 //!   miss `--deadline-ms` and they are swept with typed errors, counted
 //!   in `serve.deadline_expired`;
+//! * **saturation rejects one way** — a full shard is the only
+//!   queue-depth reject (`queue_full`, counted once in `serve.rejected`),
+//!   retried first on the `--retry-budget` backoff (`serve.retries`);
 //! * **the default single-worker configuration is unchanged** — `--workers
 //!   1 --deadline-ms 0 --retry-budget 0` produces bit-identical output
 //!   across runs, and `--workers 4` the same answers.
@@ -315,32 +318,47 @@ fn a_dropped_reply_surfaces_as_a_typed_error_not_a_hang() {
 fn saturation_sheds_with_typed_errors_and_counts_them() {
     let s = setup();
     const N: usize = 1500;
-    let metrics = s.dir.join("shed_metrics.json").display().to_string();
     let input: String = (0..N).map(|i| request_line(s, i) + "\n").collect();
-    let out = run_serve(
-        &["--reject-when-full", "--queue", "1", "--max-batch", "1"],
-        &[("DEEPOD_METRICS", metrics.as_str())],
-        input,
-    );
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let replies = replies(&out);
-    assert_exactly_one_reply_each(&replies, N);
-    let answered = count_ok(&replies);
-    let shed = count_kinds(&replies, &[ErrorKind::QueueFull, ErrorKind::Overloaded]);
-    assert_eq!(answered + shed, N, "answers and typed rejections only");
-    assert!(answered > 0 && shed > 0, "{answered} answered, {shed} shed");
-    let snap = read_metrics(&metrics);
-    assert!(
-        counter(&snap, "serve.shed_reject") >= 1,
-        "ladder rejections are counted"
-    );
-    // The ladder's low-priority counter is registered (visible at zero)
-    // even though this workload is all normal-priority.
-    counter(&snap, "serve.shed_low");
+    let saturate = ["--reject-when-full", "--queue", "1", "--max-batch", "1"];
+    // (retry budget, metrics file): without retries a full shard rejects
+    // at once; with them every reject first waits out the backoff.
+    for (budget, file) in [("0", "shed_metrics.json"), ("2", "shed_retry_metrics.json")] {
+        let metrics = s.dir.join(file).display().to_string();
+        let out = run_serve(
+            &[&saturate[..], &["--retry-budget", budget]].concat(),
+            &[("DEEPOD_METRICS", metrics.as_str())],
+            input.clone(),
+        );
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let replies = replies(&out);
+        assert_exactly_one_reply_each(&replies, N);
+        let answered = count_ok(&replies);
+        // A full shard is the only queue-depth reject: no other kind.
+        let shed = count_kinds(&replies, &[ErrorKind::QueueFull]);
+        assert_eq!(answered + shed, N, "answers and queue_full rejects only");
+        assert!(
+            answered > 0,
+            "budget {budget}: a capacity-1 queue progresses"
+        );
+        let snap = read_metrics(&metrics);
+        assert_eq!(
+            counter(&snap, "serve.rejected"),
+            shed as u64,
+            "budget {budget}: every queue_full reply is counted once"
+        );
+        if budget == "0" {
+            assert!(shed > 0, "{answered} answered, {shed} shed");
+        } else {
+            assert!(
+                counter(&snap, "serve.retries") >= 1,
+                "a full shard is retried before it rejects"
+            );
+        }
+    }
 }
 
 #[test]

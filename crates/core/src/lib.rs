@@ -35,6 +35,8 @@
 mod ablation;
 pub mod checkpoint;
 mod config;
+#[cfg(test)]
+mod decode_props;
 mod external_encoder;
 mod features;
 mod inference;

@@ -52,6 +52,10 @@ use std::collections::HashMap;
 /// Artifact format version; bumped on breaking layout changes.
 pub const ORACLE_VERSION: u32 = 1;
 
+/// Largest grid side, in cells, an [`OdKeyer`] can have: `for_network`
+/// caps each side here, and the decoder rejects anything beyond it.
+const MAX_GRID_SIDE: u32 = 1_000_000;
+
 /// A typed oracle-artifact failure.
 #[derive(Debug)]
 pub enum OracleError {
@@ -142,14 +146,17 @@ impl OdKeyer {
         } else {
             1.0
         };
-        let nx = deepod_tensor::ceil_count(((max.x - min.x).max(0.0) / cell).min(1e6)).max(1);
-        let ny = deepod_tensor::ceil_count(((max.y - min.y).max(0.0) / cell).min(1e6)).max(1);
+        let side = |extent: f64| {
+            let cells =
+                deepod_tensor::ceil_count((extent.max(0.0) / cell).min(f64::from(MAX_GRID_SIDE)));
+            cells.max(1) as u32 // deepod-lint: allow(truncating-cast) — capped at MAX_GRID_SIDE
+        };
         OdKeyer {
             x0: min.x,
             y0: min.y,
             cell_meters: cell,
-            nx: nx as u32, // deepod-lint: allow(truncating-cast) — capped at 1e6
-            ny: ny as u32, // deepod-lint: allow(truncating-cast) — capped at 1e6
+            nx: side(max.x - min.x),
+            ny: side(max.y - min.y),
             slots,
         }
     }
@@ -160,12 +167,16 @@ impl OdKeyer {
     }
 
     /// Cell of a point; coordinates outside the grid clamp to the border
-    /// cells, so every finite point keys deterministically.
+    /// cells, so every finite point keys deterministically. The grid
+    /// coordinate is clamped in float space first, so a far-out point
+    /// never reaches the integer conversion as a huge or infinite value.
     pub fn cell_of(&self, p: &Point) -> u32 {
-        let ix = deepod_tensor::floor_coord(((p.x - self.x0) / self.cell_meters).max(0.0))
-            .clamp(0, i64::from(self.nx) - 1);
-        let iy = deepod_tensor::floor_coord(((p.y - self.y0) / self.cell_meters).max(0.0))
-            .clamp(0, i64::from(self.ny) - 1);
+        let grid = |v: f64, origin: f64, n: u32| {
+            let c = ((v - origin) / self.cell_meters).max(0.0).min(f64::from(n));
+            deepod_tensor::floor_coord(c).clamp(0, i64::from(n) - 1)
+        };
+        let ix = grid(p.x, self.x0, self.nx);
+        let iy = grid(p.y, self.y0, self.ny);
         // In-range by the clamps above.
         (iy as u32)
             .saturating_mul(self.nx)
@@ -331,9 +342,11 @@ impl OdOracle {
 
     /// Decodes the binary payload. The version field is checked before
     /// the rest of the header, so a future v3 artifact fails as
-    /// [`OracleError::Version`] rather than as garbled-format noise; the
-    /// slot discretization is rebuilt through [`TimeSlots::new`] so its
-    /// invariants hold for hand-edited bytes too.
+    /// [`OracleError::Version`] rather than as garbled-format noise. The
+    /// keyer geometry must be one [`OdKeyer::for_network`] can produce,
+    /// and the slot discretization is rebuilt through [`TimeSlots::new`],
+    /// so a hand-edited header cannot install a keyer that panics or
+    /// mis-keys live requests.
     fn from_binary(bytes: &[u8]) -> Result<OdOracle, OracleError> {
         if !bytes.starts_with(&BINARY_MAGIC) {
             return Err(OracleError::Format(
@@ -353,6 +366,22 @@ impl OdOracle {
         let cell_meters = cur.read_f64("keyer.cell_meters")?;
         let nx = cur.read_u32("keyer.nx")?;
         let ny = cur.read_u32("keyer.ny")?;
+        if !x0.is_finite() || !y0.is_finite() {
+            return Err(OracleError::Format(format!(
+                "keyer origin ({x0}, {y0}) is not finite"
+            )));
+        }
+        if !(cell_meters.is_finite() && cell_meters >= 1.0) {
+            return Err(OracleError::Format(format!(
+                "keyer cell size {cell_meters} m is not a finite value >= 1"
+            )));
+        }
+        let sides = 1..=MAX_GRID_SIDE;
+        if !sides.contains(&nx) || !sides.contains(&ny) {
+            return Err(OracleError::Format(format!(
+                "keyer grid {nx}x{ny} is outside 1..={MAX_GRID_SIDE} cells per side"
+            )));
+        }
         let t0 = cur.read_f64("slots.t0")?;
         let dt = cur.read_f64("slots.dt")?;
         let slots = TimeSlots::new(t0, dt)
@@ -530,9 +559,11 @@ pub fn precompute(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decode_props::check_decoder;
     use crate::DeepOdConfig;
     use deepod_roadnet::CityProfile;
     use deepod_traj::{DatasetBuilder, DatasetConfig};
+    use proptest::prelude::*;
 
     fn fixture() -> (CityDataset, FeatureContext, DeepOdModel) {
         let ds = DatasetBuilder::build(&DatasetConfig::for_profile(CityProfile::SynthChengdu, 60));
@@ -726,6 +757,153 @@ mod tests {
                 assert!(why.contains("slot"), "unexpected reason: {why}")
             }
             other => panic!("skewed dt must fail as Format, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn decoder_rejects_keyer_geometry_for_network_cannot_produce() {
+        let oracle = OdOracle {
+            version: ORACLE_VERSION,
+            keyer: OdKeyer {
+                x0: 0.0,
+                y0: 0.0,
+                cell_meters: 500.0,
+                nx: 4,
+                ny: 4,
+                slots: TimeSlots::five_minutes(),
+            },
+            model_fingerprint: "fp".into(),
+            entries: Vec::new(),
+        };
+        let bin = oracle.to_binary();
+        assert!(
+            OdOracle::from_binary(&bin).is_ok(),
+            "the base payload is valid"
+        );
+        // (header offset, replacement bytes, what they break). `nx = 0` made
+        // `cell_of` panic on every raw request once installed for serving.
+        let f64_at = |off: usize, v: f64| (off, v.to_bits().to_le_bytes().to_vec());
+        let u32_at = |off: usize, v: u32| (off, v.to_le_bytes().to_vec());
+        let cases = [
+            (u32_at(36, 0), "nx = 0"),
+            (u32_at(40, 0), "ny = 0"),
+            (u32_at(36, MAX_GRID_SIDE + 1), "nx beyond the cap"),
+            (f64_at(28, 0.0), "zero cell size"),
+            (f64_at(28, 0.5), "sub-meter cell size"),
+            (f64_at(28, f64::NAN), "NaN cell size"),
+            (f64_at(12, f64::INFINITY), "infinite x0"),
+            (f64_at(20, f64::NAN), "NaN y0"),
+        ];
+        for ((off, bytes), what) in cases {
+            let mut bad = bin.clone();
+            bad[off..off + bytes.len()].copy_from_slice(&bytes);
+            match OdOracle::from_binary(&bad) {
+                Err(OracleError::Format(why)) => assert!(why.contains("keyer"), "{what}: {why}"),
+                other => panic!("{what} must fail as Format, got {other:?}"),
+            }
+        }
+    }
+
+    /// Any finite `f64`, drawn from the whole bit domain (the vendored
+    /// `any::<f64>()` is unit-interval only).
+    fn finite_f64() -> impl Strategy<Value = f64> {
+        any::<u64>().prop_map(|bits| {
+            let v = f64::from_bits(bits);
+            if v.is_finite() {
+                v
+            } else {
+                (bits >> 11) as f64
+            }
+        })
+    }
+
+    /// Slot sizes that divide a week.
+    const SLOT_SECONDS: [f64; 4] = [60.0, 300.0, 3600.0, 604_800.0];
+
+    /// Any oracle `precompute` could write: keyer geometry
+    /// `OdKeyer::for_network` can produce, any hex fingerprint, and
+    /// strictly key-sorted entries with arbitrary answer bits.
+    fn valid_oracle() -> impl Strategy<Value = OdOracle> {
+        let geometry = (
+            finite_f64(),
+            finite_f64(),
+            1.0f64..1e6,
+            1u32..=MAX_GRID_SIDE,
+            1u32..=MAX_GRID_SIDE,
+        );
+        let fingerprint = proptest::collection::vec(0u32..16, 0..=24);
+        let entry = (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>());
+        let entries = proptest::collection::vec(entry, 0..=8);
+        (geometry, 0..SLOT_SECONDS.len(), fingerprint, entries).prop_map(
+            |((x0, y0, cell_meters, nx, ny), slot, fp, raw)| {
+                let mut entries: Vec<OracleEntry> = raw
+                    .into_iter()
+                    .map(|(origin_cell, dest_cell, week_slot, eta)| OracleEntry {
+                        key: OracleKey {
+                            origin_cell,
+                            dest_cell,
+                            week_slot,
+                        },
+                        eta_seconds: f32::from_bits(eta),
+                    })
+                    .collect();
+                entries.sort_by_key(|e| e.key);
+                entries.dedup_by_key(|e| e.key);
+                OdOracle {
+                    version: ORACLE_VERSION,
+                    keyer: OdKeyer {
+                        x0,
+                        y0,
+                        cell_meters,
+                        nx,
+                        ny,
+                        slots: TimeSlots::new(0.0, SLOT_SECONDS[slot]).expect("divides a week"),
+                    },
+                    model_fingerprint: fp
+                        .into_iter()
+                        .filter_map(|d| char::from_digit(d, 16))
+                        .collect(),
+                    entries,
+                }
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The DPODORC2 reader holds the shared decode properties, and
+        /// every keyer it accepts keys arbitrary finite endpoints without
+        /// panicking — the serving tier installs that keyer for live
+        /// requests.
+        #[test]
+        fn binary_decoder_properties(
+            oracle in valid_oracle(),
+            seed in any::<u64>(),
+            points in proptest::collection::vec((finite_f64(), finite_f64()), 2..=6),
+        ) {
+            let keys_arbitrary_points = |o: &OdOracle| {
+                let slots = o.keyer.slots;
+                for pair in points.windows(2) {
+                    for depart in [slots.t0, slots.t0 + 3.5 * slots.dt] {
+                        let od = OdInput {
+                            origin: Point::new(pair[0].0, pair[0].1),
+                            destination: Point::new(pair[1].0, pair[1].1),
+                            depart,
+                            weather: deepod_traffic::WeatherType(0),
+                        };
+                        let _ = o.keyer.key_of(&od);
+                    }
+                }
+                Ok(())
+            };
+            check_decoder(
+                seed,
+                &oracle,
+                OdOracle::to_binary,
+                OdOracle::from_binary,
+                keys_arbitrary_points,
+            )?;
         }
     }
 

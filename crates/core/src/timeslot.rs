@@ -88,8 +88,11 @@ impl TimeSlots {
         if !dt.is_finite() || dt <= 0.0 {
             return Err(TimeSlotError::NonPositive { dt });
         }
+        // A whole, finite number of slots per week, at least one: a Δt
+        // so small the count overflows, or longer than a week, would make
+        // `slots_per_week` infinite or zero (and `week_node` divide by 0).
         let per_week = WEEK / dt;
-        if (per_week - per_week.round()).abs() >= 1e-9 {
+        if !per_week.is_finite() || per_week < 1.0 || (per_week - per_week.round()).abs() >= 1e-9 {
             return Err(TimeSlotError::NotWeekDivisor { dt });
         }
         Ok(TimeSlots { t0, dt })
@@ -286,6 +289,15 @@ mod tests {
             Err(TimeSlotError::NonPositive { .. })
         ));
         assert!(TimeSlots::new(0.0, f64::INFINITY).is_err());
+        // Slot counts that are "whole" only by float rounding: infinitely
+        // many slots (a subnormal Δt), or none (Δt far beyond a week).
+        for dt in [f64::from_bits(1), 1e20] {
+            assert_eq!(
+                TimeSlots::new(0.0, dt),
+                Err(TimeSlotError::NotWeekDivisor { dt })
+            );
+        }
+        assert!(TimeSlots::new(0.0, WEEK).is_ok(), "one slot per week");
         let msg = TimeSlots::new(0.0, 1234.5).unwrap_err().to_string();
         assert!(msg.contains("divide a week"), "got: {msg}");
     }

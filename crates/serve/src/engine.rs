@@ -3,8 +3,9 @@
 //!
 //! One [`InferenceEngine`] loads a model once and answers many
 //! [`PredictRequest`]s. Producers enqueue requests with [`submit`]
-//! (blocking flow control) or [`try_submit`] (admission-controlled by the
-//! [`crate::shed`] degradation ladder); requests are round-robined over
+//! (blocking flow control) or [`try_submit`] (a full shard rejects with
+//! [`ServeError::QueueFull`] after a bounded retry — the engine's one
+//! queue-depth overload decision); requests are round-robined over
 //! [`EngineConfig::workers`] shards, each drained by a supervised worker
 //! thread (see [`crate::supervisor`]) that coalesces micro-batches —
 //! closing a batch at [`EngineConfig::max_batch`] requests or when the
@@ -32,16 +33,16 @@ use deepod_core::{
 use deepod_traj::CityDataset;
 
 use crate::cache::{self, ServeCache};
-use crate::shed::{backoff_ms, Ladder, LadderConfig, LadderState};
 use crate::supervisor::{self, Master};
 
 /// Typed failures of the queueing layer — distinct from [`ModelError`],
 /// which describes a *processed* request that could not be answered.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ServeError {
-    /// The bounded queue is at capacity; the caller should shed load or
-    /// retry later. Returned by [`InferenceEngine::try_submit`] only —
-    /// [`InferenceEngine::submit`] blocks instead.
+    /// The shard's bounded queue stayed at capacity through the retry
+    /// budget; the caller should shed load or retry later. Returned by
+    /// [`InferenceEngine::try_submit`] only — [`InferenceEngine::submit`]
+    /// blocks instead.
     QueueFull {
         /// The configured queue capacity that was hit.
         capacity: usize,
@@ -54,12 +55,6 @@ pub enum ServeError {
     /// The request's deadline expired before a worker admitted it into a
     /// batch; it was shed unprocessed.
     DeadlineExceeded,
-    /// The degradation ladder is at shed-low and this request was tagged
-    /// low-priority.
-    ShedLow,
-    /// The degradation ladder is at reject: all new requests are shed
-    /// until the queue drains.
-    Overloaded,
 }
 
 impl std::fmt::Display for ServeError {
@@ -75,24 +70,22 @@ impl std::fmt::Display for ServeError {
             ServeError::DeadlineExceeded => {
                 write!(f, "deadline exceeded before the request was processed")
             }
-            ServeError::ShedLow => write!(f, "low-priority request shed under load"),
-            ServeError::Overloaded => write!(f, "overloaded (shedding all new requests)"),
         }
     }
 }
 
 impl std::error::Error for ServeError {}
 
-/// Scheduling class of a request, consumed by the degradation ladder:
-/// at shed-low, `Low` requests are rejected while `Normal` ones still
-/// get (possibly degraded) answers.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Priority {
-    /// Regular traffic; shed only at the reject level.
-    #[default]
-    Normal,
-    /// Best-effort traffic (bulk refreshes, prefetches); shed first.
-    Low,
+/// Deterministic backoff schedule shared by queue-full retries and worker
+/// restarts (the same shape as `io_guard`'s write retries: short, fixed,
+/// reproducible — never randomized, so chaos runs replay identically).
+const RETRY_BACKOFF_MS: [u64; 4] = [1, 4, 16, 64];
+
+/// Backoff delay before retry attempt `attempt` (0-based); attempts past
+/// the table reuse its last entry.
+pub(crate) fn backoff_ms(attempt: u32) -> u64 {
+    let idx = (attempt as usize).min(RETRY_BACKOFF_MS.len() - 1);
+    RETRY_BACKOFF_MS.get(idx).copied().unwrap_or(64)
 }
 
 /// Tunables for one engine instance.
@@ -118,8 +111,8 @@ pub struct EngineConfig {
     /// [`ServeError::DeadlineExceeded`] instead of entering a batch.
     pub deadline_ms: u64,
     /// How many times a request may be retried after a transient failure
-    /// (worker crash mid-batch, retryable queue-full) before the error
-    /// surfaces to the caller (`0` = fail fast).
+    /// (worker crash mid-batch, full shard in `try_submit`) before the
+    /// error surfaces to the caller (`0` = fail fast).
     pub retry_budget: u32,
 }
 
@@ -179,8 +172,8 @@ pub(crate) enum Replica {
 pub struct EngineReply {
     /// The prediction, or the per-request model error.
     pub result: Result<PredictResponse, ModelError>,
-    /// `true` when the answer came from the fallback backend (either the
-    /// whole engine runs on it, or the ladder degraded this request).
+    /// `true` when the answer came from the route-tte fallback backend
+    /// the whole engine runs on.
     pub degraded: bool,
 }
 
@@ -221,9 +214,6 @@ pub(crate) struct Pending {
     pub(crate) deadline: Option<Instant>,
     /// Crash-retry count consumed so far (bounded by `retry_budget`).
     pub(crate) attempts: u32,
-    /// The ladder was at `Degrade` or worse at admission: a fallback
-    /// answer is acceptable for this request.
-    pub(crate) degrade_ok: bool,
     /// The cache key this request missed on at admission; a non-degraded
     /// answer populates the cache under it.
     pub(crate) cache_key: Option<OracleKey>,
@@ -274,9 +264,9 @@ pub(crate) struct Shared {
     pub(crate) shards: Vec<Shard>,
     /// Per-shard queue capacity.
     pub(crate) capacity: usize,
-    /// Total queued depth across all shards (the ladder's input).
+    /// Total queued depth across all shards (the `serve.queue_depth`
+    /// gauge).
     pub(crate) depth: AtomicUsize,
-    pub(crate) ladder: Mutex<Ladder>,
     pub(crate) config: EngineConfig,
     /// The serving cache tier; consulted before admission, populated by
     /// workers. `None` keeps every path bit-identical to the cacheless
@@ -296,42 +286,31 @@ pub struct InferenceEngine {
 }
 
 impl InferenceEngine {
-    /// Starts the engine with no ladder fallback: requests admitted under
-    /// a degraded ladder level still run on the primary backend.
+    /// Starts the cacheless engine: registers its metric keys (so every
+    /// snapshot carries them, even at zero) and spawns one supervised
+    /// worker per shard, each with a replica of the lowered backend.
     pub fn start(
         backend: Backend,
         ctx: FeatureContext,
         ds: Arc<CityDataset>,
         config: EngineConfig,
     ) -> InferenceEngine {
-        InferenceEngine::start_with_fallback(backend, None, ctx, ds, config)
+        InferenceEngine::start_with_cache(backend, None, None, ctx, ds, config)
     }
 
-    /// Starts the engine: registers its metric keys (so every snapshot
-    /// carries them, even at zero) and spawns one supervised worker per
-    /// shard, each with a replica of the lowered backend. When a
-    /// fitted `fallback` is given, requests admitted while the ladder is
-    /// at `Degrade` or worse are answered by it (marked degraded) to
-    /// shed model latency under load.
-    pub fn start_with_fallback(
-        backend: Backend,
-        fallback: Option<RouteTtePredictor>,
-        ctx: FeatureContext,
-        ds: Arc<CityDataset>,
-        config: EngineConfig,
-    ) -> InferenceEngine {
-        InferenceEngine::start_with_cache(backend, fallback, None, ctx, ds, config)
-    }
-
-    /// [`start_with_fallback`](InferenceEngine::start_with_fallback) plus
-    /// a serving cache tier (DESIGN.md §15): raw requests are looked up
-    /// in the cache *before* queue admission — a hit replies immediately
-    /// without consuming worker capacity — and every non-degraded model
-    /// answer populates the cache's LRU tier. `None` is the cacheless
-    /// engine, bit-identical to the historical behavior.
+    /// [`start`](InferenceEngine::start) plus a serving cache tier
+    /// (DESIGN.md §15): raw requests are looked up in the cache *before*
+    /// queue admission — a hit replies immediately without consuming
+    /// worker capacity — and every non-degraded model answer populates
+    /// the cache's LRU tier. `None` is the cacheless engine,
+    /// bit-identical to the historical behavior.
+    ///
+    /// The second argument is uninhabited: the per-request route-tte
+    /// fallback it once carried is gone, and it stays only so callers
+    /// that pass `None` keep compiling (ROADMAP item 7(a) removes it).
     pub fn start_with_cache(
         backend: Backend,
-        fallback: Option<RouteTtePredictor>,
+        _no_fallback: Option<std::convert::Infallible>,
         cache_tier: Option<Arc<ServeCache>>,
         ctx: FeatureContext,
         ds: Arc<CityDataset>,
@@ -343,8 +322,6 @@ impl InferenceEngine {
         registry::counter_add("serve.worker_restarts", 0);
         registry::counter_add("serve.deadline_expired", 0);
         registry::counter_add("serve.retries", 0);
-        registry::counter_add("serve.shed_low", 0);
-        registry::counter_add("serve.shed_reject", 0);
         registry::register_gauge("serve.queue_depth");
         registry::register_histogram("serve.batch_size");
         registry::register_histogram("serve.request_latency_ms");
@@ -355,18 +332,15 @@ impl InferenceEngine {
             workers: config.workers.max(1),
             ..config
         };
-        let total_capacity = config.queue_capacity.saturating_mul(config.workers);
         let shared = Arc::new(Shared {
             shards: (0..config.workers).map(|_| Shard::new()).collect(),
             capacity: config.queue_capacity,
             depth: AtomicUsize::new(0),
-            ladder: Mutex::new(Ladder::new(LadderConfig::for_capacity(total_capacity))),
             config,
             cache: cache_tier,
         });
         let master = Arc::new(Master {
             backend: backend.lower(),
-            fallback,
             ctx: Arc::new(ctx),
             ds,
         });
@@ -402,10 +376,9 @@ impl InferenceEngine {
 
     /// Enqueues a request, blocking while its shard is at capacity (flow
     /// control for producers reading from a pipe). Returns the handle the
-    /// reply will arrive on. The blocking path bypasses the degradation
-    /// ladder — backpressure *is* its admission control — so a
-    /// single-worker engine with deadlines and retries off behaves
-    /// bit-identically to the historical design.
+    /// reply will arrive on. Backpressure *is* this path's admission
+    /// control, so a single-worker engine with deadlines and retries off
+    /// behaves bit-identically to the historical design.
     pub fn submit(&self, req: PredictRequest) -> Result<ReplyHandle, ServeError> {
         let cache_key = match self.consult_cache(&req) {
             CacheOutcome::Hit(handle) => return Ok(handle),
@@ -424,66 +397,45 @@ impl InferenceEngine {
             }
             q = shard.space.wait(q).unwrap_or_else(|p| p.into_inner());
         }
-        Ok(self.enqueue(shard, q, req, false, cache_key))
+        Ok(self.enqueue(shard, q, req, cache_key))
     }
 
-    /// Enqueues a request without blocking, under the degradation ladder:
-    /// at `Reject` everything is shed ([`ServeError::Overloaded`]), at
-    /// `ShedLow` low-priority requests are shed ([`ServeError::ShedLow`]),
-    /// and a full shard still rejects with [`ServeError::QueueFull`]. All
-    /// three count under `serve.rejected`.
+    /// Enqueues a request without blocking. A full shard is the engine's
+    /// one queue-depth overload decision: the request retries on the next
+    /// shard up to [`EngineConfig::retry_budget`] times, on the
+    /// deterministic `[1, 4, 16, 64]` ms backoff (each retry counted under
+    /// `serve.retries`), and then fails with [`ServeError::QueueFull`]
+    /// (counted once under `serve.rejected`).
     pub fn try_submit(&self, req: PredictRequest) -> Result<ReplyHandle, ServeError> {
-        self.try_submit_with(req, Priority::Normal)
-    }
-
-    /// [`try_submit`](InferenceEngine::try_submit) with an explicit
-    /// priority class.
-    pub fn try_submit_with(
-        &self,
-        req: PredictRequest,
-        priority: Priority,
-    ) -> Result<ReplyHandle, ServeError> {
-        // The cache sits *above* the degradation ladder: a hit costs no
-        // queue slot, so it must not be shed even under full overload.
+        // The cache sits *above* admission: a hit costs no queue slot, so
+        // it is never shed, even when every shard is full.
         let cache_key = match self.consult_cache(&req) {
             CacheOutcome::Hit(handle) => return Ok(handle),
             CacheOutcome::Miss(key) => key,
         };
-        // Observe the ladder before touching any queue lock: the depth is
-        // an atomic, so admission control never nests the ladder mutex
-        // inside a shard lock.
-        let depth = self.shared.depth.load(Ordering::Relaxed);
-        let state = {
-            let mut ladder = self.shared.ladder.lock().unwrap_or_else(|p| p.into_inner());
-            ladder.observe(depth)
-        };
-        match state {
-            LadderState::Reject => {
-                registry::counter_inc("serve.shed_reject");
-                registry::counter_inc("serve.rejected");
-                return Err(ServeError::Overloaded);
+        let mut attempt: u32 = 0;
+        loop {
+            let Some(shard) = self.pick_shard() else {
+                return Err(ServeError::ShuttingDown);
+            };
+            let q = shard.lock_queue();
+            if q.closed {
+                return Err(ServeError::ShuttingDown);
             }
-            LadderState::ShedLow if priority == Priority::Low => {
-                registry::counter_inc("serve.shed_low");
-                registry::counter_inc("serve.rejected");
-                return Err(ServeError::ShedLow);
+            if q.items.len() < self.shared.capacity {
+                return Ok(self.enqueue(shard, q, req, cache_key));
             }
-            _ => {}
+            drop(q);
+            if attempt >= self.config.retry_budget {
+                registry::counter_inc("serve.rejected");
+                return Err(ServeError::QueueFull {
+                    capacity: self.shared.capacity,
+                });
+            }
+            registry::counter_inc("serve.retries");
+            std::thread::sleep(Duration::from_millis(backoff_ms(attempt)));
+            attempt = attempt.saturating_add(1);
         }
-        let Some(shard) = self.pick_shard() else {
-            return Err(ServeError::ShuttingDown);
-        };
-        let q = shard.lock_queue();
-        if q.closed {
-            return Err(ServeError::ShuttingDown);
-        }
-        if q.items.len() >= self.shared.capacity {
-            registry::counter_inc("serve.rejected");
-            return Err(ServeError::QueueFull {
-                capacity: self.shared.capacity,
-            });
-        }
-        Ok(self.enqueue(shard, q, req, state >= LadderState::Degrade, cache_key))
     }
 
     /// Consults the cache tier for a raw request. A hit builds a
@@ -515,31 +467,6 @@ impl InferenceEngine {
         }
     }
 
-    /// [`try_submit_with`](InferenceEngine::try_submit_with) plus a
-    /// bounded retry loop: a [`ServeError::QueueFull`] rejection retries
-    /// up to [`EngineConfig::retry_budget`] times with the deterministic
-    /// [`crate::shed::backoff_ms`] schedule (counted under
-    /// `serve.retries`). Deliberate sheds — overload, low-priority,
-    /// shutdown — are not retried; retrying into an overloaded engine
-    /// only deepens the overload.
-    pub fn try_submit_retry(
-        &self,
-        req: PredictRequest,
-        priority: Priority,
-    ) -> Result<ReplyHandle, ServeError> {
-        let mut attempt: u32 = 0;
-        loop {
-            match self.try_submit_with(req.clone(), priority) {
-                Err(ServeError::QueueFull { .. }) if attempt < self.config.retry_budget => {
-                    registry::counter_inc("serve.retries");
-                    std::thread::sleep(Duration::from_millis(backoff_ms(attempt)));
-                    attempt = attempt.saturating_add(1);
-                }
-                other => return other,
-            }
-        }
-    }
-
     /// Closes the queues, lets every worker drain what is already
     /// enqueued, and joins them. Equivalent to dropping the engine, but
     /// explicit at call sites that care about ordering.
@@ -552,7 +479,6 @@ impl InferenceEngine {
         shard: &Shard,
         mut q: std::sync::MutexGuard<'_, QueueState>,
         req: PredictRequest,
-        degrade_ok: bool,
         cache_key: Option<OracleKey>,
     ) -> ReplyHandle {
         let (tx, rx) = mpsc::channel();
@@ -567,7 +493,6 @@ impl InferenceEngine {
             enqueued: Instant::now(),
             deadline,
             attempts: 0,
-            degrade_ok,
             cache_key,
         });
         self.shared.depth.fetch_add(1, Ordering::Relaxed);

@@ -21,17 +21,16 @@
 //! * Deadlines and retries — [`EngineConfig::deadline_ms`] sheds requests
 //!   that expire before batch admission
 //!   ([`ServeError::DeadlineExceeded`]); [`EngineConfig::retry_budget`]
-//!   bounds crash/queue-full retries on the deterministic
-//!   [`shed::backoff_ms`] schedule.
-//! * Backpressure and shedding — [`InferenceEngine::submit`] blocks
-//!   producers when the queue is full; [`InferenceEngine::try_submit`]
-//!   fails fast under the [`shed`] degradation ladder (healthy → degrade →
-//!   shed-low → reject, with hysteresis) instead of a binary queue-full
-//!   cliff.
+//!   bounds crash and queue-full retries on a deterministic
+//!   `[1, 4, 16, 64]` ms backoff schedule.
+//! * Backpressure and one overload decision — [`InferenceEngine::submit`]
+//!   blocks producers while their shard is full;
+//!   [`InferenceEngine::try_submit`] rejects with
+//!   [`ServeError::QueueFull`] once the shard stays full through the
+//!   retry budget. A full shard is the engine's only queue-depth reject.
 //! * Graceful degradation — [`Backend::RouteTte`] serves baseline answers
 //!   (marked `degraded`) when the model file is unusable, instead of
-//!   taking the process down; with a ladder fallback, requests admitted
-//!   under load degrade individually.
+//!   taking the process down.
 //! * [`cache`] — the serving cache tier (DESIGN.md §15): an optional
 //!   precomputed [`deepod_core::OdOracle`] plus a bounded in-process LRU
 //!   ([`ServeCache`]), consulted **before queue admission** — a hit
@@ -54,7 +53,7 @@
 //!
 //! Everything is instrumented through `deepod_core::obs`: queue depth
 //! gauge, batch-size and request-latency histograms, request / degraded /
-//! rejected / restart / deadline / retry / shed counters — all registered
+//! rejected / restart / deadline / retry counters — all registered
 //! eagerly so metric snapshots carry the keys even for an idle engine.
 
 pub mod cache;
@@ -62,18 +61,14 @@ pub mod client;
 mod engine;
 pub mod net;
 pub mod protocol;
-pub mod shed;
 mod supervisor;
 mod worker;
 
 pub use cache::{CacheConfig, CacheStats, ServeCache};
 pub use client::ServeClient;
-pub use engine::{
-    Backend, EngineConfig, EngineReply, InferenceEngine, Priority, ReplyHandle, ServeError,
-};
+pub use engine::{Backend, EngineConfig, EngineReply, InferenceEngine, ReplyHandle, ServeError};
 pub use net::{NetConfig, NetServer};
 pub use protocol::{ErrorKind, WireError, WireRequest, WireResponse};
-pub use shed::{Ladder, LadderConfig, LadderState};
 
 #[cfg(test)]
 mod tests {
@@ -203,9 +198,8 @@ mod tests {
         );
         // Flood try_submit: with capacity 1 at least one rejection must
         // surface (the worker can drain between calls, so we only bound
-        // the outcome, not pin an exact count). A capacity-1 ladder sits
-        // at Reject whenever anything is queued, so both rejection shapes
-        // are legitimate.
+        // the outcome, not pin an exact count). A full shard is the only
+        // queue-depth rejection.
         let mut accepted = Vec::new();
         let mut rejected = 0usize;
         for i in 0..64 {
@@ -215,7 +209,6 @@ mod tests {
                     assert_eq!(capacity, 1);
                     rejected += 1;
                 }
-                Err(ServeError::Overloaded) => rejected += 1,
                 Err(other) => unreachable!("engine is not shutting down: {other}"),
             }
         }
@@ -235,6 +228,17 @@ mod tests {
             .result
             .expect("resolves");
         engine.shutdown();
+    }
+
+    #[test]
+    fn backoff_schedule_is_deterministic_and_clamped() {
+        use crate::engine::backoff_ms;
+        assert_eq!(backoff_ms(0), 1);
+        assert_eq!(backoff_ms(1), 4);
+        assert_eq!(backoff_ms(2), 16);
+        assert_eq!(backoff_ms(3), 64);
+        assert_eq!(backoff_ms(4), 64, "past the table reuses the last entry");
+        assert_eq!(backoff_ms(u32::MAX), 64);
     }
 
     #[test]

@@ -22,9 +22,10 @@
 //! beyond it come back as typed `in_flight_limit` rejects — sized below
 //! the queue capacity, so a single connection cannot fill the shared
 //! queue) and a max-connections gate (typed `connection_limit` at
-//! accept). TCP submissions always run the admission-controlled
-//! `try_submit_retry` path — a blocking `submit` would park the greedy
-//! client's reader on the full queue and stall polite clients behind it.
+//! accept). TCP submissions always run the non-blocking `try_submit`
+//! path — a full shard is a typed `queue_full` reject after a bounded
+//! retry, where a blocking `submit` would park the greedy client's
+//! reader on the full queue and stall polite clients behind it.
 //!
 //! Every thread here is born via the supervised spawn in
 //! [`crate::supervisor`]: a panicking connection loop is counted and
@@ -49,7 +50,7 @@ use deepod_core::PredictRequest;
 use deepod_roadnet::Point;
 use deepod_traj::{CityDataset, OdInput};
 
-use crate::engine::{EngineReply, InferenceEngine, Priority, ReplyHandle, ServeError};
+use crate::engine::{EngineReply, InferenceEngine, ReplyHandle, ServeError};
 use crate::protocol::{self, ErrorKind, WireError, WireRequest, WireResponse};
 use crate::supervisor::spawn_net;
 
@@ -102,8 +103,9 @@ pub enum Admission {
     /// Block the producer when the queue is full (stdin backpressure —
     /// the historical single-client behavior).
     Block,
-    /// Run the degradation ladder and reject instead of blocking
-    /// (`--reject-when-full`, and always on TCP).
+    /// Reject with `queue_full` instead of blocking when the shard stays
+    /// full through the retry budget (`--reject-when-full`, and always
+    /// on TCP).
     Shed,
 }
 
@@ -113,8 +115,6 @@ pub struct DecodedRequest {
     pub id: u64,
     /// The engine-level request.
     pub req: PredictRequest,
-    /// Scheduling class for the degradation ladder.
-    pub priority: Priority,
 }
 
 /// One unit of output owed to a client: either a fully rendered line, or
@@ -155,11 +155,6 @@ pub fn decode_line(ds: &CityDataset, line: &str) -> Option<Result<DecodedRequest
     Some(Ok(DecodedRequest {
         id: wire.id,
         req: PredictRequest::Raw(od),
-        priority: if wire.low_priority {
-            Priority::Low
-        } else {
-            Priority::Normal
-        },
     }))
 }
 
@@ -171,13 +166,10 @@ pub fn submit_decoded(
     decoded: DecodedRequest,
     admission: Admission,
 ) -> Submission {
-    let DecodedRequest { id, req, priority } = decoded;
+    let DecodedRequest { id, req } = decoded;
     let submitted = match admission {
         Admission::Block => engine.submit(req),
-        // Admission-controlled path: the degradation ladder decides, and
-        // queue-full rejections retry on the deterministic backoff up to
-        // the engine's retry budget.
-        Admission::Shed => engine.try_submit_retry(req, priority),
+        Admission::Shed => engine.try_submit(req),
     };
     match submitted {
         Ok(handle) => Submission::Pending(id, handle),

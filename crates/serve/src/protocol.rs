@@ -15,9 +15,9 @@
 //! rejected with a typed [`ErrorKind::UnsupportedVersion`] error: this
 //! server no longer renders v1's flat error strings.
 //!
-//! An optional `"priority": "low"` field tags best-effort traffic that the
-//! degradation ladder sheds first under load (`"normal"`, the default, is
-//! also accepted explicitly).
+//! An optional `"priority"` field (`"low"` or `"normal"`) is accepted for
+//! compatibility and has no effect: every request is admitted the same
+//! way. A value other than those two is still a `bad_request`.
 //!
 //! One response per line, in input order per client:
 //!
@@ -60,10 +60,6 @@ pub enum ErrorKind {
     WorkerCrashed,
     /// [`ServeError::DeadlineExceeded`].
     DeadlineExceeded,
-    /// [`ServeError::ShedLow`].
-    ShedLow,
-    /// [`ServeError::Overloaded`].
-    Overloaded,
     /// The frame declared a protocol version this server does not speak.
     UnsupportedVersion,
     /// The frame exceeded the server's size cap for one line.
@@ -85,8 +81,6 @@ impl ErrorKind {
             ErrorKind::ShuttingDown => "shutting_down",
             ErrorKind::WorkerCrashed => "worker_crashed",
             ErrorKind::DeadlineExceeded => "deadline_exceeded",
-            ErrorKind::ShedLow => "shed_low",
-            ErrorKind::Overloaded => "overloaded",
             ErrorKind::UnsupportedVersion => "unsupported_version",
             ErrorKind::FrameTooLarge => "frame_too_large",
             ErrorKind::InFlightLimit => "in_flight_limit",
@@ -95,15 +89,13 @@ impl ErrorKind {
     }
 
     /// Every kind, in declaration order.
-    pub const ALL: [ErrorKind; 12] = [
+    pub const ALL: [ErrorKind; 10] = [
         ErrorKind::BadRequest,
         ErrorKind::Model,
         ErrorKind::QueueFull,
         ErrorKind::ShuttingDown,
         ErrorKind::WorkerCrashed,
         ErrorKind::DeadlineExceeded,
-        ErrorKind::ShedLow,
-        ErrorKind::Overloaded,
         ErrorKind::UnsupportedVersion,
         ErrorKind::FrameTooLarge,
         ErrorKind::InFlightLimit,
@@ -122,8 +114,6 @@ impl ErrorKind {
             ServeError::ShuttingDown => ErrorKind::ShuttingDown,
             ServeError::WorkerCrashed => ErrorKind::WorkerCrashed,
             ServeError::DeadlineExceeded => ErrorKind::DeadlineExceeded,
-            ServeError::ShedLow => ErrorKind::ShedLow,
-            ServeError::Overloaded => ErrorKind::Overloaded,
         }
     }
 }
@@ -173,8 +163,8 @@ pub struct WireRequest {
     pub to: (f64, f64),
     /// Departure time (seconds since the dataset epoch).
     pub depart: f64,
-    /// `true` when the client tagged the request `"priority": "low"` —
-    /// shed first when the degradation ladder reaches shed-low.
+    /// `true` when the client tagged the request `"priority": "low"`.
+    /// The codec round-trips it; the server does not read it.
     pub low_priority: bool,
 }
 
@@ -279,9 +269,8 @@ impl WireRequest {
         let from = point_of(field("from")?, "from").map_err(reject)?;
         let to = point_of(field("to")?, "to").map_err(reject)?;
         let depart = num_of(field("depart")?, "depart").map_err(reject)?;
-        // Optional field: absent means normal priority. A present-but-unknown
-        // value is an error — a client that *meant* to shed politely should
-        // not silently get normal treatment because of a typo.
+        // Optional, and read by no server path; a present-but-unknown value
+        // is still a bad request.
         let low_priority = match json::obj_field(&v, "priority").ok() {
             None => false,
             Some(Value::Str(p)) if p == "low" => true,
@@ -649,7 +638,7 @@ mod tests {
             assert_eq!(WireResponse::parse(&ok.to_line()).expect("parses"), ok);
             let err = WireResponse::Err {
                 id: Some(id),
-                error: (&ServeError::ShedLow).into(),
+                error: (&ServeError::DeadlineExceeded).into(),
             };
             assert_eq!(WireResponse::parse(&err.to_line()).expect("parses"), err);
         }

@@ -31,13 +31,11 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-use deepod_baselines::RouteTtePredictor;
 use deepod_core::obs::{self, registry};
 use deepod_core::FeatureContext;
 use deepod_traj::CityDataset;
 
-use crate::engine::{Pending, Replica, ServeError, Shared};
-use crate::shed::backoff_ms;
+use crate::engine::{backoff_ms, Pending, Replica, ServeError, Shared};
 use crate::worker::worker_loop;
 
 /// The pristine copy of everything a worker needs: the supervisor clones
@@ -45,7 +43,6 @@ use crate::worker::worker_loop;
 /// can never leave a shard running half-poisoned state.
 pub(crate) struct Master {
     pub(crate) backend: Replica,
-    pub(crate) fallback: Option<RouteTtePredictor>,
     pub(crate) ctx: Arc<FeatureContext>,
     pub(crate) ds: Arc<CityDataset>,
 }
@@ -89,16 +86,8 @@ fn supervise(shared: &Shared, shard_idx: usize, master: &Master) {
     let mut restarts: u32 = 0;
     loop {
         let mut backend = master.backend.clone();
-        let mut fallback = master.fallback.clone();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            worker_loop(
-                shared,
-                shard_idx,
-                &mut backend,
-                &mut fallback,
-                &master.ctx,
-                &master.ds,
-            );
+            worker_loop(shared, shard_idx, &mut backend, &master.ctx, &master.ds);
         }));
         if outcome.is_ok() {
             return;

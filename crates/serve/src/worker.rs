@@ -39,7 +39,6 @@ pub(crate) fn worker_loop(
     shared: &Shared,
     shard_idx: usize,
     backend: &mut Replica,
-    fallback: &mut Option<RouteTtePredictor>,
     ctx: &FeatureContext,
     ds: &CityDataset,
 ) {
@@ -109,7 +108,7 @@ pub(crate) fn worker_loop(
             ds,
             threads: config.threads,
         };
-        process_batch(&env, backend, fallback, batch);
+        process_batch(&env, backend, batch);
     }
 }
 
@@ -142,16 +141,10 @@ struct BatchEnv<'a> {
 
 /// Runs one swept batch: stash it as in-flight (crash recovery), hit the
 /// chaos failpoints, compute, take the batch back, reply in order.
-fn process_batch(
-    env: &BatchEnv<'_>,
-    backend: &mut Replica,
-    fallback: &mut Option<RouteTtePredictor>,
-    batch: Vec<Pending>,
-) {
+fn process_batch(env: &BatchEnv<'_>, backend: &mut Replica, batch: Vec<Pending>) {
     registry::observe("serve.batch_size", batch.len() as f64);
     registry::counter_add("serve.requests", batch.len() as u64);
     let reqs: Vec<PredictRequest> = batch.iter().map(|p| p.req.clone()).collect();
-    let degrade_mask: Vec<bool> = batch.iter().map(|p| p.degrade_ok).collect();
 
     // Stash the batch before anything can panic: if the compute below
     // unwinds, the supervisor takes this slot and either requeues the
@@ -170,15 +163,7 @@ fn process_batch(
     failpoint::hit("serve::slow_batch");
     failpoint::hit("serve::worker_batch");
 
-    let results = compute_results(
-        backend,
-        fallback,
-        env.ctx,
-        env.ds,
-        env.threads,
-        &reqs,
-        &degrade_mask,
-    );
+    let results = compute_results(backend, env.ctx, env.ds, env.threads, &reqs);
 
     let batch: Vec<Pending> = {
         let mut slot = env
@@ -197,9 +182,8 @@ fn process_batch(
             registry::counter_inc("serve.degraded");
         }
         // Populate the cache from a clean model answer. Degraded (fallback)
-        // answers are deliberately not cached: they would outlive the
-        // overload that produced them and keep serving worse estimates
-        // after the ladder recovers.
+        // answers are deliberately not cached: a cache must only ever
+        // replay the model's own bits.
         if let (Some(cache), Some(key), false, Ok(resp)) =
             (env.cache, pending.cache_key, degraded, &result)
         {
@@ -219,70 +203,28 @@ fn process_batch(
     }
 }
 
-/// Computes one `(result, degraded)` per request, in slot order. With no
-/// degrade-eligible slots (or no fallback) the whole batch goes through
-/// the backend in a single `estimate_batch` call — the bit-identity path.
-/// Otherwise model slots still run batched and degrade-eligible slots are
-/// answered by the fallback, merged back in order.
+/// Computes one `(result, degraded)` per request, in slot order: the
+/// model answers the whole batch in a single `estimate_batch` call (the
+/// bit-identity path); the route-tte backend answers request by request,
+/// every answer degraded.
 fn compute_results(
     backend: &mut Replica,
-    fallback: &mut Option<RouteTtePredictor>,
     ctx: &FeatureContext,
     ds: &CityDataset,
     threads: usize,
     reqs: &[PredictRequest],
-    degrade_mask: &[bool],
 ) -> Vec<(Result<PredictResponse, ModelError>, bool)> {
-    let split = match fallback {
-        // A route-tte primary backend is already the degraded answer;
-        // splitting the batch would only recompute the same thing.
-        Some(fb) if !matches!(backend, Replica::RouteTte(_)) => {
-            degrade_mask.iter().any(|&m| m).then_some(fb)
-        }
-        _ => None,
-    };
-    let Some(fb) = split else {
-        return match backend {
-            Replica::Model(model) => model
-                .estimate_batch(ctx, &ds.net, reqs, threads)
-                .into_iter()
-                .map(|r| (r, false))
-                .collect(),
-            Replica::RouteTte(predictor) => reqs
-                .iter()
-                .map(|r| (fallback_answer(predictor, r), true))
-                .collect(),
-        };
-    };
-
-    let model_reqs: Vec<PredictRequest> = reqs
-        .iter()
-        .zip(degrade_mask)
-        .filter(|(_, &m)| !m)
-        .map(|(r, _)| r.clone())
-        .collect();
-    let model_results: Vec<Result<PredictResponse, ModelError>> = match backend {
-        Replica::Model(model) => model.estimate_batch(ctx, &ds.net, &model_reqs, threads),
-        Replica::RouteTte(_) => Vec::new(),
-    };
-    let mut model_iter = model_results.into_iter();
-    reqs.iter()
-        .zip(degrade_mask)
-        .map(|(req, &degrade)| {
-            if degrade {
-                (fallback_answer(fb, req), true)
-            } else {
-                // `estimate_batch` answers one slot per request, so the
-                // iterator cannot run dry; the error arm is unreachable.
-                (
-                    model_iter
-                        .next()
-                        .unwrap_or(Err(ModelError::UnmatchedEndpoints)),
-                    false,
-                )
-            }
-        })
-        .collect()
+    match backend {
+        Replica::Model(model) => model
+            .estimate_batch(ctx, &ds.net, reqs, threads)
+            .into_iter()
+            .map(|r| (r, false))
+            .collect(),
+        Replica::RouteTte(predictor) => reqs
+            .iter()
+            .map(|r| (fallback_answer(predictor, r), true))
+            .collect(),
+    }
 }
 
 /// Answers one request through the route-tte fallback. Encoded requests
@@ -320,7 +262,6 @@ mod tests {
             enqueued: Instant::now(),
             deadline,
             attempts: 0,
-            degrade_ok: false,
             cache_key: None,
         }
     }

@@ -115,8 +115,6 @@ proptest! {
             ServeError::ShuttingDown,
             ServeError::WorkerCrashed,
             ServeError::DeadlineExceeded,
-            ServeError::ShedLow,
-            ServeError::Overloaded,
         ];
         let model_error = EngineReply {
             result: Err(ModelError::UnmatchedEndpoints),

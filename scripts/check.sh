@@ -54,7 +54,8 @@ stage crash      cargo test -q -p deepod-cli --test crash_resume
 stage obs        cargo test -q -p deepod-cli --test observability
 # Serving stage: drives `deepod serve` over its stdin/stdout JSON
 # protocol — 1000 requests through one process in input order,
-# queue-full backpressure under --reject-when-full, corrupt-model
+# --reject-when-full overload answered only by typed queue_full rejects
+# (a full shard is the one queue-depth reject), corrupt-model
 # degradation to route-tte fallback answers with exit code 2, and the
 # stdin bytes of every request-level reject byte-equal to the frozen
 # golden transcript (crates/cli/tests/golden/serve_rejects.*.ndjson).
@@ -62,7 +63,9 @@ stage serve      cargo test -q -p deepod-cli --test serve
 # Chaos stage: the same binary under DEEPOD_FAILPOINTS fault schedules
 # aimed at the serving engine (worker panic, slow batch, dropped reply,
 # saturation) — exactly one reply per request, supervised restarts
-# counted, deadlines swept, and single-worker bit-identity preserved.
+# counted, deadlines swept, saturation rejected only as queue_full
+# (counted once in serve.rejected, retried first under --retry-budget),
+# and single-worker bit-identity preserved.
 stage chaos      cargo test -q -p deepod-cli --test serve_chaos
 # Network stage: the TCP front end end to end (DESIGN.md §16) —
 # concurrent clients answered exactly once, per-connection in-flight
@@ -81,8 +84,15 @@ stage net        net_tests
 # requests hit it without touching the queue, LRU repeats answer
 # bit-identically to the cacheless path, TTL slot rollover expires
 # entries, and a corrupt or mismatched oracle degrades to cacheless
-# serving instead of wrong answers.
-stage cache      cargo test -q -p deepod-cli --test serve_cache
+# serving instead of wrong answers — plus the DPODORC2 reader's decode
+# properties (arbitrary bytes never panic, valid oracles round-trip
+# bit-identically, every strict prefix is a typed error, and any keyer it
+# accepts keys arbitrary finite points without panicking).
+cache_tests() {
+  cargo test -q -p deepod-cli --test serve_cache &&
+    cargo test -q -p deepod-core --lib oracle
+}
+stage cache      cache_tests
 # Kernel stage: property tests proving the packed/SIMD matmul, matvec
 # and axpy paths bit-identical to the scalar reference, the matmul fork
 # floor (products below 2^23 FLOP never fork, spans clamp to rows and
