@@ -1,16 +1,15 @@
-//! Shared harness for the per-table/figure benchmark binaries.
+//! Shared settings of the paper runner (`src/bin/paper/`).
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the paper
-//! (see DESIGN.md §4 for the index). They all share the same dataset
-//! construction, the same tuned DeepOD configuration, and the same
-//! reporting conventions (a rendered text table on stdout, a CSV under
-//! `results/`).
+//! One binary regenerates every table and figure of the paper (see
+//! DESIGN.md §4 for the index): `cargo run --release -p deepod-bench --bin
+//! paper -- <name>…|all [quick|full]`. Its entries share the dataset sizes,
+//! the tuned DeepOD configuration and the training options defined here,
+//! and they share trained runs through the runner's run cache, so a
+//! (dataset, config, options) key trains once per process.
 //!
 //! # Scale
 //!
-//! Two scales are supported, selected by the first CLI argument or the
-//! `DEEPOD_SCALE` environment variable (resolved in each binary via
-//! [`startup`]):
+//! Two scales, picked by the runner's last argument:
 //!
 //! * `quick` (default) — minutes-per-experiment settings used by CI.
 //! * `full` — larger datasets and longer training, closer to the paper's
@@ -18,7 +17,6 @@
 
 use deepod_core::{DeepOdConfig, EmbeddingInit, TrainOptions};
 use deepod_roadnet::CityProfile;
-use deepod_traj::{CityDataset, DatasetBuilder, DatasetConfig};
 
 /// Experiment scale.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -32,9 +30,7 @@ pub enum Scale {
 impl Scale {
     /// Resolves a scale choice string: exactly `quick` or `full`, absent
     /// meaning quick. Any other value is an error naming it, so a typo
-    /// never runs the wrong experiment. The caller supplies the choice —
-    /// typically `argv[1]` falling back to `DEEPOD_SCALE` via [`startup`] —
-    /// so this library never reads the environment.
+    /// never runs the wrong experiment.
     pub fn resolve(choice: Option<&str>) -> Result<Scale, String> {
         match choice {
             None | Some("quick") => Ok(Scale::Quick),
@@ -46,29 +42,25 @@ impl Scale {
     }
 }
 
-/// One-stop startup for a benchmark binary: applies the process
-/// [`deepod_core::RuntimeConfig`] (thread count, log gate, metrics keys)
-/// from the provided environment lookup, then resolves the scale from
-/// `argv[1]` falling back to `DEEPOD_SCALE`. A malformed runtime config or
-/// an unknown scale prints `fatal: …` and exits with
-/// [`deepod_tensor::failpoint::CONFIG_EXIT_CODE`]. Bench binaries call
-/// `deepod_bench::startup(std::env::args().nth(1), |k| std::env::var(k).ok())`
-/// as their first line — the env closures keep all environment reads in
-/// the binaries themselves (deepod-lint rule `no-env-read-in-lib`).
-pub fn startup(argv1: Option<String>, env: impl Fn(&str) -> Option<String>) -> Scale {
+/// Applies the process [`deepod_core::RuntimeConfig`] (thread count, log
+/// gate, metrics keys) from the provided environment lookup. A malformed
+/// runtime config prints `fatal: …` and exits with
+/// [`deepod_tensor::failpoint::CONFIG_EXIT_CODE`]. The runner calls
+/// `deepod_bench::startup(|k| std::env::var(k).ok())` first — the env
+/// closure keeps every environment read in the binary itself (deepod-lint
+/// rule `no-env-read-in-lib`).
+pub fn startup(env: impl Fn(&str) -> Option<String>) {
     let runtime =
         deepod_core::RuntimeConfig::resolve(deepod_core::RuntimeOverrides::default(), &env);
     if let Err(e) = runtime.apply() {
         config_fatal(e);
     }
-    Scale::resolve(argv1.or_else(|| env("DEEPOD_SCALE")).as_deref())
-        .unwrap_or_else(|e| config_fatal(e))
 }
 
 /// Benchmarks have no fault-injection story; a malformed spec in the
-/// environment or an unknown scale is a configuration error worth dying
-/// over.
-fn config_fatal(e: impl std::fmt::Display) -> ! {
+/// environment, an unknown experiment or an unknown scale is a
+/// configuration error worth dying over.
+pub fn config_fatal(e: impl std::fmt::Display) -> ! {
     // deepod-lint: allow(no-bare-eprintln)
     eprintln!("fatal: {e}");
     std::process::exit(deepod_tensor::failpoint::CONFIG_EXIT_CODE);
@@ -104,27 +96,25 @@ pub fn num_orders(p: CityProfile, scale: Scale) -> usize {
     }
 }
 
-/// Builds the standard dataset for a city at a scale.
-pub fn dataset(p: CityProfile, scale: Scale) -> CityDataset {
-    DatasetBuilder::build(&DatasetConfig::for_profile(p, num_orders(p, scale)))
-}
-
-/// The paper's per-city tuned auxiliary-loss weight (§6.3: 0.7 Chengdu,
-/// 0.3 Xi'an, 0.5 Beijing). Our Fig. 9 reproduction re-derives the tuned
-/// value on the synthetic data; this accessor carries the defaults used by
-/// the other experiments.
-pub fn tuned_loss_weight(p: CityProfile) -> f32 {
-    match p {
-        CityProfile::SynthChengdu => 0.3,
-        CityProfile::SynthXian => 0.3,
-        CityProfile::SynthBeijing => 0.3,
+/// Smaller order counts for the many-runs sweeps (Figs. 8/9/14, Table 7).
+pub fn sweep_orders(p: CityProfile, scale: Scale) -> usize {
+    match scale {
+        Scale::Quick => num_orders(p, Scale::Quick) / 3,
+        Scale::Full => num_orders(p, Scale::Quick),
     }
 }
 
-/// The tuned DeepOD configuration for a city at a scale (the result of our
-/// Fig. 8-style sweep on the synthetic substrate: d_s = 32, d_t = 16,
-/// d⁴_m = d⁸_m = 32, d⁷_m = d⁹_m = 64, d_h = 32).
-pub fn tuned_config(p: CityProfile, scale: Scale) -> DeepOdConfig {
+/// The auxiliary-loss weight w of every experiment except Fig. 9, which
+/// sweeps it. The paper tunes w per city (§6.3: 0.7 Chengdu, 0.3 Xi'an,
+/// 0.5 Beijing). Ours is 0.3 for every city, so a city's runs differ only
+/// in their data; Fig. 9 measures where the optimum falls on the synthetic
+/// substrate (EXPERIMENTS.md).
+pub const TUNED_LOSS_WEIGHT: f32 = 0.3;
+
+/// The tuned DeepOD configuration at a scale, the same for every city (the
+/// result of our Fig. 8-style sweep on the synthetic substrate: d_s = 32,
+/// d_t = 16, d⁴_m = d⁸_m = 32, d⁷_m = d⁹_m = 64, d_h = 32).
+pub fn tuned_config(scale: Scale) -> DeepOdConfig {
     let mut cfg = DeepOdConfig {
         ds: 32,
         dt_dim: 16,
@@ -139,7 +129,7 @@ pub fn tuned_config(p: CityProfile, scale: Scale) -> DeepOdConfig {
         dh: 32,
         dtraf: 8,
         batch_size: 16,
-        loss_weight: tuned_loss_weight(p),
+        loss_weight: TUNED_LOSS_WEIGHT,
         init: EmbeddingInit::Node2Vec,
         stcode_supervision: false,
         ..DeepOdConfig::default()
@@ -153,8 +143,8 @@ pub fn tuned_config(p: CityProfile, scale: Scale) -> DeepOdConfig {
 
 /// A down-scaled DeepOD config for the many-runs sweeps (Fig. 8/9, Table 7,
 /// Fig. 14) where dozens of trainings must finish in minutes.
-pub fn sweep_config(p: CityProfile, scale: Scale) -> DeepOdConfig {
-    let mut cfg = tuned_config(p, scale);
+pub fn sweep_config(scale: Scale) -> DeepOdConfig {
+    let mut cfg = tuned_config(scale);
     cfg.epochs = match scale {
         Scale::Quick => 6,
         Scale::Full => 16,
@@ -162,16 +152,7 @@ pub fn sweep_config(p: CityProfile, scale: Scale) -> DeepOdConfig {
     cfg
 }
 
-/// Smaller datasets for the sweeps.
-pub fn sweep_dataset(p: CityProfile, scale: Scale) -> CityDataset {
-    let n = match scale {
-        Scale::Quick => num_orders(p, Scale::Quick) / 3,
-        Scale::Full => num_orders(p, Scale::Quick),
-    };
-    DatasetBuilder::build(&DatasetConfig::for_profile(p, n))
-}
-
-/// Standard training options for harness runs. `threads: 0` defers to the
+/// Standard training options for runner runs. `threads: 0` defers to the
 /// process-wide configured count (installed by [`startup`] from
 /// `DEEPOD_THREADS`, or the machine's available parallelism).
 pub fn train_options() -> TrainOptions {
@@ -186,17 +167,11 @@ pub fn train_options() -> TrainOptions {
     }
 }
 
-/// The worker-thread count harness runs will use (as installed by
-/// [`startup`], or the machine's available parallelism).
-pub fn threads() -> usize {
-    deepod_tensor::parallel::configured_threads()
-}
-
-/// Prints a header line for an experiment binary.
+/// Prints a header line for one experiment of the runner.
 pub fn banner(experiment: &str, scale: Scale) {
     println!(
         "== DeepOD reproduction :: {experiment} (scale: {scale:?}, threads: {}) ==",
-        threads()
+        deepod_tensor::parallel::configured_threads()
     );
 }
 
@@ -231,9 +206,9 @@ mod tests {
 
     #[test]
     fn tuned_configs_validate() {
-        for p in CITIES {
-            tuned_config(p, Scale::Quick).validate().unwrap();
-            sweep_config(p, Scale::Full).validate().unwrap();
+        for scale in [Scale::Quick, Scale::Full] {
+            tuned_config(scale).validate().unwrap();
+            sweep_config(scale).validate().unwrap();
         }
     }
 

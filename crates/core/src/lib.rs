@@ -74,5 +74,7 @@ pub use runtime::{
 };
 pub use temporal_graph::{build_temporal_graph, temporal_graph_day_only};
 pub use timeslot::{TimeSlotError, TimeSlots};
-pub use train::{CheckpointPolicy, CurvePoint, TrainOptions, TrainReport, Trainer};
+pub use train::{
+    convergence_point, CheckpointPolicy, CurvePoint, TrainOptions, TrainReport, Trainer,
+};
 pub use trajectory_encoder::TrajectoryEncoder;

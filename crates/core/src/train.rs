@@ -40,7 +40,7 @@ pub fn register_metrics() {
 }
 
 /// Training-loop options independent of the model config.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TrainOptions {
     /// Evaluate validation MAE every `eval_every` steps (0 = per epoch).
     pub eval_every: usize,
@@ -89,6 +89,22 @@ pub struct CurvePoint {
     pub elapsed_s: f64,
 }
 
+/// The point at which a validation curve counts as converged: the first
+/// whose MAE is within 2 % of the curve's best (Table 3's "convergence
+/// steps", the paper's steps/time to stabilize). The best point itself
+/// qualifies; a curve with no finite MAE converges at its last point, an
+/// empty one never.
+pub fn convergence_point(curve: &[CurvePoint]) -> Option<&CurvePoint> {
+    let best = curve
+        .iter()
+        .map(|p| p.val_mae)
+        .fold(f32::INFINITY, f32::min);
+    curve
+        .iter()
+        .find(|p| p.val_mae <= best * 1.02)
+        .or(curve.last())
+}
+
 /// Result of a training run.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct TrainReport {
@@ -96,9 +112,8 @@ pub struct TrainReport {
     pub curve: Vec<CurvePoint>,
     /// Best validation MAE observed.
     pub best_val_mae: f32,
-    /// Step at which the run is considered converged (first step whose
-    /// validation MAE is within 2 % of the final best — Table 3's
-    /// "convergence steps").
+    /// Step at which the run is considered converged
+    /// ([`convergence_point`] of `curve`).
     pub convergence_step: usize,
     /// Wall-clock seconds at the convergence step.
     pub convergence_time_s: f64,
@@ -699,20 +714,12 @@ impl<'a> Trainer<'a> {
         // selection; the paper fine-tunes on validation data, §6.1).
         self.model.store = best_store;
 
-        // Convergence: first curve point within 2 % of the best (the best
-        // point itself qualifies, so the search cannot come up empty; fall
-        // back to a zero point for the degenerate empty curve).
-        let threshold = best * 1.02;
-        let conv = curve
-            .iter()
-            .find(|p| p.val_mae <= threshold)
-            .or(curve.last())
-            .copied()
-            .unwrap_or(CurvePoint {
-                step: 0,
-                elapsed_s: 0.0,
-                val_mae: best,
-            });
+        // Fall back to a zero point for the degenerate empty curve.
+        let conv = convergence_point(&curve).copied().unwrap_or(CurvePoint {
+            step: 0,
+            elapsed_s: 0.0,
+            val_mae: best,
+        });
 
         Ok(TrainReport {
             best_val_mae: best,
@@ -773,6 +780,22 @@ mod tests {
             assert!(w[0].step <= w[1].step);
         }
         assert!(report.convergence_step <= report.total_steps);
+    }
+
+    #[test]
+    fn convergence_is_the_first_point_within_two_percent_of_the_best() {
+        let curve: Vec<CurvePoint> = [(0, 100.0), (10, 50.0), (20, 50.5), (30, 49.5)]
+            .iter()
+            .map(|&(step, val_mae)| CurvePoint {
+                step,
+                val_mae,
+                elapsed_s: step as f64,
+            })
+            .collect();
+        // Best 49.5 → threshold 50.49: step 10 (50.0) is the first within it.
+        assert_eq!(convergence_point(&curve).map(|p| p.step), Some(10));
+        assert_eq!(convergence_point(&curve[..1]).map(|p| p.step), Some(0));
+        assert!(convergence_point(&[]).is_none());
     }
 
     #[test]

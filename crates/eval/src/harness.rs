@@ -1,23 +1,24 @@
-//! The method registry: every baseline plus every DeepOD variant behind
-//! one interface, with timing and size accounting so a single call
-//! produces a full row of the paper's Tables 4 and 5.
+//! The evaluation harness: one call fits a baseline ([`run_method`]) or
+//! trains a DeepOD config ([`run_deepod`]) and produces a full row of the
+//! paper's Tables 4 and 5, with timing and size accounting.
 
 use crate::metrics::{Metrics, MetricsError, PredPair};
 use deepod_baselines::{
     GbmConfig, GbmPredictor, LinearRegression, MuratConfig, MuratPredictor, StnnConfig,
     StnnPredictor, TempConfig, TempPredictor, TtePredictor,
 };
-use deepod_core::{DeepOdConfig, ModelError, TrainOptions, Trainer};
+use deepod_core::{DeepOdConfig, ModelError, PredictRequest, TrainOptions, TrainReport, Trainer};
+use deepod_tensor::Tensor;
 use deepod_traj::CityDataset;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
-/// Why [`run_method`] failed: either the model refused its config, or
-/// the method produced a pair set over which the paper metrics are
-/// undefined (e.g. zero encodable test orders).
+/// Why [`run_method`] or [`run_deepod`] failed: either DeepOD refused its
+/// config or an estimate, or the method produced a pair set over which the
+/// paper metrics are undefined (e.g. zero encodable test orders).
 #[derive(Debug)]
 pub enum HarnessError {
-    /// DeepOD config validation or training failed.
+    /// DeepOD config validation, training or estimation failed.
     Model(ModelError),
     /// The metric computation over the produced pairs failed.
     Metrics(MetricsError),
@@ -46,24 +47,6 @@ impl From<MetricsError> for HarnessError {
     }
 }
 
-/// A method under evaluation.
-pub enum Method {
-    /// Any [`TtePredictor`] baseline.
-    Baseline(Box<dyn TtePredictor>),
-    /// DeepOD (any config/variant/init).
-    DeepOd(DeepOdMethod),
-}
-
-/// DeepOD wrapped for the harness.
-pub struct DeepOdMethod {
-    /// Display name (e.g. "DeepOD", "N-st", "T-one").
-    pub name: String,
-    /// Model + training config.
-    pub config: DeepOdConfig,
-    /// Training-loop options.
-    pub options: TrainOptions,
-}
-
 /// One full evaluation row: metrics + efficiency numbers + raw pairs.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct MethodResult {
@@ -79,8 +62,21 @@ pub struct MethodResult {
     pub model_size_bytes: usize,
     /// Per-test-sample prediction pairs (Figs. 11–13).
     pub pairs: Vec<PredPair>,
-    /// Validation-MAE curve for deep methods (Fig. 10), empty otherwise.
-    pub curve: Vec<(usize, f32, f64)>,
+}
+
+/// One trained DeepOD model: its test-split row plus what the paper's
+/// curve and sweep experiments read from the training run. Of the model
+/// only the slot table is kept, so a cache can hold many runs.
+pub struct DeepOdRun {
+    /// The test-split row (Tables 4–6, Figs. 11–13).
+    pub result: MethodResult,
+    /// The trainer's report: validation curve and times (Fig. 10, Table 3).
+    pub report: TrainReport,
+    /// Predictions for the encoded validation samples, in order
+    /// (Figs. 8–9 tune on validation data).
+    pub val_pairs: Vec<PredPair>,
+    /// The learned time-slot embedding table W_t (Fig. 14b).
+    pub slot_emb: Tensor,
 }
 
 /// Collects prediction pairs from any closure that maps an order index to
@@ -98,73 +94,102 @@ fn collect_pairs(ds: &CityDataset, mut predict: impl FnMut(usize) -> Option<f32>
         .collect()
 }
 
-/// Trains and evaluates a method on a dataset, producing a result row.
-/// Fails when a DeepOD method's config does not validate or when the
-/// method yields a pair set the paper metrics are undefined over.
-pub fn run_method(method: Method, ds: &CityDataset) -> Result<MethodResult, HarnessError> {
+/// Fits a baseline on a dataset's training split and scores it on the
+/// test split. Fails when the baseline yields a pair set the paper
+/// metrics are undefined over.
+pub fn run_method(
+    mut p: Box<dyn TtePredictor>,
+    ds: &CityDataset,
+) -> Result<MethodResult, HarnessError> {
     crate::metrics::register_metrics();
-    match method {
-        Method::Baseline(mut p) => {
-            let t0 = Instant::now();
-            p.fit(ds);
-            let train_time_s = t0.elapsed().as_secs_f64();
+    let t0 = Instant::now();
+    p.fit(ds);
+    let train_time_s = t0.elapsed().as_secs_f64();
 
-            let t1 = Instant::now();
-            let pairs = collect_pairs(ds, |i| p.predict(&ds.test[i].od));
-            let est_elapsed = t1.elapsed().as_secs_f64();
-            let est_time_s_per_k = est_elapsed / ds.test.len().max(1) as f64 * 1000.0;
+    let t1 = Instant::now();
+    let pairs = collect_pairs(ds, |i| p.predict(&ds.test[i].od));
+    let est_time_s_per_k = per_thousand(t1.elapsed().as_secs_f64(), ds);
 
-            Ok(MethodResult {
-                name: p.name().to_string(),
-                metrics: Metrics::from_pairs(&pairs)?,
-                train_time_s,
-                est_time_s_per_k,
-                model_size_bytes: p.size_bytes(),
-                pairs,
-                curve: Vec::new(),
+    Ok(MethodResult {
+        name: p.name().to_string(),
+        metrics: Metrics::from_pairs(&pairs)?,
+        train_time_s,
+        est_time_s_per_k,
+        model_size_bytes: p.size_bytes(),
+        pairs,
+    })
+}
+
+/// Trains DeepOD with `config` and `options`, scores it on the test split
+/// like [`run_method`] (row name "DeepOD") and predicts the encoded
+/// validation samples. Fails when the config does not validate, a
+/// validation estimate fails, or the metrics are undefined over the test
+/// pairs.
+pub fn run_deepod(
+    ds: &CityDataset,
+    config: DeepOdConfig,
+    options: TrainOptions,
+) -> Result<DeepOdRun, HarnessError> {
+    crate::metrics::register_metrics();
+    let t0 = Instant::now();
+    let mut trainer = Trainer::new(ds, config, options)?;
+    let report = trainer.train();
+    let train_time_s = t0.elapsed().as_secs_f64();
+
+    let t1 = Instant::now();
+    let preds = trainer.predict_orders(&ds.test);
+    let est_time_s_per_k = per_thousand(t1.elapsed().as_secs_f64(), ds);
+    let pairs = collect_pairs(ds, |i| preds[i]);
+
+    let samples = trainer.validation_samples();
+    let reqs: Vec<PredictRequest> = samples
+        .iter()
+        .map(|s| PredictRequest::Encoded(s.od.clone()))
+        .collect();
+    let (ctx, net) = trainer.context();
+    let model = trainer.model_ref();
+    let val_pairs = samples
+        .iter()
+        .zip(model.estimate_batch(ctx, net, &reqs, 0))
+        .map(|(s, p)| {
+            Ok(PredPair {
+                actual: s.travel_time,
+                predicted: p?.eta_seconds,
             })
-        }
-        Method::DeepOd(m) => {
-            let t0 = Instant::now();
-            let mut trainer = Trainer::new(ds, m.config, m.options)?;
-            let report = trainer.train();
-            let train_time_s = t0.elapsed().as_secs_f64();
+        })
+        .collect::<Result<_, ModelError>>()?;
 
-            let t1 = Instant::now();
-            let preds = trainer.predict_orders(&ds.test);
-            let est_elapsed = t1.elapsed().as_secs_f64();
-            let est_time_s_per_k = est_elapsed / ds.test.len().max(1) as f64 * 1000.0;
+    Ok(DeepOdRun {
+        result: MethodResult {
+            name: "DeepOD".into(),
+            metrics: Metrics::from_pairs(&pairs)?,
+            train_time_s,
+            est_time_s_per_k,
+            model_size_bytes: model.size_bytes(),
+            pairs,
+        },
+        report,
+        val_pairs,
+        slot_emb: model.store.value(model.slot_emb.table).clone(),
+    })
+}
 
-            let pairs = collect_pairs(ds, |i| preds[i]);
-            let model_size = trainer.model().size_bytes();
-            Ok(MethodResult {
-                name: m.name,
-                metrics: Metrics::from_pairs(&pairs)?,
-                train_time_s,
-                est_time_s_per_k,
-                model_size_bytes: model_size,
-                pairs,
-                curve: report
-                    .curve
-                    .iter()
-                    .map(|p| (p.step, p.val_mae, p.elapsed_s))
-                    .collect(),
-            })
-        }
-    }
+/// Estimation seconds per 1 000 test orders.
+fn per_thousand(elapsed_s: f64, ds: &CityDataset) -> f64 {
+    elapsed_s / ds.test.len().max(1) as f64 * 1000.0
 }
 
 /// The five baselines of §6.1 with laptop-scale settings.
-pub fn all_baselines() -> Vec<Method> {
+pub fn all_baselines() -> Vec<Box<dyn TtePredictor>> {
     vec![
-        Method::Baseline(Box::new(TempPredictor::new(TempConfig::default()))),
-        Method::Baseline(Box::new(LinearRegression::new(1e-3))),
-        Method::Baseline(Box::new(GbmPredictor::new(GbmConfig::default()))),
-        Method::Baseline(Box::new(StnnPredictor::new(StnnConfig::default()))),
+        Box::new(TempPredictor::new(TempConfig::default())),
+        Box::new(LinearRegression::new(1e-3)),
+        Box::new(GbmPredictor::new(GbmConfig::default())),
+        Box::new(StnnPredictor::new(StnnConfig::default())),
         // MuratConfig::default uses 300 s slots, a week divisor — cannot fail.
-        Method::Baseline(Box::new(
+        Box::new(
             MuratPredictor::new(MuratConfig::default()).expect("default murat slot size"), // deepod-lint: allow(expect)
-        )),
+        ),
     ]
 }
 
@@ -177,8 +202,7 @@ mod tests {
     #[test]
     fn baseline_row_complete() {
         let ds = DatasetBuilder::build(&DatasetConfig::for_profile(CityProfile::SynthChengdu, 120));
-        let res = run_method(Method::Baseline(Box::new(LinearRegression::new(1e-3))), &ds)
-            .expect("baseline runs");
+        let res = run_method(Box::new(LinearRegression::new(1e-3)), &ds).expect("baseline runs");
         assert_eq!(res.name, "LR");
         assert!(res.metrics.mae.is_finite());
         assert!(res.metrics.mape_pct > 0.0);
@@ -186,7 +210,6 @@ mod tests {
         assert!(res.est_time_s_per_k >= 0.0);
         assert!(res.model_size_bytes > 0);
         assert!(!res.pairs.is_empty());
-        assert!(res.curve.is_empty());
     }
 
     #[test]
@@ -209,28 +232,23 @@ mod tests {
             dtraf: 4,
             ..DeepOdConfig::default()
         };
-        let res = run_method(
-            Method::DeepOd(DeepOdMethod {
-                name: "DeepOD".into(),
-                config: cfg,
-                options: TrainOptions::default(),
-            }),
-            &ds,
-        )
-        .expect("deepod runs");
-        assert_eq!(res.name, "DeepOD");
-        assert!(!res.curve.is_empty(), "deep methods must expose a curve");
-        assert!(res.metrics.mae.is_finite());
+        let run = run_deepod(&ds, cfg, TrainOptions::default()).expect("deepod runs");
+        assert_eq!(run.result.name, "DeepOD");
+        assert!(run.result.metrics.mae.is_finite());
+        assert!(
+            !run.report.curve.is_empty(),
+            "deep methods must expose a curve"
+        );
+        assert!(!run.val_pairs.is_empty());
+        assert!(run.val_pairs.iter().all(|p| p.predicted.is_finite()));
+        assert_eq!(run.slot_emb.dim(1), 6, "one dt_dim-wide row per slot");
     }
 
     #[test]
     fn route_tte_extension_runs_through_harness() {
         let ds = DatasetBuilder::build(&DatasetConfig::for_profile(CityProfile::SynthChengdu, 120));
-        let r = run_method(
-            Method::Baseline(Box::new(deepod_baselines::RouteTtePredictor::new())),
-            &ds,
-        )
-        .expect("extension runs");
+        let r = run_method(Box::new(deepod_baselines::RouteTtePredictor::new()), &ds)
+            .expect("extension runs");
         assert_eq!(r.name, "RouteTTE");
         assert!(r.metrics.mae.is_finite());
         assert!(r.model_size_bytes > 0);
@@ -238,13 +256,7 @@ mod tests {
 
     #[test]
     fn all_baselines_present() {
-        let names: Vec<&str> = all_baselines()
-            .iter()
-            .map(|m| match m {
-                Method::Baseline(b) => b.name(),
-                Method::DeepOd(_) => unreachable!(),
-            })
-            .collect();
+        let names: Vec<&str> = all_baselines().iter().map(|b| b.name()).collect();
         assert_eq!(names, vec!["TEMP", "LR", "GBM", "STNN", "MURAT"]);
     }
 }

@@ -1,5 +1,4 @@
-//! Plain-text table rendering and CSV output for the per-table/figure
-//! harness binaries.
+//! Plain-text table rendering and CSV output for the paper runner.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -112,15 +111,14 @@ pub fn metric_cell(value: f32, precision: usize) -> String {
     }
 }
 
-/// Writes a table to `results/<name>.csv` relative to the workspace root,
-/// creating the directory if needed. Returns the path written.
+/// Writes a table to `<dir>/<name>.csv`, creating `dir` if needed.
+/// Returns the path written.
 ///
 /// The write goes through the crash-safe [`deepod_core::io_guard`] (temp
 /// file + fsync + atomic rename), so an interrupted benchmark never leaves
 /// a torn CSV behind; the guard's typed error is wrapped back into
-/// `io::Error` to keep this signature stable for the bench binaries.
-pub fn write_csv(name: &str, table: &TextTable) -> std::io::Result<String> {
-    let dir = Path::new("results");
+/// `io::Error`.
+pub fn write_csv(dir: &Path, name: &str, table: &TextTable) -> std::io::Result<String> {
     fs::create_dir_all(dir)?;
     let path = dir.join(format!("{name}.csv"));
     deepod_core::io_guard::atomic_write_str(&path, &table.to_csv())

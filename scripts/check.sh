@@ -114,4 +114,10 @@ stage kernels    kernel_tests
 # benchmark (BENCHMARK.json). Its gate — each served reply `to_bits`-equal
 # to `estimate_batch(threads = 1)` on the same request — is the end-to-end
 # check that serving, batching and training still compute one function.
-stage bench-smoke cargo run --release -q -p deepod-bench --bin benchmark -- --smoke
+# Then the paper runner lists its registry (builds it and checks it
+# starts, without training anything).
+bench_smoke() {
+  cargo run --release -q -p deepod-bench --bin benchmark -- --smoke &&
+    cargo run --release -q -p deepod-bench --bin paper -- --list
+}
+stage bench-smoke bench_smoke
