@@ -702,7 +702,6 @@ fn serve(args: &Args) -> Result<Outcome, String> {
         // StdinLock is live is the intended single-producer design: only
         // this loop reads stdin, so nothing can contend the guard, and
         // the engine queue has its own backpressure.
-        // deepod-audit: allow(lock-across-send)
         let Some(item) = net::process_line(&engine, &ds, &line, admission) else {
             continue; // blank line: no reply owed
         };

@@ -277,7 +277,7 @@ pub fn format() -> LogFormat {
 /// only to order event lines for humans — never checksummed or compared.
 fn elapsed_ms() -> f64 {
     use std::sync::OnceLock;
-    // deepod-lint: allow(nondeterminism) — observability-only clock
+    // Observability-only clock.
     static START: OnceLock<std::time::Instant> = OnceLock::new();
     // deepod-lint: allow(nondeterminism)
     let start = START.get_or_init(std::time::Instant::now);

@@ -18,7 +18,7 @@ use super::registry;
 pub struct TimingSpan {
     target: &'static str,
     metric: &'static str,
-    // deepod-lint: allow(nondeterminism) — wall time is observability-only
+    // Wall time is observability-only.
     start: std::time::Instant,
 }
 

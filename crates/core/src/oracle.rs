@@ -149,7 +149,7 @@ impl OdKeyer {
         let side = |extent: f64| {
             let cells =
                 deepod_tensor::ceil_count((extent.max(0.0) / cell).min(f64::from(MAX_GRID_SIDE)));
-            cells.max(1) as u32 // deepod-lint: allow(truncating-cast) — capped at MAX_GRID_SIDE
+            cells.max(1) as u32 // capped at MAX_GRID_SIDE
         };
         OdKeyer {
             x0: min.x,
@@ -180,7 +180,7 @@ impl OdKeyer {
         // In-range by the clamps above.
         (iy as u32)
             .saturating_mul(self.nx)
-            .saturating_add(ix as u32) // deepod-lint: allow(truncating-cast)
+            .saturating_add(ix as u32)
     }
 
     /// Center point of a cell (row-major index; out-of-range indices clamp
@@ -210,7 +210,7 @@ impl OdKeyer {
         Some(OracleKey {
             origin_cell: self.cell_of(&od.origin),
             dest_cell: self.cell_of(&od.destination),
-            week_slot: self.slots.week_node(slot) as u32, // deepod-lint: allow(truncating-cast) — < slots_per_week
+            week_slot: self.slots.week_node(slot) as u32, // < slots_per_week
         })
     }
 
@@ -328,7 +328,7 @@ impl OdOracle {
         out.extend_from_slice(&self.keyer.ny.to_le_bytes());
         out.extend_from_slice(&self.keyer.slots.t0.to_bits().to_le_bytes());
         out.extend_from_slice(&self.keyer.slots.dt.to_bits().to_le_bytes());
-        out.extend_from_slice(&(fp.len() as u32).to_le_bytes()); // deepod-lint: allow(truncating-cast) — 16-char hex
+        out.extend_from_slice(&(fp.len() as u32).to_le_bytes()); // 16-char hex
         out.extend_from_slice(fp);
         out.extend_from_slice(&(self.entries.len() as u64).to_le_bytes());
         for e in &self.entries {
@@ -395,7 +395,7 @@ impl OdOracle {
         let fp = cur.take_bytes(fp_len, "fingerprint")?;
         let model_fingerprint = String::from_utf8(fp.to_vec())
             .map_err(|_| OracleError::Format("fingerprint is not UTF-8".into()))?;
-        let count = cur.read_u64("entry count")? as usize; // deepod-lint: allow(truncating-cast) — bounds-checked below
+        let count = cur.read_u64("entry count")? as usize; // bounds-checked below
         let remaining = bytes.len().saturating_sub(cur.pos);
         if count != remaining / RECORD_BYTES || !remaining.is_multiple_of(RECORD_BYTES) {
             return Err(OracleError::Format(format!(
@@ -487,7 +487,7 @@ pub fn hot_keys(keyer: &OdKeyer, ds: &CityDataset, spec: &PrecomputeSpec) -> Vec
             .entry(keyer.cell_of(&order.od.destination))
             .or_insert(0) += 1;
         if let Some((slot, _)) = keyer.slots.slot_rem_checked(order.od.depart) {
-            let node = keyer.slots.week_node(slot) as u32; // deepod-lint: allow(truncating-cast) — < slots_per_week
+            let node = keyer.slots.week_node(slot) as u32; // < slots_per_week
             *slot_freq.entry(node).or_insert(0) += 1;
         }
     }

@@ -15,9 +15,8 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 // Wall clocks time the *report*, never the computation: loss curves and
-// model selection depend only on (seed, thread count). deepod-lint's
-// nondeterminism rule is relaxed for exactly these two call sites.
-// deepod-lint: allow(nondeterminism)
+// model selection depend only on (seed, thread count). The
+// nondeterminism rule is relaxed only where the report is timed.
 use std::time::Instant;
 
 /// Eagerly materializes every metric key the training loop emits, so a

@@ -205,7 +205,6 @@ mod tests {
                 for dy in 0..kh {
                     for dx in 0..kw {
                         let kv = k[kbase + dy * kw + dx];
-                        // deepod-lint: allow(float-eq)
                         if kv == 0.0 {
                             continue;
                         }

@@ -172,7 +172,7 @@ impl ServeCache {
     fn shard_of(&self, key: &OracleKey) -> Option<&Mutex<LruShard>> {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         key.hash(&mut h);
-        let idx = (h.finish() as usize) % self.shards.len().max(1); // deepod-lint: allow(truncating-cast)
+        let idx = (h.finish() as usize) % self.shards.len().max(1);
         self.shards.get(idx)
     }
 

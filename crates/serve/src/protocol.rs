@@ -232,7 +232,7 @@ fn id_of(v: &Value) -> Result<u64, String> {
     if id_raw >= TWO_POW_64 {
         return Err(format!("id: {id_raw} does not fit a 64-bit id"));
     }
-    Ok(id_raw as u64) // deepod-lint: allow(truncating-cast)
+    Ok(id_raw as u64)
 }
 
 impl WireRequest {
@@ -253,7 +253,6 @@ impl WireRequest {
         if let Ok(ver) = json::obj_field(&v, "v") {
             let raw = num_of(ver, "v").map_err(reject)?;
             // Versions are exact small integers by construction.
-            // deepod-lint: allow(float-eq)
             if raw != f64::from(PROTOCOL_VERSION) {
                 return Err((
                     echo,
@@ -424,7 +423,7 @@ mod tests {
         assert_eq!(w.id, 7);
         assert_eq!(w.from, (1200.0, 3400.0));
         assert_eq!(w.to, (4100.0, 800.5));
-        assert_eq!(w.depart, 3600.0); // deepod-lint: allow(float-eq)
+        assert_eq!(w.depart, 3600.0);
         assert!(!w.low_priority, "absent priority defaults to normal");
     }
 

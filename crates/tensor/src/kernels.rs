@@ -19,10 +19,12 @@
 //!   runs over the panels. Matvec packs [`PR`]-row panels and broadcasts
 //!   the input vector.
 //!
-//! SIMD paths are selected at runtime via [`active_isa`] (cached
-//! `is_x86_feature_detected!` probes); every intrinsic call site sits in a
-//! `#[target_feature]` function reached only through that dispatcher — the
-//! `no-unchecked-simd` lint rule (DESIGN.md §7) keeps it that way.
+//! SIMD paths are selected at runtime via [`active_isa`] (a cached
+//! `is_x86_feature_detected!` probe). Every intrinsic call sits in a
+//! `#[target_feature]` function of the one `#[allow(unsafe_code)]` module,
+//! whose safe wrappers take an `Avx` token that only the probe can
+//! construct — so reaching an AVX kernel without the probe does not
+//! compile (DESIGN.md §7).
 //!
 //! # Determinism contract
 //!
@@ -88,38 +90,64 @@ impl Isa {
     }
 }
 
-/// Probes CPU features once and caches the result; the probe itself is
-/// the *only* gate SIMD kernels are reached through.
-pub fn active_isa() -> Isa {
-    use std::sync::atomic::{AtomicU8, Ordering};
-    static ISA: AtomicU8 = AtomicU8::new(0);
-    match ISA.load(Ordering::Relaxed) {
-        1 => Isa::Scalar,
-        2 => Isa::Avx,
-        _ => {
-            let isa = detect_isa();
-            let code = match isa {
-                Isa::Scalar => 1,
-                Isa::Avx => 2,
-            };
-            ISA.store(code, Ordering::Relaxed);
-            isa
+pub use probe::active_isa;
+#[cfg(target_arch = "x86_64")]
+use probe::Avx;
+
+/// The cached CPU probe, in a module of its own so nothing else in this
+/// file can construct an [`Avx`] token.
+mod probe {
+    use super::Isa;
+
+    /// Proof that the running CPU has AVX. Zero-sized; its field is
+    /// private to this module, so the only way to obtain one is
+    /// [`Avx::detect`], which asks the cached probe. The `x86` wrappers
+    /// take it by value.
+    #[cfg(target_arch = "x86_64")]
+    #[derive(Clone, Copy, Debug)]
+    pub struct Avx(());
+
+    #[cfg(target_arch = "x86_64")]
+    impl Avx {
+        /// `Some` exactly when [`active_isa`] found AVX.
+        pub fn detect() -> Option<Avx> {
+            (active_isa() >= Isa::Avx).then_some(Avx(()))
         }
     }
-}
 
-#[cfg(target_arch = "x86_64")]
-fn detect_isa() -> Isa {
-    if std::arch::is_x86_feature_detected!("avx") {
-        Isa::Avx
-    } else {
+    /// Probes CPU features once and caches the result; the probe itself
+    /// is the *only* gate SIMD kernels are reached through.
+    pub fn active_isa() -> Isa {
+        use std::sync::atomic::{AtomicU8, Ordering};
+        static ISA: AtomicU8 = AtomicU8::new(0);
+        match ISA.load(Ordering::Relaxed) {
+            1 => Isa::Scalar,
+            2 => Isa::Avx,
+            _ => {
+                let isa = detect_isa();
+                let code = match isa {
+                    Isa::Scalar => 1,
+                    Isa::Avx => 2,
+                };
+                ISA.store(code, Ordering::Relaxed);
+                isa
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    fn detect_isa() -> Isa {
+        if std::arch::is_x86_feature_detected!("avx") {
+            Isa::Avx
+        } else {
+            Isa::Scalar
+        }
+    }
+
+    #[cfg(not(target_arch = "x86_64"))]
+    fn detect_isa() -> Isa {
         Isa::Scalar
     }
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn detect_isa() -> Isa {
-    Isa::Scalar
 }
 
 // ---------------------------------------------------------------------------
@@ -212,8 +240,10 @@ pub fn matmul(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
     }
     let rows = a.len() / k;
     #[cfg(target_arch = "x86_64")]
-    if active_isa() >= Isa::Avx && rows * k * n >= SIMD_MIN_MATMUL_ELEMS && n >= PR {
-        return matmul_packed(a, b, out, k, n);
+    if rows * k * n >= SIMD_MIN_MATMUL_ELEMS && n >= PR {
+        if let Some(avx) = Avx::detect() {
+            return matmul_packed(avx, a, b, out, k, n);
+        }
     }
     matmul_ref(a, b, out, k, n);
 }
@@ -224,8 +254,10 @@ pub fn matvec_bias_act(w: &[f32], x: &[f32], bias: &[f32], act: Activation, out:
     debug_assert_eq!(w.len(), out.len() * x.len());
     debug_assert_eq!(bias.len(), out.len());
     #[cfg(target_arch = "x86_64")]
-    if active_isa() >= Isa::Avx && out.len() >= PR && w.len() >= SIMD_MIN_MATVEC_ELEMS {
-        return matvec_packed(w, x, bias, act, out);
+    if out.len() >= PR && w.len() >= SIMD_MIN_MATVEC_ELEMS {
+        if let Some(avx) = Avx::detect() {
+            return matvec_packed(avx, w, x, bias, act, out);
+        }
     }
     matvec_ref(w, x, bias, act, out);
 }
@@ -236,8 +268,10 @@ pub fn matvec_bias_act(w: &[f32], x: &[f32], bias: &[f32], act: Activation, out:
 pub fn axpy(y: &mut [f32], x: &[f32], a: f32) {
     debug_assert_eq!(y.len(), x.len());
     #[cfg(target_arch = "x86_64")]
-    if active_isa() >= Isa::Avx && y.len() >= PR {
-        return x86::run_axpy(y, x, a);
+    if y.len() >= PR {
+        if let Some(avx) = Avx::detect() {
+            return x86::run_axpy(avx, y, x, a);
+        }
     }
     for (yv, &xv) in y.iter_mut().zip(x) {
         *yv += a * xv;
@@ -254,7 +288,7 @@ pub fn axpy(y: &mut [f32], x: &[f32], a: f32) {
 /// accumulates across k-blocks, preserving global ascending-`k` order per
 /// element.
 #[cfg(target_arch = "x86_64")]
-fn matmul_packed(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
+fn matmul_packed(avx: Avx, a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
     let rows = a.len() / k;
     let row_blocks = rows.div_ceil(MR);
     let kc_max = KC.min(k);
@@ -276,7 +310,7 @@ fn matmul_packed(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
                     acc[r * NR..r * NR + nr].copy_from_slice(orow);
                 }
                 let apanel = &apack[bi * MR * kc..(bi + 1) * MR * kc];
-                x86::run_mm4x16(apanel, &bpack[..kc * NR], kc, &mut acc);
+                x86::run_mm4x16(avx, apanel, &bpack[..kc * NR], kc, &mut acc);
                 for r in 0..mr {
                     let orow = &mut out[(i0 + r) * n + j0..(i0 + r) * n + j0 + nr];
                     orow.copy_from_slice(&acc[r * NR..r * NR + nr]);
@@ -333,7 +367,7 @@ fn pack_b_strip(
 /// ascending-`k` order; the bias/activation epilogue is scalar and
 /// identical to [`matvec_ref`]'s.
 #[cfg(target_arch = "x86_64")]
-fn matvec_packed(w: &[f32], x: &[f32], bias: &[f32], act: Activation, out: &mut [f32]) {
+fn matvec_packed(avx: Avx, w: &[f32], x: &[f32], bias: &[f32], act: Activation, out: &mut [f32]) {
     let m = out.len();
     let k = x.len();
     let mut panel = vec![0.0f32; PR * k];
@@ -349,7 +383,7 @@ fn matvec_packed(w: &[f32], x: &[f32], bias: &[f32], act: Activation, out: &mut 
                 panel[p * PR + r] = wv;
             }
         }
-        x86::run_mv8(&panel, x, &mut accs);
+        x86::run_mv8(avx, &panel, x, &mut accs);
         for r in 0..pr {
             out[i0 + r] = act.apply(accs[r] + bias[i0 + r]);
         }
@@ -362,13 +396,13 @@ fn matvec_packed(w: &[f32], x: &[f32], bias: &[f32], act: Activation, out: &mut 
 
 /// The only module in the workspace allowed to use `unsafe`: raw
 /// `std::arch` intrinsics behind `#[target_feature]` functions. Every
-/// public wrapper here is reached exclusively through the [`active_isa`]
-/// dispatcher (debug-asserted), which is what makes the `unsafe` calls
-/// sound: the required CPU features were probed at runtime.
+/// wrapper takes an [`Avx`] token, which only the cached probe
+/// constructs — that is what makes the `unsafe` calls sound: the
+/// required CPU feature was probed at runtime.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod x86 {
-    use super::{Isa, MR, NR, PR};
+    use super::{Avx, MR, NR, PR};
     use core::arch::x86_64::{
         __m256, _mm256_add_ps, _mm256_broadcast_ss, _mm256_loadu_ps, _mm256_mul_ps,
         _mm256_setzero_ps, _mm256_storeu_ps,
@@ -416,13 +450,17 @@ mod x86 {
         }
     }
 
-    /// Safe wrapper for [`mm4x16`]; only reachable once [`super::active_isa`]
-    /// has confirmed AVX.
-    pub(super) fn run_mm4x16(apanel: &[f32], bpanel: &[f32], kc: usize, acc: &mut [f32; MR * NR]) {
-        debug_assert!(super::active_isa() >= Isa::Avx);
+    /// Safe wrapper for [`mm4x16`]; the [`Avx`] token proves AVX.
+    pub(super) fn run_mm4x16(
+        _: Avx,
+        apanel: &[f32],
+        bpanel: &[f32],
+        kc: usize,
+        acc: &mut [f32; MR * NR],
+    ) {
         debug_assert!(apanel.len() >= kc * MR && bpanel.len() >= kc * NR);
-        // SAFETY: AVX presence was established by the runtime probe above;
-        // panel bounds are debug-asserted and guaranteed by the packers.
+        // SAFETY: the `Avx` token exists only once the runtime probe found
+        // AVX; panel bounds are debug-asserted and guaranteed by the packers.
         unsafe { mm4x16(apanel.as_ptr(), bpanel.as_ptr(), kc, acc.as_mut_ptr()) }
     }
 
@@ -443,11 +481,10 @@ mod x86 {
         _mm256_storeu_ps(out, acc);
     }
 
-    /// Safe wrapper for [`mv8`]; only reachable via [`super::active_isa`].
-    pub(super) fn run_mv8(panel: &[f32], x: &[f32], accs: &mut [f32; PR]) {
-        debug_assert!(super::active_isa() >= Isa::Avx);
+    /// Safe wrapper for [`mv8`]; the [`Avx`] token proves AVX.
+    pub(super) fn run_mv8(_: Avx, panel: &[f32], x: &[f32], accs: &mut [f32; PR]) {
         debug_assert!(panel.len() >= x.len() * PR);
-        // SAFETY: AVX probed at runtime; panel length debug-asserted.
+        // SAFETY: the `Avx` token proves AVX; panel length debug-asserted.
         unsafe { mv8(panel.as_ptr(), x.as_ptr(), x.len(), accs.as_mut_ptr()) }
     }
 
@@ -473,12 +510,12 @@ mod x86 {
         }
     }
 
-    /// Safe wrapper for [`axpy_avx`]; only reachable via [`super::active_isa`].
-    pub(super) fn run_axpy(y: &mut [f32], x: &[f32], a: f32) {
-        debug_assert!(super::active_isa() >= Isa::Avx);
-        debug_assert_eq!(y.len(), x.len());
-        // SAFETY: AVX probed at runtime; equal lengths asserted above.
-        unsafe { axpy_avx(y.as_mut_ptr(), x.as_ptr(), a, y.len()) }
+    /// Safe wrapper for [`axpy_avx`] over the common prefix of `y` and
+    /// `x` — where the scalar `zip` stops; the [`Avx`] token proves AVX.
+    pub(super) fn run_axpy(_: Avx, y: &mut [f32], x: &[f32], a: f32) {
+        let n = y.len().min(x.len());
+        // SAFETY: the `Avx` token proves AVX; both slices hold >= `n` floats.
+        unsafe { axpy_avx(y.as_mut_ptr(), x.as_ptr(), a, n) }
     }
 }
 
@@ -550,6 +587,24 @@ mod tests {
                 *yv += 0.37 * xv;
             }
             assert_eq!(got, want, "n={n}");
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn run_axpy_stops_at_the_shorter_slice_like_the_scalar_zip() {
+        let Some(avx) = Avx::detect() else {
+            return; // no AVX here: the wrapper is unreachable
+        };
+        for (ny, nx) in [(20, 9), (9, 20), (16, 16), (3, 0)] {
+            let x = rand_vec(nx, 800 + nx as u64)[..nx].to_vec();
+            let mut got = rand_vec(ny, 900 + ny as u64);
+            let mut want = got.clone();
+            x86::run_axpy(avx, &mut got, &x, 0.37);
+            for (yv, &xv) in want.iter_mut().zip(&x) {
+                *yv += 0.37 * xv;
+            }
+            assert_eq!(got, want, "y={ny} x={nx}");
         }
     }
 

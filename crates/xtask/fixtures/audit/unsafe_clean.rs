@@ -1,11 +1,5 @@
-//! Audit fixture: the sanctioned unsafe/SIMD shape — SAFETY-commented
-//! blocks, and `#[target_feature]` kernels reached only through callers
-//! that consult the runtime detector (directly, or via the wrapper idiom
-//! that documents its precondition with a `debug_assert!`).
-
-fn active_isa() -> u32 {
-    2
-}
+//! Audit fixture: the sanctioned unsafe shape — a `# Safety` doc section
+//! on every `unsafe fn` and a SAFETY comment on every `unsafe` block.
 
 /// Lanewise kernel stand-in.
 ///
@@ -16,18 +10,11 @@ unsafe fn kern(x: &mut [f32]) {
     x.reverse();
 }
 
-pub fn dispatch(x: &mut [f32]) {
-    if active_isa() >= 2 {
-        // SAFETY: active_isa() confirmed AVX2 on this machine.
+pub fn dispatch(avx2: bool, x: &mut [f32]) {
+    if avx2 {
+        // SAFETY: `avx2` is the runtime probe's answer on this machine.
         unsafe { kern(x) }
     } else {
         x.reverse();
     }
-}
-
-pub fn run_wrapper(x: &mut [f32]) {
-    debug_assert!(active_isa() >= 2);
-    // SAFETY: callers reach this wrapper only through `dispatch`-style
-    // runtime detection (debug-asserted above).
-    unsafe { kern(x) }
 }

@@ -1,4 +1,5 @@
-//! Fixture: seeded `panic!` / `todo!` violations in library code.
+//! Fixture: a seeded `panic!` in library code. `todo!` is denied by
+//! workspace clippy on every target, so the `panic` rule leaves it alone.
 
 pub fn choose(mode: u8) -> u32 {
     match mode {

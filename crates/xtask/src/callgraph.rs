@@ -1,6 +1,6 @@
 //! Workspace call graph over parsed function items.
 //!
-//! Resolution is *conservative by name* (DESIGN.md §13): a method call
+//! Resolution is *conservative by name* (DESIGN.md §7): a method call
 //! `recv.foo(..)` links to every non-test workspace fn named `foo` whose
 //! first parameter is `self`; a bare call `foo(..)` to every self-less
 //! one; a qualified call `Qual::foo(..)` links to fns named `foo` declared in
@@ -8,7 +8,7 @@
 //! `mod`). Qualified calls whose qualifier matches nothing in the
 //! workspace are treated as external (`Vec::new`, `String::from`, ...).
 //! Trait-object dispatch and closures passed as values are invisible —
-//! the soundness caveat the audit documents — but every *named* edge the
+//! the soundness caveat DESIGN.md §7 documents — but every *named* edge the
 //! workspace can express is present, which over-approximates reachability
 //! rather than missing it.
 
@@ -36,7 +36,7 @@ pub struct Edge {
 /// The workspace call graph.
 pub struct CallGraph<'a> {
     /// Parsed files, in the order nodes reference them.
-    pub files: &'a [ParsedFile],
+    pub files: Vec<&'a ParsedFile>,
     /// Flattened function nodes.
     pub nodes: Vec<NodeId>,
     /// `edges[n]` — resolved outgoing calls of node `n`.
@@ -47,7 +47,8 @@ impl<'a> CallGraph<'a> {
     /// Builds the graph. Test fns get nodes (so their bodies can still
     /// be inspected) but are never resolution *targets*: a lib call
     /// named like a test helper must not link into test code.
-    pub fn build(files: &'a [ParsedFile]) -> Self {
+    pub fn build(files: impl IntoIterator<Item = &'a ParsedFile>) -> Self {
+        let files: Vec<&ParsedFile> = files.into_iter().collect();
         let mut nodes = Vec::new();
         for (fi, f) in files.iter().enumerate() {
             for (gi, _) in f.functions.iter().enumerate() {
@@ -132,7 +133,7 @@ impl<'a> CallGraph<'a> {
 
     /// The file a node was declared in.
     pub fn file(&self, n: usize) -> &ParsedFile {
-        &self.files[self.nodes[n].file]
+        self.files[self.nodes[n].file]
     }
 
     /// Finds the node for a non-test fn by path suffix and name.
@@ -203,7 +204,7 @@ mod tests {
     use crate::parser::parse_file;
 
     fn parse_one(src: &str) -> ParsedFile {
-        parse_file("crates/demo/src/demo.rs", "demo", &lex(src), false, false)
+        parse_file("crates/demo/src/demo.rs", "demo", lex(src), false, false)
     }
 
     #[test]

@@ -1,22 +1,22 @@
-//! A minimal hand-rolled Rust lexer for `deepod-lint`.
+//! A minimal hand-rolled Rust lexer for `xtask check`.
 //!
-//! The linter's rules are token-level patterns (`.unwrap()` call sites,
-//! float literals next to `==`, `as usize` after a float-producing call),
-//! so a full parser is unnecessary — but a naive regex over source text is
+//! The per-line rules are token-level patterns (float literals next to
+//! `==`, `as usize` after a float-producing call, `fs::write` paths), so
+//! a full parser is unnecessary — but a naive regex over source text is
 //! not enough either: `unwrap` inside a string literal or a doc comment
 //! must not fire. This lexer produces a faithful token stream that skips
-//! comments and strings while still *reading* comments, because trailing
-//! `// deepod-lint: allow(<rule>)` / `// deepod-audit: allow(<rule>)`
-//! directives are the suppression mechanism (see DESIGN.md §7, §13) and
-//! comments containing `SAFETY:` justify `unsafe` for the audit pass.
-//! String literal *contents* are kept on the token (the metrics/obs
-//! consistency analysis needs the literal metric names).
+//! comments and strings while still *reading* comments, because allow
+//! directives in plain comments are the suppression mechanism (see
+//! DESIGN.md §7) and comments containing `SAFETY:` justify `unsafe`.
+//! String literal *contents* are kept on the token (the metrics
+//! consistency rule needs the literal metric names).
 //!
 //! Deliberately unsupported (not used in this workspace): full escape
 //! decoding beyond the common `\n`/`\t`/`\"`/`\\` forms and nested
-//! generic disambiguation (a token-level linter never needs it).
+//! generic disambiguation (a token-level checker never needs it).
 
-use std::collections::{HashMap, HashSet};
+use std::cell::Cell;
+use std::collections::HashSet;
 
 /// Token classification, as coarse as the rules need.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,27 +60,53 @@ impl Token {
     }
 }
 
-/// A lexed source file: the token stream plus the `deepod-lint:
-/// allow(...)` directives harvested from comments.
+/// One rule named by an allow directive. A directive comment —
+/// `// deepod-lint: allow(<rule>, ..)`, or the older `deepod-audit:`
+/// spelling — covers its own line *and* the following line, so both
+/// trailing and standalone-line-above placements work.
+#[derive(Debug)]
+pub struct Allow {
+    /// 1-based line of the directive comment.
+    pub line: u32,
+    /// The rule it suppresses.
+    pub rule: String,
+    /// Set once the directive has suppressed a finding; a directive that
+    /// never does is itself an `unused-allow` finding.
+    pub used: Cell<bool>,
+}
+
+impl Allow {
+    /// True when this directive suppresses `rule` on `line`.
+    pub fn covers(&self, rule: &str, line: u32) -> bool {
+        self.rule == rule && (line == self.line || line == self.line + 1)
+    }
+}
+
+/// A lexed source file: the token stream plus the allow directives and
+/// `SAFETY:` comments harvested from comments.
 #[derive(Debug, Default)]
 pub struct Lexed {
     /// Tokens in source order.
     pub tokens: Vec<Token>,
-    /// Lines (1-based) on which each rule is suppressed. A directive
-    /// comment suppresses its own line *and* the following line, so both
-    /// trailing and standalone-line-above placements work. Lint and audit
-    /// directives share this map; their rule names do not collide.
-    pub allows: HashMap<u32, HashSet<String>>,
+    /// Allow directives, one entry per named rule.
+    pub allows: Vec<Allow>,
     /// Lines (1-based) on which a comment containing `SAFETY:` (or a
-    /// `# Safety` doc-section header) starts. The unsafe audit accepts a
-    /// justification comment on the same line as the `unsafe` keyword or
-    /// within a few lines above it.
+    /// `# Safety` doc-section header) starts. The `unsafe-safety` rule
+    /// accepts a justification comment on the same line as the `unsafe`
+    /// keyword or within a few lines above it.
     pub safety_lines: HashSet<u32>,
 }
 
-/// Records an allow directive (`deepod-lint:` or `deepod-audit:`) found
-/// in a comment at `line`.
-fn record_allows(allows: &mut HashMap<u32, HashSet<String>>, comment: &str, line: u32) {
+/// Records the allow directive in a plain comment at `line`. Doc
+/// comments (`///`, `//!`, `/**`, `/*!`) only *describe* directives.
+fn record_allows(allows: &mut Vec<Allow>, comment: &str, line: u32) {
+    let is_doc = (comment.starts_with("///") && !comment.starts_with("////"))
+        || comment.starts_with("//!")
+        || (comment.starts_with("/**") && !comment.starts_with("/**/"))
+        || comment.starts_with("/*!");
+    if is_doc {
+        return;
+    }
     let pos = match (comment.find("deepod-lint:"), comment.find("deepod-audit:")) {
         (Some(p), _) => p + "deepod-lint:".len(),
         (None, Some(p)) => p + "deepod-audit:".len(),
@@ -91,11 +117,13 @@ fn record_allows(allows: &mut HashMap<u32, HashSet<String>>, comment: &str, line
         return;
     };
     let Some(end) = list.find(')') else { return };
-    for rule in list[..end].split(',') {
-        let rule = rule.trim();
+    for rule in list[..end].split(',').map(str::trim) {
         if !rule.is_empty() {
-            allows.entry(line).or_default().insert(rule.to_string());
-            allows.entry(line + 1).or_default().insert(rule.to_string());
+            allows.push(Allow {
+                line,
+                rule: rule.to_string(),
+                used: Cell::new(false),
+            });
         }
     }
 }
@@ -228,6 +256,9 @@ pub fn lex(src: &str) -> Lexed {
                         if b[j] == '\\' {
                             j += 1;
                             if j < n {
+                                if b[j] == '\n' {
+                                    line += 1; // `\` line continuation
+                                }
                                 content.push(unescape(b[j]));
                             }
                         } else {
@@ -258,6 +289,9 @@ pub fn lex(src: &str) -> Lexed {
                 if b[i] == '\\' {
                     i += 1;
                     if i < n {
+                        if b[i] == '\n' {
+                            line += 1; // `\` line continuation
+                        }
                         content.push(unescape(b[i]));
                     }
                 } else {
@@ -469,12 +503,17 @@ mod tests {
     #[test]
     fn allow_directives_cover_their_line_and_the_next() {
         let lx = lex("a\n// deepod-lint: allow(unwrap, float-eq)\nb.unwrap();\n");
-        let l2 = lx.allows.get(&2).unwrap();
-        let l3 = lx.allows.get(&3).unwrap();
-        for rules in [l2, l3] {
-            assert!(rules.contains("unwrap") && rules.contains("float-eq"));
+        for line in [2, 3] {
+            for rule in ["unwrap", "float-eq"] {
+                assert!(lx.allows.iter().any(|a| a.covers(rule, line)));
+            }
         }
-        assert!(!lx.allows.contains_key(&1));
+        assert!(!lx.allows.iter().any(|a| a.covers("unwrap", 1)));
+        // Doc comments describe directives; they never are one.
+        assert!(lex("/// `// deepod-lint: allow(unwrap)`\n")
+            .allows
+            .is_empty());
+        assert!(lex("//! deepod-lint: allow(unwrap)\n").allows.is_empty());
     }
 
     #[test]
@@ -548,7 +587,14 @@ mod tests {
     #[test]
     fn audit_allow_directives_share_the_allows_map() {
         let lx = lex("// deepod-audit: allow(no-panic)\nv[0];\n");
-        assert!(lx.allows.get(&1).unwrap().contains("no-panic"));
-        assert!(lx.allows.get(&2).unwrap().contains("no-panic"));
+        assert!(lx.allows.iter().any(|a| a.covers("no-panic", 1)));
+        assert!(lx.allows.iter().any(|a| a.covers("no-panic", 2)));
+    }
+
+    #[test]
+    fn escaped_newlines_in_strings_advance_the_line() {
+        let lx = lex("let s = \"a \\\n b\";\nlet t = b\"c \\\n d\";\nafter();\n");
+        let after = lx.tokens.iter().find(|t| t.is_ident("after"));
+        assert_eq!(after.map(|t| t.line), Some(5));
     }
 }

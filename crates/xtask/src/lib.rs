@@ -1,30 +1,28 @@
 //! `xtask` — workspace automation for the DeepOD stack.
 //!
-//! The one subcommand that matters is `deepod-lint` (`cargo run -p xtask
-//! -- lint`): a token-level static-analysis pass enforcing the invariants
-//! the data-parallel training contract rests on (DESIGN.md §6–§7):
-//! determinism of the numeric crates, panic-freedom of library hot paths,
-//! numeric hygiene around float comparison and index truncation, and
-//! named serial-equivalence coverage for every parallel primitive.
+//! The one subcommand that matters is `cargo run -p xtask -- check`: a
+//! static-analysis gate enforcing the invariants the determinism and
+//! serving contracts rest on (DESIGN.md §6–§7) — determinism of the
+//! numeric crates, panic-freedom of library code and of the serving hot
+//! path, numeric hygiene, crash-safe writes, lock discipline, and named
+//! serial-equivalence coverage for every parallel primitive. Each file
+//! is read, lexed, test-masked and parsed once ([`parser::ParsedFile`]);
+//! every rule in [`rules::REGISTRY`] is a view of those parses.
 //!
-//! The pass is deliberately dependency-free (hand-rolled lexer, `std`
-//! only) so the gate builds in seconds and runs offline.
+//! The gate is deliberately dependency-free (hand-rolled lexer, `std`
+//! only) so it builds in seconds and runs offline.
 
-pub mod audit;
+pub mod baseline;
 pub mod callgraph;
 pub mod lexer;
 pub mod parser;
 pub mod rules;
 
-use rules::{check_file, check_parallel_coverage, collect_pub_fns, collect_test_fn_names};
-use rules::{FileCtx, Finding};
-use std::collections::BTreeSet;
+use parser::ParsedFile;
+use rules::Finding;
 use std::path::{Path, PathBuf};
 
-/// The file `parallel-coverage` is anchored to.
-const PARALLEL_MODULE: &str = "crates/tensor/src/parallel.rs";
-
-/// Directories never scanned: vendored stand-ins are external code, lint
+/// Directories never scanned: vendored stand-ins are external code, rule
 /// fixtures contain violations *on purpose*, and build output is noise.
 const SKIP_DIRS: [&str; 4] = ["target", "vendor", "fixtures", ".git"];
 
@@ -68,121 +66,64 @@ fn crate_of(rel: &str) -> &str {
         .unwrap_or("")
 }
 
-/// Lints every crate in the workspace rooted at `root`. Returns all
-/// findings, sorted by path then line. Fails with `Err` only on I/O
-/// problems (unreadable tree), never on lint findings.
-pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
-    let crates_dir = root.join("crates");
-    let mut files = Vec::new();
-    collect_rs_files(&crates_dir, &mut files)?;
-
-    let mut findings = Vec::new();
-    let mut test_names = BTreeSet::new();
-    let mut parallel_pub_fns: Vec<(String, u32)> = Vec::new();
-    let mut parallel_lexed = None;
-
-    for path in &files {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let src = std::fs::read_to_string(path)?;
-        let lexed = lexer::lex(&src);
-        let crate_name = crate_of(&rel).to_string();
-        let ctx = FileCtx::new(
-            &rel,
-            &crate_name,
-            &lexed,
-            path_is_test_only(&rel),
-            path_is_bin(&rel),
-        );
-        check_file(&ctx, &mut findings);
-        collect_test_fn_names(&ctx, &mut test_names);
-        if rel == PARALLEL_MODULE {
-            parallel_pub_fns = collect_pub_fns(&ctx);
-            parallel_lexed = Some(lexed);
-        }
-    }
-
-    if let Some(lexed) = &parallel_lexed {
-        check_parallel_coverage(
-            PARALLEL_MODULE,
-            &parallel_pub_fns,
-            &test_names,
-            lexed,
-            &mut findings,
-        );
-    }
-
-    findings.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
-    Ok(findings)
-}
-
-/// Lints a single file as library code of `crate_name` (fixture-test
-/// entry point; the workspace walk is bypassed).
-pub fn lint_file_as(path: &Path, crate_name: &str) -> std::io::Result<Vec<Finding>> {
+/// Reads, lexes and parses one file.
+fn parse_path(
+    path: &Path,
+    rel: &str,
+    crate_name: &str,
+    test_only: bool,
+    is_bin: bool,
+) -> std::io::Result<ParsedFile> {
     let src = std::fs::read_to_string(path)?;
     let lexed = lexer::lex(&src);
-    let rel = path.to_string_lossy().replace('\\', "/");
-    let ctx = FileCtx::new(&rel, crate_name, &lexed, false, false);
-    let mut out = Vec::new();
-    check_file(&ctx, &mut out);
-    Ok(out)
+    Ok(parser::parse_file(
+        rel, crate_name, lexed, test_only, is_bin,
+    ))
 }
 
-/// Parses every workspace `.rs` file into the item-level representation
-/// the audit analyses run over (same walk/skip rules as the linter,
-/// minus `crates/xtask` itself: the audit certifies the *product*
-/// crates, and dev tooling sharing method names with them — `item`,
-/// `parse` — would only inject false edges).
-pub fn parse_workspace(root: &Path) -> std::io::Result<Vec<parser::ParsedFile>> {
-    let crates_dir = root.join("crates");
+/// Parses every `.rs` file under `root/crates`, each read once.
+fn parse_workspace(root: &Path) -> std::io::Result<Vec<ParsedFile>> {
     let mut paths = Vec::new();
-    collect_rs_files(&crates_dir, &mut paths)?;
-    let mut files = Vec::new();
-    for path in &paths {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        if rel.starts_with("crates/xtask/") {
-            continue;
-        }
-        let src = std::fs::read_to_string(path)?;
-        let lexed = lexer::lex(&src);
-        files.push(parser::parse_file(
-            &rel,
-            crate_of(&rel),
-            &lexed,
-            path_is_test_only(&rel),
-            path_is_bin(&rel),
-        ));
-    }
-    Ok(files)
+    collect_rs_files(&root.join("crates"), &mut paths)?;
+    paths
+        .iter()
+        .map(|path| {
+            let rel = path
+                .strip_prefix(root)
+                .unwrap_or(path)
+                .to_string_lossy()
+                .replace('\\', "/");
+            parse_path(
+                path,
+                &rel,
+                crate_of(&rel),
+                path_is_test_only(&rel),
+                path_is_bin(&rel),
+            )
+        })
+        .collect()
 }
 
-/// Runs the full audit over the workspace with the default hot-path
-/// roots. I/O failure is `Err`; findings are never.
-pub fn audit_workspace(root: &Path) -> std::io::Result<Vec<audit::AuditFinding>> {
-    let files = parse_workspace(root)?;
-    Ok(audit::run(&files, &audit::DEFAULT_ROOTS))
+/// Runs every rule over the workspace rooted at `root` with the default
+/// `no-panic` roots; the baseline is not applied yet. Fails with `Err`
+/// only on I/O problems (unreadable tree), never on findings.
+pub fn check_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
+    Ok(rules::run(&parse_workspace(root)?, &rules::DEFAULT_ROOTS))
 }
 
-/// Audits a set of files in isolation with explicit roots (fixture-test
-/// entry point; missing-root findings for roots outside the set still
-/// fire, so fixtures pass the roots their file actually defines).
-pub fn audit_files_as(
+/// Checks files in isolation, each as non-test library code of its
+/// crate, with explicit `no-panic` roots (the fixture entry point; a
+/// root outside the set is a missing-root finding).
+pub fn check_files_as(
     paths: &[(&Path, &str)],
     roots: &[(&str, &str)],
-) -> std::io::Result<Vec<audit::AuditFinding>> {
-    let mut files = Vec::new();
-    for (path, crate_name) in paths {
-        let src = std::fs::read_to_string(path)?;
-        let lexed = lexer::lex(&src);
-        let rel = path.to_string_lossy().replace('\\', "/");
-        files.push(parser::parse_file(&rel, crate_name, &lexed, false, false));
-    }
-    Ok(audit::run(&files, roots))
+) -> std::io::Result<Vec<Finding>> {
+    let files = paths
+        .iter()
+        .map(|(path, crate_name)| {
+            let rel = path.to_string_lossy().replace('\\', "/");
+            parse_path(path, &rel, crate_name, false, false)
+        })
+        .collect::<std::io::Result<Vec<_>>>()?;
+    Ok(rules::run(&files, roots))
 }

@@ -2,27 +2,29 @@
 //!
 //! Commands:
 //!
-//! * `lint [--root DIR] [--json]` — run the per-line `deepod-lint` gate.
-//! * `audit [--root DIR] [--json] [--update-baseline]` — run the
-//!   call-graph `deepod-audit` gate against `audit-baseline.json`.
-//! * `rules` — print every rule (pass, severity, description).
+//! * `check [--root DIR] [--json] [--update-baseline]` — run every rule
+//!   over one parse of the workspace; `no-panic` findings are compared
+//!   against `audit-baseline.json`, which `--update-baseline` first
+//!   rewrites from the current findings (after review).
+//! * `rules` — print every rule with its description.
 //!
-//! Exit-code contract (both gates): `0` clean, `1` findings survive the
-//! allowlist/baseline, `2` I/O or parse error (unreadable tree, corrupt
-//! baseline). CI can therefore distinguish "the code regressed" from
-//! "the gate itself broke".
+//! Exit-code contract: `0` clean, `1` findings survive the allow
+//! directives and the baseline, `2` I/O or parse error (unreadable tree,
+//! corrupt baseline). CI can therefore distinguish "the code regressed"
+//! from "the gate itself broke".
 
 use std::path::PathBuf;
 use std::process::ExitCode;
+use xtask::baseline::{self, Baseline, BASELINE_FILE};
+use xtask::rules::{Finding, REGISTRY};
 
 const USAGE: &str = "\
 xtask — DeepOD workspace automation
 
 USAGE:
-  cargo run -p xtask -- lint  [--root DIR] [--json]   run the deepod-lint gate
-  cargo run -p xtask -- audit [--root DIR] [--json] [--update-baseline]
-                                                      run the deepod-audit gate
-  cargo run -p xtask -- rules                         list all rules
+  cargo run -p xtask -- check [--root DIR] [--json] [--update-baseline]
+                                         run every rule (DESIGN.md §7)
+  cargo run -p xtask -- rules            list all rules
 
 EXIT CODES:
   0  clean        1  findings        2  I/O or parse error
@@ -46,53 +48,59 @@ fn workspace_root(argv: &[String]) -> PathBuf {
         .unwrap_or(manifest)
 }
 
-fn run_lint(argv: &[String]) -> ExitCode {
+fn run_check(argv: &[String]) -> Result<ExitCode, String> {
     let root = workspace_root(argv);
-    let json = argv.iter().any(|a| a == "--json");
-    match xtask::lint_workspace(&root) {
-        Ok(findings) if findings.is_empty() => {
-            if json {
-                println!("{{\"findings\": [], \"count\": 0}}");
-            } else {
-                println!(
-                    "deepod-lint: clean ({} rules)",
-                    xtask::rules::ALL_RULES.len()
-                );
-            }
-            ExitCode::SUCCESS
-        }
-        Ok(findings) => {
-            if json {
-                print!("{}", lint_report_json(&findings));
-            } else {
-                for f in &findings {
-                    println!("{f}");
-                }
-                let mut by_rule: Vec<(&str, usize)> = Vec::new();
-                for rule in xtask::rules::ALL_RULES {
-                    let n = findings.iter().filter(|f| f.rule == rule).count();
-                    if n > 0 {
-                        by_rule.push((rule, n));
-                    }
-                }
-                let summary: Vec<String> =
-                    by_rule.iter().map(|(r, n)| format!("{r}: {n}")).collect();
-                eprintln!(
-                    "deepod-lint: {} finding(s) [{}]",
-                    findings.len(),
-                    summary.join(", ")
-                );
-            }
-            ExitCode::from(EXIT_FINDINGS)
-        }
-        Err(e) => {
-            eprintln!("deepod-lint: i/o error: {e}");
-            ExitCode::from(EXIT_ERROR)
-        }
+    let baseline_path = root.join(BASELINE_FILE);
+    let mut findings = xtask::check_workspace(&root).map_err(|e| format!("i/o error: {e}"))?;
+
+    if argv.iter().any(|a| a == "--update-baseline") {
+        // The gate's own baseline is not a crash-safe artifact; a torn
+        // write is repaired by re-running.
+        // deepod-lint: allow(no-bare-fs-write)
+        std::fs::write(&baseline_path, baseline::render(&findings))
+            .map_err(|e| format!("cannot write baseline: {e}"))?;
+        eprintln!(
+            "xtask check: baseline rewritten -> {}",
+            baseline_path.display()
+        );
     }
+    let absorbed = Baseline::load(&baseline_path)
+        .map_err(|e| format!("bad baseline: {e}"))?
+        .absorb(&mut findings);
+
+    if argv.iter().any(|a| a == "--json") {
+        print!("{}", render_json(&findings));
+    } else {
+        for f in &findings {
+            println!("{f}");
+        }
+        let by_rule: Vec<String> = REGISTRY
+            .iter()
+            .filter_map(|r| {
+                let n = findings.iter().filter(|f| f.rule == r.id).count();
+                (n > 0).then(|| format!("{}: {n}", r.id))
+            })
+            .collect();
+        let verdict = if findings.is_empty() {
+            "clean".to_string()
+        } else {
+            format!("{} finding(s) [{}]", findings.len(), by_rule.join(", "))
+        };
+        eprintln!(
+            "xtask check: {verdict} ({} rules, {absorbed} baselined no-panic finding(s))",
+            REGISTRY.len()
+        );
+    }
+    Ok(if findings.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::from(EXIT_FINDINGS)
+    })
 }
 
-fn lint_report_json(findings: &[xtask::rules::Finding]) -> String {
+/// `{"findings": [...], "count": N}`, one finding per line with its
+/// fingerprint and witness chain.
+fn render_json(findings: &[Finding]) -> String {
     use serde::json::escape_str;
     let mut out = String::from("{\n  \"findings\": [\n");
     for (i, f) in findings.iter().enumerate() {
@@ -102,7 +110,16 @@ fn lint_report_json(findings: &[xtask::rules::Finding]) -> String {
         escape_str(&f.path, &mut out);
         out.push_str(&format!(", \"line\": {}, \"msg\": ", f.line));
         escape_str(&f.msg, &mut out);
-        out.push('}');
+        out.push_str(", \"fingerprint\": ");
+        escape_str(&f.fingerprint, &mut out);
+        out.push_str(", \"chain\": [");
+        for (j, hop) in f.chain.iter().enumerate() {
+            if j > 0 {
+                out.push_str(", ");
+            }
+            escape_str(hop, &mut out);
+        }
+        out.push_str("]}");
         if i + 1 < findings.len() {
             out.push(',');
         }
@@ -112,105 +129,16 @@ fn lint_report_json(findings: &[xtask::rules::Finding]) -> String {
     out
 }
 
-fn run_audit(argv: &[String]) -> ExitCode {
-    let root = workspace_root(argv);
-    let json = argv.iter().any(|a| a == "--json");
-    let update = argv.iter().any(|a| a == "--update-baseline");
-    let baseline_path = root.join("audit-baseline.json");
-
-    let findings = match xtask::audit_workspace(&root) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("deepod-audit: i/o error: {e}");
-            return ExitCode::from(EXIT_ERROR);
-        }
-    };
-
-    if update {
-        let refs: Vec<&xtask::audit::AuditFinding> = findings.iter().collect();
-        let rendered = xtask::audit::baseline::render(&refs);
-        // The gate's own baseline is not a crash-safe artifact; a torn
-        // write is repaired by re-running.
-        // deepod-lint: allow(no-bare-fs-write)
-        if let Err(e) = std::fs::write(&baseline_path, rendered) {
-            eprintln!("deepod-audit: cannot write baseline: {e}");
-            return ExitCode::from(EXIT_ERROR);
-        }
-        println!(
-            "deepod-audit: baseline updated ({} finding(s) absorbed) -> {}",
-            findings.len(),
-            baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let baseline = match xtask::audit::Baseline::load(&baseline_path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("deepod-audit: bad baseline: {e}");
-            return ExitCode::from(EXIT_ERROR);
-        }
-    };
-    let part = baseline.partition(&findings);
-
-    if json {
-        print!(
-            "{}",
-            xtask::audit::baseline::render_report(&part.unbaselined)
-        );
-    } else {
-        for f in &part.unbaselined {
-            println!("{f}");
-        }
-        for fp in &part.stale {
-            eprintln!("deepod-audit: stale baseline entry (no longer produced): {fp}");
-        }
-    }
-
-    if part.unbaselined.is_empty() {
-        if !json {
-            println!(
-                "deepod-audit: clean ({} rules, {} baselined finding(s){})",
-                xtask::rules::AUDIT_RULES.len(),
-                part.baselined,
-                if part.stale.is_empty() {
-                    String::new()
-                } else {
-                    format!(", {} stale", part.stale.len())
-                }
-            );
-        }
-        ExitCode::SUCCESS
-    } else {
-        if !json {
-            eprintln!(
-                "deepod-audit: {} unbaselined finding(s) ({} baselined); fix them or \
-                 re-run with --update-baseline after review",
-                part.unbaselined.len(),
-                part.baselined
-            );
-        }
-        ExitCode::from(EXIT_FINDINGS)
-    }
-}
-
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match argv.first().map(String::as_str) {
-        Some("lint") => run_lint(&argv[1..]),
-        Some("audit") => run_audit(&argv[1..]),
+        Some("check") => run_check(&argv[1..]).unwrap_or_else(|e| {
+            eprintln!("xtask check: {e}");
+            ExitCode::from(EXIT_ERROR)
+        }),
         Some("rules") => {
-            for info in xtask::rules::REGISTRY {
-                println!(
-                    "{:<22} {:<6} {:<5} {}",
-                    info.id,
-                    match info.pass {
-                        xtask::rules::Pass::Lint => "lint",
-                        xtask::rules::Pass::Audit => "audit",
-                    },
-                    info.severity.as_str(),
-                    info.description
-                );
+            for info in REGISTRY {
+                println!("{:<22} {}", info.id, info.description);
             }
             ExitCode::SUCCESS
         }

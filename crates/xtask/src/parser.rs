@@ -1,19 +1,20 @@
 //! A lightweight item/expression extractor on top of the lexer.
 //!
-//! The audit pass (DESIGN.md §13) needs more structure than the
-//! token-level lint rules: which function a token belongs to, what that
+//! The flow rules (DESIGN.md §7) need more structure than the
+//! token-level rules: which function a token belongs to, what that
 //! function calls, where it can panic, where it enters `unsafe`, which
 //! locks it takes and holds. This module recovers exactly that much —
 //! function items with their `impl`/`mod` context, call expressions,
 //! panic sources, `unsafe` sites, lock acquisitions with guard liveness,
 //! and metric emissions — by a single brace-depth scan over the token
-//! stream. It is *not* a Rust parser: types are never resolved, trait
-//! dispatch and closures invoked through parameters are invisible, and
-//! the call graph built on top is conservative by name instead.
+//! stream. A [`ParsedFile`] also keeps the tokens and test mask, so every
+//! rule reads the file from this one parse. It is *not* a Rust parser:
+//! types are never resolved, trait dispatch and closures invoked through
+//! parameters are invisible, and the call graph built on top is
+//! conservative by name instead.
 
-use crate::lexer::{Lexed, TokKind, Token};
-use crate::rules::masks::{compute_target_feature_mask, compute_test_mask, matching_open};
-use std::collections::{HashMap, HashSet};
+use crate::lexer::{Allow, Lexed, TokKind, Token};
+use crate::rules::masks::{compute_test_mask, matching_open};
 
 /// How a call site names its callee.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -49,8 +50,10 @@ pub enum PanicKind {
     Unwrap,
     /// `.expect(..)`.
     Expect,
-    /// `panic!` / `unreachable!` / `todo!` / `unimplemented!`.
-    PanicMacro,
+    /// `panic!`.
+    Panic,
+    /// `unreachable!` / `todo!` / `unimplemented!`.
+    OtherPanicMacro,
     /// `assert!` / `assert_eq!` / `assert_ne!` (release-mode asserts;
     /// `debug_assert*` is exempt).
     Assert,
@@ -59,12 +62,13 @@ pub enum PanicKind {
 }
 
 impl PanicKind {
-    /// Stable name used in fingerprints and reports.
+    /// Stable name used in fingerprints and reports; every panicking
+    /// macro shares one.
     pub fn as_str(self) -> &'static str {
         match self {
             PanicKind::Unwrap => "unwrap",
             PanicKind::Expect => "expect",
-            PanicKind::PanicMacro => "panic-macro",
+            PanicKind::Panic | PanicKind::OtherPanicMacro => "panic-macro",
             PanicKind::Assert => "assert",
             PanicKind::Index => "index",
         }
@@ -135,18 +139,14 @@ pub struct FnItem {
     pub line: u32,
     /// Declared inside test-only code.
     pub is_test: bool,
-    /// Carries `#[target_feature(..)]`.
-    pub has_target_feature: bool,
+    /// Declared `pub fn` or `pub(..) fn`.
+    pub is_pub: bool,
     /// Declared `unsafe fn`.
     pub is_unsafe: bool,
     /// First parameter is (some form of) `self` — i.e. callable as a
     /// method. Used by the call graph: `recv.name(..)` can only target
     /// self-taking fns, bare `name(..)` only self-less ones.
     pub has_self: bool,
-    /// Body consults the runtime dispatcher (`active_isa` or
-    /// `is_x86_feature_detected`), directly making `#[target_feature]`
-    /// callees sound from here.
-    pub has_feature_check: bool,
     /// Call expressions in the body.
     pub calls: Vec<CallSite>,
     /// Potential panic sites in the body.
@@ -160,18 +160,40 @@ pub struct FnItem {
 }
 
 /// One parsed source file.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct ParsedFile {
     /// Workspace-relative path.
     pub rel_path: String,
-    /// Crate directory name.
+    /// Crate directory name (`tensor`, `core`, ...).
     pub crate_name: String,
-    /// Binary entry point (`src/bin/*`, `src/main.rs`).
+    /// Binary entry point (`src/bin/*`, `src/main.rs`): exempt from the
+    /// panic-safety rules (a CLI/bench top level may crash with a message)
+    /// but not from determinism or numeric-hygiene rules.
     pub is_bin: bool,
-    /// Function items in declaration order.
+    /// Tokens in source order.
+    pub tokens: Vec<Token>,
+    /// `test_mask[i]` — token `i` is inside test-only code.
+    pub test_mask: Vec<bool>,
+    /// Function items, each pushed when its body closes (an enclosing fn
+    /// comes after the fns nested in it).
     pub functions: Vec<FnItem>,
-    /// `deepod-lint:`/`deepod-audit:` allow directives by line.
-    pub allows: HashMap<u32, HashSet<String>>,
+    /// Panic sites outside any fn body (`static` / `const` initializers).
+    pub top_level_panics: Vec<PanicSite>,
+    /// Allow directives in the file's comments.
+    pub allows: Vec<Allow>,
+}
+
+impl ParsedFile {
+    /// True when an allow directive covers `rule` on `line`; marks every
+    /// such directive used.
+    pub fn allowed(&self, rule: &str, line: u32) -> bool {
+        let mut hit = false;
+        for a in self.allows.iter().filter(|a| a.covers(rule, line)) {
+            a.used.set(true);
+            hit = true;
+        }
+        hit
+    }
 }
 
 /// How far above an `unsafe fn` a `SAFETY:`/`# Safety` comment may sit
@@ -183,7 +205,7 @@ const SAFETY_FN_LOOKBACK_LINES: u32 = 6;
 /// neighboring item's comment cannot cover an unrelated block.
 const SAFETY_BLOCK_LOOKBACK_LINES: u32 = 2;
 
-const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
+const OTHER_PANIC_MACROS: [&str; 3] = ["unreachable", "todo", "unimplemented"];
 const ASSERT_MACROS: [&str; 3] = ["assert", "assert_eq", "assert_ne"];
 /// Keywords that look like `ident (` but are not calls.
 const NON_CALL_KEYWORDS: [&str; 11] = [
@@ -221,23 +243,30 @@ struct OpenFn {
     guards: Vec<LiveGuard>,
 }
 
-/// Parses one lexed file into function items. `rel_path`/`crate_name`/
-/// `is_bin`/`whole_file_is_test` carry the same meaning as in
-/// [`crate::rules::FileCtx`].
+/// Parses one lexed file. `whole_file_is_test` marks every token as
+/// test code (`tests/`, `benches/` trees); otherwise the test mask comes
+/// from `#[test]` / `#[cfg(test)]` items.
 pub fn parse_file(
     rel_path: &str,
     crate_name: &str,
-    lexed: &Lexed,
+    lexed: Lexed,
     whole_file_is_test: bool,
     is_bin: bool,
 ) -> ParsedFile {
-    let toks = &lexed.tokens;
+    let Lexed {
+        tokens,
+        allows,
+        safety_lines,
+    } = lexed;
+    let toks = &tokens;
     let test_mask = if whole_file_is_test {
         vec![true; toks.len()]
     } else {
         compute_test_mask(toks)
     };
-    let tf_mask = compute_target_feature_mask(toks);
+    let covered_by_safety = |line: u32, window: u32| {
+        (line.saturating_sub(window)..=line).any(|l| safety_lines.contains(&l))
+    };
     let file_stem = rel_path
         .rsplit('/')
         .next()
@@ -245,13 +274,8 @@ pub fn parse_file(
         .unwrap_or("")
         .to_string();
 
-    let mut out = ParsedFile {
-        rel_path: rel_path.to_string(),
-        crate_name: crate_name.to_string(),
-        is_bin,
-        functions: Vec::new(),
-        allows: lexed.allows.clone(),
-    };
+    let mut functions = Vec::new();
+    let mut top_level_panics = Vec::new();
 
     let mut depth: i32 = 0;
     // (impl type, depth its `{` opened at)
@@ -272,7 +296,7 @@ pub fn parse_file(
         let t = &toks[i];
 
         // Attributes: skip wholesale (their brackets are not indexing and
-        // `#[test]`/`#[target_feature]` are captured via the masks).
+        // `#[test]` is captured by the test mask).
         if t.is_punct("#") && toks.get(i + 1).is_some_and(|n| n.is_punct("[")) {
             let mut j = i + 2;
             let mut bdepth = 1;
@@ -290,10 +314,7 @@ pub fn parse_file(
 
         // `debug_assert*!(..)`: debug-only code — not a release panic
         // source and not interesting to the flow analyses. Skip the
-        // whole macro argument list, but still honour a feature-detector
-        // consult inside it: `debug_assert!(active_isa() >= ..)` is the
-        // idiom the SIMD wrappers use to document their dispatch
-        // precondition, and it must count for `simd-dispatch`.
+        // whole macro argument list.
         if t.kind == TokKind::Ident
             && t.text.starts_with("debug_assert")
             && toks.get(i + 1).is_some_and(|n| n.is_punct("!"))
@@ -306,12 +327,6 @@ pub fn parse_file(
                     pdepth += 1;
                 } else if toks[j].is_punct(")") {
                     pdepth -= 1;
-                } else if toks[j].kind == TokKind::Ident
-                    && (toks[j].text == "active_isa" || toks[j].text == "is_x86_feature_detected")
-                {
-                    if let Some(open) = fn_stack.last_mut() {
-                        open.item.has_feature_check = true;
-                    }
                 }
                 j += 1;
             }
@@ -344,10 +359,9 @@ pub fn parse_file(
                         modules,
                         line: t.line,
                         is_test: test_mask[i],
-                        has_target_feature: tf_mask[i],
+                        is_pub: is_pub_fn(toks, i),
                         is_unsafe: pending_unsafe_fn,
                         has_self: fn_takes_self(toks, i + 2),
-                        has_feature_check: false,
                         calls: Vec::new(),
                         panics: Vec::new(),
                         unsafe_sites: Vec::new(),
@@ -367,11 +381,7 @@ pub fn parse_file(
                     open.item.unsafe_sites.push(UnsafeSite {
                         line: t.line,
                         is_fn: false,
-                        has_safety_comment: covered_by_safety(
-                            lexed,
-                            t.line,
-                            SAFETY_BLOCK_LOOKBACK_LINES,
-                        ),
+                        has_safety_comment: covered_by_safety(t.line, SAFETY_BLOCK_LOOKBACK_LINES),
                     });
                 }
             } else {
@@ -392,11 +402,7 @@ pub fn parse_file(
                     item.unsafe_sites.push(UnsafeSite {
                         line: item.line,
                         is_fn: true,
-                        has_safety_comment: covered_by_safety(
-                            lexed,
-                            item.line,
-                            SAFETY_FN_LOOKBACK_LINES,
-                        ),
+                        has_safety_comment: covered_by_safety(item.line, SAFETY_FN_LOOKBACK_LINES),
                     });
                 }
                 fn_stack.push(OpenFn {
@@ -415,7 +421,7 @@ pub fn parse_file(
         if t.is_punct("}") {
             if fn_stack.last().is_some_and(|f| f.body_depth == depth) {
                 if let Some(open) = fn_stack.pop() {
-                    out.functions.push(open.item);
+                    functions.push(open.item);
                 }
             }
             if impl_stack.last().is_some_and(|(_, d)| *d == depth) {
@@ -436,7 +442,7 @@ pub fn parse_file(
         // Trait method declaration without body: `fn f(..);`.
         if t.is_punct(";") && pending_fn.is_some() {
             if let Some(f) = pending_fn.take() {
-                out.functions.push(f);
+                functions.push(f);
             }
             i += 1;
             continue;
@@ -464,6 +470,16 @@ pub fn parse_file(
             continue;
         }
 
+        // Panic sources; outside any fn body (a `static` or `const`
+        // initializer) they are kept per file for the panic rules.
+        if let Some(kind) = panic_source(toks, i).filter(|_| !test_mask[i]) {
+            let site = PanicSite { kind, line: t.line };
+            match fn_stack.last_mut() {
+                Some(open) => open.item.panics.push(site),
+                None => top_level_panics.push(site),
+            }
+        }
+
         // Everything below is body-level extraction.
         let Some(open) = fn_stack.last_mut() else {
             i += 1;
@@ -478,12 +494,6 @@ pub fn parse_file(
         {
             let victim = &toks[i + 2].text;
             open.guards.retain(|g| g.binding.as_deref() != Some(victim));
-        }
-
-        if t.kind == TokKind::Ident
-            && (t.text == "active_isa" || t.text == "is_x86_feature_detected")
-        {
-            open.item.has_feature_check = true;
         }
 
         // Indexing: `expr[..]` — `[` directly after a value-producing
@@ -502,21 +512,8 @@ pub fn parse_file(
             });
         }
 
-        // Macros.
+        // Macros: never calls.
         if t.kind == TokKind::Ident && toks.get(i + 1).is_some_and(|n| n.is_punct("!")) {
-            if !test_mask[i] {
-                if PANIC_MACROS.contains(&t.text.as_str()) {
-                    open.item.panics.push(PanicSite {
-                        kind: PanicKind::PanicMacro,
-                        line: t.line,
-                    });
-                } else if ASSERT_MACROS.contains(&t.text.as_str()) {
-                    open.item.panics.push(PanicSite {
-                        kind: PanicKind::Assert,
-                        line: t.line,
-                    });
-                }
-            }
             i += 2;
             continue;
         }
@@ -548,19 +545,6 @@ pub fn parse_file(
             };
 
             if !test_mask[i] {
-                // Panic-source methods.
-                if is_method && t.text == "unwrap" {
-                    open.item.panics.push(PanicSite {
-                        kind: PanicKind::Unwrap,
-                        line: t.line,
-                    });
-                } else if is_method && t.text == "expect" {
-                    open.item.panics.push(PanicSite {
-                        kind: PanicKind::Expect,
-                        line: t.line,
-                    });
-                }
-
                 // Lock acquisition: `.lock()` or zero-arg `.read()`/`.write()`.
                 let zero_arg = toks.get(i + 2).is_some_and(|n| n.is_punct(")"));
                 if is_method
@@ -629,19 +613,63 @@ pub fn parse_file(
 
     // Unterminated trailing fn (malformed input): keep what we saw.
     while let Some(open) = fn_stack.pop() {
-        out.functions.push(open.item);
+        functions.push(open.item);
     }
     if let Some(f) = pending_fn.take() {
-        out.functions.push(f);
+        functions.push(f);
     }
 
-    out
+    ParsedFile {
+        rel_path: rel_path.to_string(),
+        crate_name: crate_name.to_string(),
+        is_bin,
+        tokens,
+        test_mask,
+        functions,
+        top_level_panics,
+        allows,
+    }
 }
 
-/// True when a `SAFETY:`/`# Safety` comment is on `line` or within
-/// `window` lines above it.
-fn covered_by_safety(lexed: &Lexed, line: u32, window: u32) -> bool {
-    (line.saturating_sub(window)..=line).any(|l| lexed.safety_lines.contains(&l))
+/// The panic source token `i` starts, if any: a `.unwrap(` / `.expect(`
+/// method call or a panicking macro.
+fn panic_source(toks: &[Token], i: usize) -> Option<PanicKind> {
+    let t = &toks[i];
+    let next = toks.get(i + 1)?;
+    if t.kind != TokKind::Ident {
+        return None;
+    }
+    if next.is_punct("!") {
+        let name = t.text.as_str();
+        return if name == "panic" {
+            Some(PanicKind::Panic)
+        } else if OTHER_PANIC_MACROS.contains(&name) {
+            Some(PanicKind::OtherPanicMacro)
+        } else if ASSERT_MACROS.contains(&name) {
+            Some(PanicKind::Assert)
+        } else {
+            None
+        };
+    }
+    let method = i > 0 && toks[i - 1].is_punct(".") && next.is_punct("(");
+    match t.text.as_str() {
+        "unwrap" if method => Some(PanicKind::Unwrap),
+        "expect" if method => Some(PanicKind::Expect),
+        _ => None,
+    }
+}
+
+/// Whether the `fn` keyword at `i` follows `pub` or `pub(..)`.
+fn is_pub_fn(toks: &[Token], i: usize) -> bool {
+    let Some(prev) = i.checked_sub(1) else {
+        return false;
+    };
+    let vis = if toks[prev].is_punct(")") {
+        matching_open(toks, prev).and_then(|open| open.checked_sub(1))
+    } else {
+        Some(prev)
+    };
+    vis.is_some_and(|v| toks[v].is_ident("pub"))
 }
 
 /// Heuristic for whether a zero-arg `.read()`/`.write()` receiver is
@@ -741,7 +769,7 @@ mod tests {
     use crate::lexer::lex;
 
     fn parse(src: &str) -> ParsedFile {
-        parse_file("crates/demo/src/demo.rs", "demo", &lex(src), false, false)
+        parse_file("crates/demo/src/demo.rs", "demo", lex(src), false, false)
     }
 
     fn fn_named<'a>(pf: &'a ParsedFile, name: &str) -> &'a FnItem {
@@ -770,8 +798,10 @@ impl Display for Finding {
         assert_eq!(start.impl_type.as_deref(), Some("Engine"));
         assert_eq!(start.calls.len(), 1);
         assert_eq!(start.calls[0].kind, CallKind::Bare);
+        assert!(start.is_pub);
         let helper = fn_named(&pf, "helper");
         assert_eq!(helper.modules, vec!["demo", "inner"]);
+        assert!(!helper.is_pub);
         assert_eq!(fn_named(&pf, "fmt").impl_type.as_deref(), Some("Finding"));
     }
 
@@ -825,12 +855,20 @@ fn f(v: &[f32], i: usize) -> f32 {
             vec![
                 PanicKind::Unwrap,
                 PanicKind::Expect,
-                PanicKind::PanicMacro,
-                PanicKind::PanicMacro,
+                PanicKind::Panic,
+                PanicKind::OtherPanicMacro,
                 PanicKind::Assert,
                 PanicKind::Index,
             ]
         );
+    }
+
+    #[test]
+    fn panic_sources_outside_fns_are_kept_per_file() {
+        let pf = parse("static S: Lazy<u8> = Lazy::new(|| x.unwrap());\nfn f() {}\n");
+        assert!(pf.functions[0].panics.is_empty());
+        let kinds: Vec<PanicKind> = pf.top_level_panics.iter().map(|p| p.kind).collect();
+        assert_eq!(kinds, vec![PanicKind::Unwrap]);
     }
 
     #[test]
@@ -885,7 +923,7 @@ unsafe fn kern() {}
         let b = fn_named(&pf, "b");
         assert!(!b.unsafe_sites[0].has_safety_comment);
         let k = fn_named(&pf, "kern");
-        assert!(k.is_unsafe && k.has_target_feature);
+        assert!(k.is_unsafe);
         assert!(k.unsafe_sites[0].is_fn && k.unsafe_sites[0].has_safety_comment);
     }
 
@@ -1003,11 +1041,5 @@ mod tests {
         let pf = parse(src);
         assert_eq!(pf.functions.len(), 3);
         assert_eq!(fn_named(&pf, "after").panics.len(), 1);
-    }
-
-    #[test]
-    fn feature_check_detection() {
-        let src = "fn dispatch() { if active_isa() >= Isa::Avx { x86::run(); } }";
-        assert!(parse(src).functions[0].has_feature_check);
     }
 }

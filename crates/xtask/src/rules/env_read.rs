@@ -4,15 +4,16 @@
 //! module initialized first. (`env::args` and the `env!` macro are not
 //! reads of ambient configuration and stay legal.)
 
-use super::{FileCtx, Finding};
+use super::{push, Finding};
+use crate::parser::ParsedFile;
 
-pub(super) fn check(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    if ctx.is_bin {
+pub(super) fn check(file: &ParsedFile, out: &mut Vec<Finding>) {
+    if file.is_bin {
         return;
     }
-    let toks = &ctx.lexed.tokens;
+    let toks = &file.tokens;
     for i in 0..toks.len() {
-        if ctx.test_mask[i] {
+        if file.test_mask[i] {
             continue;
         }
         let t = &toks[i];
@@ -22,7 +23,8 @@ pub(super) fn check(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
                 .get(i + 2)
                 .is_some_and(|n| n.is_ident("var") || n.is_ident("var_os") || n.is_ident("vars"))
         {
-            ctx.push(
+            push(
+                file,
                 out,
                 "no-env-read-in-lib",
                 t.line,

@@ -2,22 +2,24 @@
 //! observability layer — bare `eprintln!`s ignore the DEEPOD_LOG level
 //! gate and race the single-writer lock, interleaving under threads > 1.
 
-use super::{FileCtx, Finding};
+use super::{push, Finding};
+use crate::parser::ParsedFile;
 
-pub(super) fn check(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    if ctx.is_bin {
+pub(super) fn check(file: &ParsedFile, out: &mut Vec<Finding>) {
+    if file.is_bin {
         return;
     }
-    let toks = &ctx.lexed.tokens;
+    let toks = &file.tokens;
     for i in 0..toks.len() {
-        if ctx.test_mask[i] {
+        if file.test_mask[i] {
             continue;
         }
         let t = &toks[i];
         if (t.is_ident("eprintln") || t.is_ident("eprint"))
             && toks.get(i + 1).is_some_and(|n| n.is_punct("!"))
         {
-            ctx.push(
+            push(
+                file,
                 out,
                 "no-bare-eprintln",
                 t.line,

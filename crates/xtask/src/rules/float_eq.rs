@@ -2,13 +2,14 @@
 //! an ordering comparison, or an explicit allow for intentional
 //! exact-zero tests.
 
-use super::{FileCtx, Finding};
+use super::{push, Finding};
 use crate::lexer::TokKind;
+use crate::parser::ParsedFile;
 
-pub(super) fn check(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    let toks = &ctx.lexed.tokens;
+pub(super) fn check(file: &ParsedFile, out: &mut Vec<Finding>) {
+    let toks = &file.tokens;
     for i in 0..toks.len() {
-        if ctx.test_mask[i] {
+        if file.test_mask[i] {
             continue;
         }
         let t = &toks[i];
@@ -16,7 +17,8 @@ pub(super) fn check(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
             let float_adjacent = (i > 0 && toks[i - 1].kind == TokKind::Float)
                 || toks.get(i + 1).is_some_and(|n| n.kind == TokKind::Float);
             if float_adjacent {
-                ctx.push(
+                push(
+                    file,
                     out,
                     "float-eq",
                     t.line,

@@ -3,17 +3,18 @@
 //! Applies to bins too: a torn CLI write is exactly the crash-safety hole
 //! the guard closes.
 
-use super::{FileCtx, Finding};
+use super::{push, Finding};
+use crate::parser::ParsedFile;
 
-pub(super) fn check(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
+pub(super) fn check(file: &ParsedFile, out: &mut Vec<Finding>) {
     // The one module allowed to touch the filesystem directly: it *is*
     // the crash-safe write path this rule points at.
-    if ctx.rel_path.ends_with("io_guard.rs") {
+    if file.rel_path.ends_with("io_guard.rs") {
         return;
     }
-    let toks = &ctx.lexed.tokens;
+    let toks = &file.tokens;
     for i in 0..toks.len() {
-        if ctx.test_mask[i] {
+        if file.test_mask[i] {
             continue;
         }
         let t = &toks[i];
@@ -31,7 +32,8 @@ pub(super) fn check(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
             None
         };
         if let Some(what) = bare {
-            ctx.push(
+            push(
+                file,
                 out,
                 "no-bare-fs-write",
                 t.line,

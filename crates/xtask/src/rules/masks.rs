@@ -1,9 +1,8 @@
-//! Token-mask helpers shared by the lint rules and the audit parser.
+//! Token helpers shared by the parser and the per-line rules.
 //!
-//! All three masks are simple brace-depth scans over the token stream:
-//! no real parsing, but enough structure to know "is this token inside a
-//! `#[cfg(test)]` item", "inside a `#[target_feature]` fn", or "inside a
-//! `use` item".
+//! The test mask is a simple brace-depth scan over the token stream: no
+//! real parsing, but enough structure to know "is this token inside a
+//! `#[cfg(test)]` item".
 
 use crate::lexer::{TokKind, Token};
 
@@ -78,80 +77,6 @@ pub(crate) fn compute_test_mask(tokens: &[Token]) -> Vec<bool> {
         i += 1;
     }
     mask
-}
-
-/// Marks tokens that live inside a fn (or other item) annotated with
-/// `#[target_feature(..)]` — the only place a raw `_mm*` intrinsic call
-/// is sound, because the attribute is what lets the compiler emit the
-/// instruction while the runtime dispatcher guarantees the CPU has it.
-pub(crate) fn compute_target_feature_mask(tokens: &[Token]) -> Vec<bool> {
-    let mut mask = vec![false; tokens.len()];
-    let mut depth: i32 = 0;
-    let mut open_depths: Vec<i32> = Vec::new();
-    let mut pending = false;
-    let mut i = 0;
-    while i < tokens.len() {
-        let t = &tokens[i];
-        if t.is_punct("#") && tokens.get(i + 1).is_some_and(|n| n.is_punct("[")) {
-            let mut j = i + 2;
-            let mut bdepth = 1;
-            let mut is_tf = false;
-            while j < tokens.len() && bdepth > 0 {
-                let a = &tokens[j];
-                if a.is_punct("[") {
-                    bdepth += 1;
-                } else if a.is_punct("]") {
-                    bdepth -= 1;
-                } else if a.is_ident("target_feature") {
-                    is_tf = true;
-                }
-                j += 1;
-            }
-            if is_tf {
-                pending = true;
-            }
-            for m in mask.iter_mut().take(j).skip(i) {
-                *m = *m || !open_depths.is_empty();
-            }
-            i = j;
-            continue;
-        }
-        if t.is_punct("{") {
-            depth += 1;
-            if pending {
-                open_depths.push(depth);
-                pending = false;
-            }
-        }
-        mask[i] = !open_depths.is_empty() || pending;
-        if t.is_punct("}") {
-            if open_depths.last() == Some(&depth) {
-                open_depths.pop();
-            }
-            depth -= 1;
-        }
-        i += 1;
-    }
-    mask
-}
-
-/// Marks tokens that live inside a `use` item (from the `use` keyword to
-/// the closing `;`), so imported *names* don't count as call sites.
-pub(crate) fn compute_use_mask(tokens: &[Token]) -> Vec<bool> {
-    let mut in_use = false;
-    tokens
-        .iter()
-        .map(|t| {
-            if t.kind == TokKind::Ident && t.text == "use" {
-                in_use = true;
-            }
-            let cur = in_use;
-            if in_use && t.is_punct(";") {
-                in_use = false;
-            }
-            cur
-        })
-        .collect()
 }
 
 /// Index of the `(` matching the `)` at `close`, if any.

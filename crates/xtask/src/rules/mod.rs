@@ -1,66 +1,35 @@
-//! The `deepod-lint` rule set and the shared rule registry.
+//! Every rule `xtask check` runs, and the one registry they report
+//! through.
 //!
-//! Each lint rule is a token-level pattern over a [`Lexed`] file plus a
-//! *test mask* (which tokens live inside `#[cfg(test)]` modules, `#[test]`
-//! functions, `tests/` or `benches/` trees). Rules report [`Finding`]s;
-//! a trailing `// deepod-lint: allow(<rule>)` comment on the same line
-//! (or a standalone comment on the line above) suppresses a finding.
-//! Every rule lives in its own module below; [`REGISTRY`] is the single
-//! table of (id, pass, default severity, description) shared by the
-//! `lint` and `audit` output paths.
-//!
-//! Lint rules (see DESIGN.md §7 for rationale and how to add one):
-//!
-//! | rule                | what it denies                                       |
-//! |---------------------|------------------------------------------------------|
-//! | `unwrap`            | `.unwrap()` in non-test library code                 |
-//! | `expect`            | `.expect(..)` in non-test library code               |
-//! | `panic`             | `panic!` / `unimplemented!` / `todo!` in non-test    |
-//! | `nondeterminism`    | `Instant::now` / `SystemTime` / `thread_rng` /       |
-//! |                     | `from_entropy` in the numeric crates                 |
-//! | `float-eq`          | `==` / `!=` against a float literal in non-test code |
-//! | `truncating-cast`   | float-producing expression cast straight to an       |
-//! |                     | integer index type                                   |
-//! | `parallel-coverage` | a `pub fn` in `deepod_tensor::parallel` without a    |
-//! |                     | named `*serial*` regression test                     |
-//! | `no-bare-fs-write`  | `fs::write` / `File::create` outside `io_guard.rs`   |
-//! |                     | (bypasses the atomic-rename + checksum write path)   |
-//! | `no-bare-eprintln`  | `eprintln!` / `eprint!` in library code (bypasses    |
-//! |                     | the `deepod_core::obs` level gate + single writer)   |
-//! | `no-env-read-in-lib`| `env::var` / `var_os` / `vars` in library code       |
-//! |                     | (configuration flows through `RuntimeConfig`,        |
-//! |                     | resolved once in the binary)                         |
-//! | `no-unchecked-simd` | a `_mm*` intrinsic call site outside a               |
-//! |                     | `#[target_feature]` fn, or in a file with no         |
-//! |                     | `is_x86_feature_detected!` runtime dispatcher        |
-//! | `no-unsupervised-spawn` | a bare `thread::spawn` / `.spawn(` in            |
-//! |                     | `deepod-serve` outside `supervisor.rs` (panics would |
-//! |                     | strand queued requests behind a dead shard)          |
-//! | `no-unbounded-cache`| a cache-named `.insert(` in a file with no capacity  |
-//! |                     | bound or eviction in sight (a cache that only grows  |
-//! |                     | is a slow memory leak)                               |
-//!
-//! The workspace-level *audit* rules (call-graph analyses, DESIGN.md §13)
-//! live under `crate::audit` but register here so both passes report
-//! through one vocabulary.
+//! Each rule is a view of the parsed files (`crate::parser`): the
+//! per-line rules scan a file's tokens outside its test mask, the panic
+//! rules read the parser's panic sites, `parallel-coverage` reads its
+//! fns, and the flow rules walk the workspace call graph
+//! (`crate::callgraph`). A plain comment `// deepod-lint: allow(<rule>)`
+//! (`deepod-audit:` is accepted too) on a finding's line or the line
+//! above suppresses it; a directive that suppresses nothing is itself an
+//! `unused-allow` finding. DESIGN.md §7 is the rule ledger: what each
+//! rule denies, what it has caught, and its live allows.
 
 mod env_read;
 mod eprintln_rule;
 mod float_eq;
 mod fs_write;
+mod lock_order;
 pub(crate) mod masks;
+mod metrics;
+mod no_panic;
 mod nondeterminism;
-mod panic_rules;
 mod parallel_coverage;
-mod simd;
 mod spawn;
 mod truncating_cast;
 mod unbounded_cache;
+mod unsafe_safety;
 
-pub use parallel_coverage::check_parallel_coverage;
+pub use no_panic::DEFAULT_ROOTS;
 
-use crate::lexer::Lexed;
-use std::collections::BTreeSet;
+use crate::callgraph::CallGraph;
+use crate::parser::{PanicKind, ParsedFile};
 use std::fmt;
 
 /// Crates whose library code must be free of ambient nondeterminism: the
@@ -69,211 +38,128 @@ use std::fmt;
 /// loss-curve contract from DESIGN.md §6.
 pub const DETERMINISTIC_CRATES: [&str; 4] = ["core", "nn", "tensor", "graphembed"];
 
-/// All lint rule names, in report order.
-pub const ALL_RULES: [&str; 13] = [
-    "unwrap",
-    "expect",
-    "panic",
-    "nondeterminism",
-    "float-eq",
-    "truncating-cast",
-    "parallel-coverage",
-    "no-bare-fs-write",
-    "no-bare-eprintln",
-    "no-env-read-in-lib",
-    "no-unchecked-simd",
-    "no-unsupervised-spawn",
-    "no-unbounded-cache",
-];
-
-/// All audit rule names, in report order (analyses live in `crate::audit`).
-pub const AUDIT_RULES: [&str; 6] = [
-    "no-panic",
-    "unsafe-safety",
-    "simd-dispatch",
-    "lock-order",
-    "lock-across-send",
-    "metrics-consistency",
-];
-
-/// Which pass a rule belongs to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Pass {
-    /// Per-file token-level rule (`xtask lint`).
-    Lint,
-    /// Workspace call-graph analysis (`xtask audit`).
-    Audit,
-}
-
-/// Default severity of a rule's findings. Both passes currently gate on
-/// `deny` findings; `warn` is report-only metadata surfaced in output.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Severity {
-    /// Fails the gate (exit code 1).
-    Deny,
-    /// Reported but does not fail the gate.
-    Warn,
-}
-
-impl Severity {
-    /// Lower-case name used in human and JSON output.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Severity::Deny => "deny",
-            Severity::Warn => "warn",
-        }
-    }
-}
+/// Files of the checker's own crate get every per-line rule but stay out
+/// of the call graph: the flow rules certify the *product* crates, and
+/// tooling sharing method names with them (`item`, `parse`) would only
+/// inject false edges.
+const TOOLING_PREFIX: &str = "crates/xtask/";
 
 /// One row of the rule registry.
 pub struct RuleInfo {
     /// Stable rule id (`unwrap`, `no-panic`, ...).
     pub id: &'static str,
-    /// Which pass reports it.
-    pub pass: Pass,
-    /// Default severity.
-    pub severity: Severity,
-    /// One-line description for `xtask rules` and JSON output.
+    /// One-line description for `xtask rules`.
     pub description: &'static str,
 }
 
-/// The single registry shared by `lint` and `audit`: every rule either
-/// pass can report, with its default severity and description.
-pub const REGISTRY: [RuleInfo; 19] = [
+/// Every rule, in report order. Every finding fails the gate.
+pub const REGISTRY: [RuleInfo; 18] = [
     RuleInfo {
         id: "unwrap",
-        pass: Pass::Lint,
-        severity: Severity::Deny,
         description: "`.unwrap()` in non-test library code",
     },
     RuleInfo {
         id: "expect",
-        pass: Pass::Lint,
-        severity: Severity::Deny,
         description: "`.expect(..)` in non-test library code",
     },
     RuleInfo {
         id: "panic",
-        pass: Pass::Lint,
-        severity: Severity::Deny,
-        description: "`panic!` / `unimplemented!` / `todo!` in non-test library code",
+        description: "`panic!` in non-test library code",
     },
     RuleInfo {
         id: "nondeterminism",
-        pass: Pass::Lint,
-        severity: Severity::Deny,
         description: "wall clock or OS-entropy RNG in the deterministic numeric crates",
     },
     RuleInfo {
         id: "float-eq",
-        pass: Pass::Lint,
-        severity: Severity::Deny,
         description: "exact `==`/`!=` against a float literal",
     },
     RuleInfo {
         id: "truncating-cast",
-        pass: Pass::Lint,
-        severity: Severity::Deny,
         description: "float-producing expression cast straight to an integer type",
     },
     RuleInfo {
         id: "parallel-coverage",
-        pass: Pass::Lint,
-        severity: Severity::Deny,
         description: "pub fn in deepod_tensor::parallel without a *serial* regression test",
     },
     RuleInfo {
         id: "no-bare-fs-write",
-        pass: Pass::Lint,
-        severity: Severity::Deny,
         description: "fs::write / File::create outside the crash-safe io_guard path",
     },
     RuleInfo {
         id: "no-bare-eprintln",
-        pass: Pass::Lint,
-        severity: Severity::Deny,
         description: "eprintln!/eprint! in library code bypassing the obs layer",
     },
     RuleInfo {
         id: "no-env-read-in-lib",
-        pass: Pass::Lint,
-        severity: Severity::Deny,
         description: "environment read in library code instead of RuntimeConfig",
     },
     RuleInfo {
-        id: "no-unchecked-simd",
-        pass: Pass::Lint,
-        severity: Severity::Deny,
-        description: "_mm* intrinsic outside #[target_feature] or without runtime detection",
-    },
-    RuleInfo {
         id: "no-unsupervised-spawn",
-        pass: Pass::Lint,
-        severity: Severity::Deny,
         description: "bare thread spawn in deepod-serve outside the supervisor module",
     },
     RuleInfo {
         id: "no-unbounded-cache",
-        pass: Pass::Lint,
-        severity: Severity::Deny,
         description: "cache-named insert in a file with no capacity bound or eviction evidence",
     },
     RuleInfo {
         id: "no-panic",
-        pass: Pass::Audit,
-        severity: Severity::Deny,
         description: "panic source (unwrap/expect/panic!/indexing/assert!) reachable from a \
                       hot-path root",
     },
     RuleInfo {
         id: "unsafe-safety",
-        pass: Pass::Audit,
-        severity: Severity::Deny,
         description: "unsafe block or fn without a `// SAFETY:` justification comment",
     },
     RuleInfo {
-        id: "simd-dispatch",
-        pass: Pass::Audit,
-        severity: Severity::Deny,
-        description: "#[target_feature] fn reached from a caller that never consults the \
-                      runtime-detection dispatcher",
-    },
-    RuleInfo {
         id: "lock-order",
-        pass: Pass::Audit,
-        severity: Severity::Deny,
         description: "two named locks acquired in both orders on different paths (deadlock)",
     },
     RuleInfo {
         id: "lock-across-send",
-        pass: Pass::Audit,
-        severity: Severity::Deny,
         description: "lock guard held across a channel send or queue submit",
     },
     RuleInfo {
         id: "metrics-consistency",
-        pass: Pass::Audit,
-        severity: Severity::Deny,
         description: "metric name emitted somewhere but absent from the eager registration set",
+    },
+    RuleInfo {
+        id: "unused-allow",
+        description: "allow directive or baseline entry that suppresses nothing",
     },
 ];
 
-/// Looks up a rule's registry row by id.
-pub fn rule_info(id: &str) -> Option<&'static RuleInfo> {
-    REGISTRY.iter().find(|r| r.id == id)
-}
-
-/// One lint finding.
+/// One finding of any rule.
 #[derive(Clone, Debug)]
 pub struct Finding {
-    /// Rule name (one of [`ALL_RULES`]).
+    /// Rule id (one of [`REGISTRY`]).
     pub rule: &'static str,
-    /// Workspace-relative path.
+    /// Workspace-relative path of the anchoring site.
     pub path: String,
-    /// 1-based line.
+    /// 1-based line of the anchoring site.
     pub line: u32,
     /// Human-readable explanation.
     pub msg: String,
+    /// Stable identity. The flow rules leave line numbers out of it, so
+    /// the `no-panic` baseline survives ordinary edits.
+    pub fingerprint: String,
+    /// Witness call chain (root first), one `label (path:line)` per hop;
+    /// empty except for `no-panic`.
+    pub chain: Vec<String>,
+}
+
+impl Finding {
+    /// A finding at one line, identified by that line.
+    pub fn at(rule: &'static str, path: &str, line: u32, msg: String) -> Finding {
+        Finding {
+            rule,
+            path: path.to_string(),
+            line,
+            msg,
+            fingerprint: format!("{rule}:{path}:{line}"),
+            chain: Vec::new(),
+        }
+    }
 }
 
 impl fmt::Display for Finding {
@@ -282,175 +168,136 @@ impl fmt::Display for Finding {
             f,
             "{}:{}: [{}] {}",
             self.path, self.line, self.rule, self.msg
-        )
-    }
-}
-
-/// A lexed file with the metadata the rules need.
-pub struct FileCtx<'a> {
-    /// Workspace-relative path (display only).
-    pub rel_path: &'a str,
-    /// Crate directory name (`tensor`, `core`, ...).
-    pub crate_name: &'a str,
-    /// Token stream + allow directives.
-    pub lexed: &'a Lexed,
-    /// `test_mask[i]` — token `i` is inside test-only code.
-    pub test_mask: Vec<bool>,
-    /// Binary entry point (`src/bin/*`, `src/main.rs`): exempt from the
-    /// panic-safety rules (a CLI/bench top level may crash with a message)
-    /// but not from determinism or numeric-hygiene rules.
-    pub is_bin: bool,
-}
-
-impl<'a> FileCtx<'a> {
-    /// Builds the context, computing the test mask.
-    pub fn new(
-        rel_path: &'a str,
-        crate_name: &'a str,
-        lexed: &'a Lexed,
-        whole_file_is_test: bool,
-        is_bin: bool,
-    ) -> Self {
-        let test_mask = if whole_file_is_test {
-            vec![true; lexed.tokens.len()]
-        } else {
-            masks::compute_test_mask(&lexed.tokens)
-        };
-        FileCtx {
-            rel_path,
-            crate_name,
-            lexed,
-            test_mask,
-            is_bin,
+        )?;
+        for hop in &self.chain {
+            write!(f, "\n    {hop}")?;
         }
-    }
-
-    fn allowed(&self, rule: &str, line: u32) -> bool {
-        self.lexed
-            .allows
-            .get(&line)
-            .is_some_and(|s| s.contains(rule))
-    }
-
-    fn push(&self, out: &mut Vec<Finding>, rule: &'static str, line: u32, msg: String) {
-        if !self.allowed(rule, line) {
-            out.push(Finding {
-                rule,
-                path: self.rel_path.to_string(),
-                line,
-                msg,
-            });
-        }
+        Ok(())
     }
 }
 
-/// Per-file derived state shared by the rules that need more than the
-/// test mask (computed once in [`check_file`]).
-pub(crate) struct FileState {
-    /// `target_feature_mask[i]` — token `i` is inside a
-    /// `#[target_feature]` item.
-    pub target_feature_mask: Vec<bool>,
-    /// `use_mask[i]` — token `i` is inside a `use` item.
-    pub use_mask: Vec<bool>,
-    /// The file contains an `is_x86_feature_detected!` call: somebody
-    /// still has to check the CPU before calling a `#[target_feature]` fn.
-    pub has_feature_detect: bool,
-}
-
-/// Runs every per-file rule, appending findings to `out`.
-pub fn check_file(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    let toks = &ctx.lexed.tokens;
-    let state = FileState {
-        target_feature_mask: masks::compute_target_feature_mask(toks),
-        use_mask: masks::compute_use_mask(toks),
-        has_feature_detect: toks.iter().any(|t| t.is_ident("is_x86_feature_detected")),
-    };
-    panic_rules::check(ctx, out);
-    eprintln_rule::check(ctx, out);
-    env_read::check(ctx, out);
-    nondeterminism::check(ctx, out);
-    float_eq::check(ctx, out);
-    fs_write::check(ctx, out);
-    simd::check(ctx, &state, out);
-    spawn::check(ctx, out);
-    truncating_cast::check(ctx, out);
-    unbounded_cache::check(ctx, out);
-}
-
-/// Collects the names of `#[test]` functions (and any `fn` defined inside
-/// test-masked code) from one file.
-pub fn collect_test_fn_names(ctx: &FileCtx<'_>, into: &mut BTreeSet<String>) {
-    let toks = &ctx.lexed.tokens;
-    for i in 0..toks.len() {
-        if ctx.test_mask[i]
-            && toks[i].is_ident("fn")
-            && toks
-                .get(i + 1)
-                .is_some_and(|n| n.kind == crate::lexer::TokKind::Ident)
-        {
-            into.insert(toks[i + 1].text.clone());
-        }
+/// Reports a finding at `line` unless an allow directive covers it.
+fn push(file: &ParsedFile, out: &mut Vec<Finding>, rule: &'static str, line: u32, msg: String) {
+    if !file.allowed(rule, line) {
+        out.push(Finding::at(rule, &file.rel_path, line, msg));
     }
 }
 
-/// Collects `pub fn` names declared in *non-test* code of one file,
-/// with the line each was declared on.
-pub fn collect_pub_fns(ctx: &FileCtx<'_>) -> Vec<(String, u32)> {
-    let toks = &ctx.lexed.tokens;
+/// Runs every rule over `files` with the given `no-panic` roots, then
+/// reports each allow directive that suppressed nothing. The result is
+/// sorted; the baseline has not been applied yet.
+pub(crate) fn run(files: &[ParsedFile], roots: &[(&str, &str)]) -> Vec<Finding> {
     let mut out = Vec::new();
-    for i in 0..toks.len() {
-        if ctx.test_mask[i] || !toks[i].is_ident("pub") {
-            continue;
-        }
-        // `pub fn name` or `pub(crate) fn name` — skip an optional
-        // parenthesized visibility scope.
-        let mut j = i + 1;
-        if toks.get(j).is_some_and(|n| n.is_punct("(")) {
-            while j < toks.len() && !toks[j].is_punct(")") {
-                j += 1;
-            }
-            j += 1;
-        }
-        if toks.get(j).is_some_and(|n| n.is_ident("fn"))
-            && toks
-                .get(j + 1)
-                .is_some_and(|n| n.kind == crate::lexer::TokKind::Ident)
-        {
-            out.push((toks[j + 1].text.clone(), toks[j + 1].line));
+    for file in files {
+        panic_rules(file, &mut out);
+        eprintln_rule::check(file, &mut out);
+        env_read::check(file, &mut out);
+        nondeterminism::check(file, &mut out);
+        float_eq::check(file, &mut out);
+        fs_write::check(file, &mut out);
+        spawn::check(file, &mut out);
+        truncating_cast::check(file, &mut out);
+        unbounded_cache::check(file, &mut out);
+    }
+    parallel_coverage::check(files, &mut out);
+
+    let graph = CallGraph::build(
+        files
+            .iter()
+            .filter(|f| !f.rel_path.starts_with(TOOLING_PREFIX)),
+    );
+    no_panic::check(&graph, roots, &mut out);
+    unsafe_safety::check(&graph, &mut out);
+    lock_order::check(&graph, &mut out);
+    metrics::check(&graph, &mut out);
+
+    for file in files {
+        for a in file.allows.iter().filter(|a| !a.used.get()) {
+            let msg = format!("`allow({})` suppresses nothing here; delete it", a.rule);
+            out.push(Finding::at("unused-allow", &file.rel_path, a.line, msg));
         }
     }
+    sort(&mut out);
     out
+}
+
+/// Sorts findings by (registry order, path, line, fingerprint).
+pub(crate) fn sort(findings: &mut [Finding]) {
+    let order = |rule: &str| REGISTRY.iter().position(|r| r.id == rule);
+    findings.sort_by(|a, b| {
+        (order(a.rule), &a.path, a.line, &a.fingerprint).cmp(&(
+            order(b.rule),
+            &b.path,
+            b.line,
+            &b.fingerprint,
+        ))
+    });
+}
+
+/// `unwrap`, `expect`, `panic`: views of the parser's panic sites.
+/// Library code returns typed errors instead of crashing; binary entry
+/// points are exempt (a CLI top level may crash with a message).
+/// `todo!` / `unimplemented!` are left to clippy, which denies them on
+/// every target.
+fn panic_rules(file: &ParsedFile, out: &mut Vec<Finding>) {
+    if file.is_bin {
+        return;
+    }
+    let fn_sites = file.functions.iter().flat_map(|f| &f.panics);
+    for site in fn_sites.chain(&file.top_level_panics) {
+        let (rule, msg) = match site.kind {
+            PanicKind::Unwrap => (
+                "unwrap",
+                "`.unwrap()` in library code; return a typed error or restructure \
+                 so the invariant is explicit",
+            ),
+            PanicKind::Expect => (
+                "expect",
+                "`.expect(..)` in library code; return a typed error instead",
+            ),
+            PanicKind::Panic => (
+                "panic",
+                "`panic!` in library code; return a typed error instead",
+            ),
+            _ => continue,
+        };
+        push(file, out, rule, site.line, msg.to_string());
+    }
+}
+
+/// Parses `src` as one file and runs every rule over it (unit-test
+/// entry point).
+#[cfg(test)]
+pub(crate) fn check_src(rel_path: &str, crate_name: &str, src: &str, is_bin: bool) -> Vec<Finding> {
+    let lexed = crate::lexer::lex(src);
+    let file = crate::parser::parse_file(rel_path, crate_name, lexed, false, is_bin);
+    run(&[file], &[])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
+    use std::collections::BTreeSet;
 
     fn lint_lib_src(src: &str) -> Vec<Finding> {
-        let lexed = lex(src);
-        let ctx = FileCtx::new("mem.rs", "tensor", &lexed, false, false);
-        let mut out = Vec::new();
-        check_file(&ctx, &mut out);
-        out
+        check_src("mem.rs", "tensor", src, false)
     }
 
     #[test]
     fn registry_covers_every_rule_exactly_once() {
-        for id in ALL_RULES {
-            let info = rule_info(id).expect(id);
-            assert_eq!(info.pass, Pass::Lint);
-        }
-        for id in AUDIT_RULES {
-            let info = rule_info(id).expect(id);
-            assert_eq!(info.pass, Pass::Audit);
-        }
-        assert_eq!(REGISTRY.len(), ALL_RULES.len() + AUDIT_RULES.len());
         let mut seen = BTreeSet::new();
         for r in &REGISTRY {
             assert!(seen.insert(r.id), "duplicate registry id {}", r.id);
             assert!(!r.description.is_empty());
         }
+        // Findings of every rule sort in registry order.
+        let mut f: Vec<Finding> = ["unused-allow", "no-panic", "unwrap"]
+            .into_iter()
+            .map(|rule| Finding::at(rule, "a.rs", 1, String::new()))
+            .collect();
+        sort(&mut f);
+        let rules: Vec<&str> = f.iter().map(|f| f.rule).collect();
+        assert_eq!(rules, vec!["unwrap", "no-panic", "unused-allow"]);
     }
 
     #[test]
@@ -479,6 +326,10 @@ mod tests {
     fn allow_directive_suppresses() {
         let src = "fn a() { x.unwrap(); } // deepod-lint: allow(unwrap)\n";
         assert!(lint_lib_src(src).is_empty());
+        // A directive that suppresses nothing is itself a finding.
+        let f = lint_lib_src("// deepod-lint: allow(unwrap)\nfn a() {}\n");
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!((f[0].rule, f[0].line), ("unused-allow", 1));
     }
 
     #[test]
@@ -504,30 +355,23 @@ mod tests {
     #[test]
     fn nondeterminism_scoped_to_crate_list() {
         let src = "fn a() { let t = Instant::now(); }";
-        let lexed = lex(src);
-        let ctx = FileCtx::new("mem.rs", "core", &lexed, false, false);
-        let mut out = Vec::new();
-        check_file(&ctx, &mut out);
-        assert_eq!(out.len(), 1);
-
-        let ctx = FileCtx::new("mem.rs", "eval", &lexed, false, false);
-        let mut out = Vec::new();
-        check_file(&ctx, &mut out);
-        assert!(out.is_empty(), "eval may use wall clocks");
+        assert_eq!(check_src("mem.rs", "core", src, false).len(), 1);
+        assert!(
+            check_src("mem.rs", "eval", src, false).is_empty(),
+            "eval may use wall clocks"
+        );
     }
 
     #[test]
     fn parallel_coverage_names() {
-        let lexed = lex("pub fn map_ranges() {}\npub(crate) fn tree_reduce() {}\n");
-        let ctx = FileCtx::new("parallel.rs", "tensor", &lexed, false, false);
-        let fns = collect_pub_fns(&ctx);
-        assert_eq!(fns.len(), 2);
-        let mut tests = BTreeSet::new();
-        tests.insert("map_ranges_threads1_matches_serial".to_string());
-        let mut out = Vec::new();
-        check_parallel_coverage("parallel.rs", &fns, &tests, &lexed, &mut out);
+        let src = "pub fn map_ranges() {}\npub(crate) fn tree_reduce() {}\nfn private() {}\n\
+                   #[cfg(test)]\nmod tests {\n#[test]\nfn map_ranges_threads1_matches_serial() {}\n}\n";
+        let out = check_src("crates/tensor/src/parallel.rs", "tensor", src, false);
         assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!((out[0].rule, out[0].line), ("parallel-coverage", 2));
         assert!(out[0].msg.contains("tree_reduce"));
+        // Only the parallel module is anchored.
+        assert!(check_src("crates/tensor/src/ops.rs", "tensor", src, false).is_empty());
     }
 
     #[test]
@@ -545,10 +389,7 @@ mod tests {
     #[test]
     fn bare_fs_write_exempts_io_guard_and_tests() {
         let src = "fn a() { std::fs::write(p, b)?; }";
-        let lexed = lex(src);
-        let ctx = FileCtx::new("crates/core/src/io_guard.rs", "core", &lexed, false, false);
-        let mut out = Vec::new();
-        check_file(&ctx, &mut out);
+        let out = check_src("crates/core/src/io_guard.rs", "core", src, false);
         assert!(out.is_empty(), "io_guard.rs may write directly: {out:?}");
 
         let src = "#[test]\nfn t() { std::fs::write(p, b).unwrap(); }\n";
@@ -558,10 +399,7 @@ mod tests {
     #[test]
     fn bare_fs_write_fires_in_bins_too() {
         let src = "fn main() { std::fs::write(p, b).ok(); }";
-        let lexed = lex(src);
-        let ctx = FileCtx::new("crates/cli/src/main.rs", "cli", &lexed, false, true);
-        let mut out = Vec::new();
-        check_file(&ctx, &mut out);
+        let out = check_src("crates/cli/src/main.rs", "cli", src, true);
         assert!(
             out.iter().any(|f| f.rule == "no-bare-fs-write"),
             "bins are not exempt: {out:?}"
@@ -587,10 +425,8 @@ mod tests {
         .is_empty());
         assert!(lint_lib_src("#[test]\nfn t() { eprintln!(\"dbg\"); }\n").is_empty());
         // Bins keep their top-level stderr messages.
-        let lexed = lex("fn main() { eprintln!(\"error: x\"); }");
-        let ctx = FileCtx::new("crates/cli/src/main.rs", "cli", &lexed, false, true);
-        let mut out = Vec::new();
-        check_file(&ctx, &mut out);
+        let src = "fn main() { eprintln!(\"error: x\"); }";
+        let out = check_src("crates/cli/src/main.rs", "cli", src, true);
         assert!(out.is_empty(), "bins are exempt: {out:?}");
     }
 
@@ -617,58 +453,15 @@ mod tests {
         )
         .is_empty());
         // Binaries resolve the environment themselves: exempt.
-        let lexed = lex("fn main() { std::env::var(\"DEEPOD_LOG\").ok(); }");
-        let ctx = FileCtx::new("crates/cli/src/main.rs", "cli", &lexed, false, true);
-        let mut out = Vec::new();
-        check_file(&ctx, &mut out);
+        let src = "fn main() { std::env::var(\"DEEPOD_LOG\").ok(); }";
+        let out = check_src("crates/cli/src/main.rs", "cli", src, true);
         assert!(out.is_empty(), "bins may read env: {out:?}");
-    }
-
-    #[test]
-    fn unchecked_simd_requires_target_feature_and_dispatch() {
-        // Naked intrinsic call: undefined behavior on older CPUs.
-        let f = lint_lib_src("fn a() { unsafe { _mm256_add_ps(x, y) }; }");
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "no-unchecked-simd");
-
-        // The blessed shape: imports, a runtime dispatcher, and the
-        // intrinsic inside a #[target_feature] fn.
-        let good = "use core::arch::x86_64::_mm256_add_ps;\n\
-                    fn d() -> bool { is_x86_feature_detected!(\"avx\") }\n\
-                    #[target_feature(enable = \"avx\")]\n\
-                    unsafe fn k() { _mm256_add_ps(x, y); }\n";
-        assert!(lint_lib_src(good).is_empty(), "{:?}", lint_lib_src(good));
-
-        // #[target_feature] without any runtime detection in the file
-        // still fires: nothing proves the CPU has the feature.
-        let undetected = "#[target_feature(enable = \"avx\")]\n\
-                          unsafe fn k() { _mm256_add_ps(x, y); }\n";
-        assert_eq!(lint_lib_src(undetected).len(), 1);
-
-        // `__m256` is a *type*, not an intrinsic call; test code and
-        // allow directives are exempt like every other rule.
-        assert!(lint_lib_src("fn a(x: __m256) {}").is_empty());
-        assert!(lint_lib_src("#[test]\nfn t() { unsafe { _mm256_add_ps(x, y) }; }\n").is_empty());
-        assert!(lint_lib_src(
-            "fn a() { unsafe { _mm256_add_ps(x, y) }; } // deepod-lint: allow(no-unchecked-simd)"
-        )
-        .is_empty());
-
-        // Bins are NOT exempt.
-        let lexed = lex("fn main() { unsafe { _mm256_add_ps(x, y) }; }");
-        let ctx = FileCtx::new("crates/cli/src/main.rs", "cli", &lexed, false, true);
-        let mut out = Vec::new();
-        check_file(&ctx, &mut out);
-        assert!(out.iter().any(|f| f.rule == "no-unchecked-simd"), "{out:?}");
     }
 
     #[test]
     fn unsupervised_spawn_fires_in_serve_outside_supervisor() {
         let lint_serve = |rel_path: &str, src: &str| {
-            let lexed = lex(src);
-            let ctx = FileCtx::new(rel_path, "serve", &lexed, false, false);
-            let mut out = Vec::new();
-            check_file(&ctx, &mut out);
+            let mut out = check_src(rel_path, "serve", src, false);
             out.retain(|f| f.rule == "no-unsupervised-spawn");
             out
         };
@@ -693,16 +486,8 @@ mod tests {
         )
         .is_empty());
         // Other crates, test code, and allow directives are exempt.
-        let lexed = lex("fn a() { std::thread::spawn(|| {}); }");
-        let ctx = FileCtx::new(
-            "crates/tensor/src/parallel.rs",
-            "tensor",
-            &lexed,
-            false,
-            false,
-        );
-        let mut out = Vec::new();
-        check_file(&ctx, &mut out);
+        let src = "fn a() { std::thread::spawn(|| {}); }";
+        let out = check_src("crates/tensor/src/parallel.rs", "tensor", src, false);
         assert!(
             out.iter().all(|f| f.rule != "no-unsupervised-spawn"),
             "{out:?}"
@@ -722,10 +507,7 @@ mod tests {
     #[test]
     fn bins_skip_panic_rules_but_not_hygiene() {
         let src = "fn main() { x.unwrap(); let b = y == 0.5; }";
-        let lexed = lex(src);
-        let ctx = FileCtx::new("main.rs", "cli", &lexed, false, true);
-        let mut out = Vec::new();
-        check_file(&ctx, &mut out);
+        let out = check_src("main.rs", "cli", src, true);
         assert!(out.iter().all(|f| f.rule != "unwrap"), "{out:?}");
         assert!(out.iter().any(|f| f.rule == "float-eq"), "{out:?}");
     }

@@ -3,15 +3,16 @@
 //! (input, seed, thread count) or the bit-stable loss-curve contract
 //! from DESIGN.md §6 silently breaks.
 
-use super::{FileCtx, Finding, DETERMINISTIC_CRATES};
+use super::{push, Finding, DETERMINISTIC_CRATES};
+use crate::parser::ParsedFile;
 
-pub(super) fn check(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    if !DETERMINISTIC_CRATES.contains(&ctx.crate_name) {
+pub(super) fn check(file: &ParsedFile, out: &mut Vec<Finding>) {
+    if !DETERMINISTIC_CRATES.contains(&file.crate_name.as_str()) {
         return;
     }
-    let toks = &ctx.lexed.tokens;
+    let toks = &file.tokens;
     for i in 0..toks.len() {
-        if ctx.test_mask[i] {
+        if file.test_mask[i] {
             continue;
         }
         let t = &toks[i];
@@ -30,14 +31,15 @@ pub(super) fn check(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
             None
         };
         if let Some(what) = hit {
-            ctx.push(
+            push(
+                file,
                 out,
                 "nondeterminism",
                 t.line,
                 format!(
                     "`{what}` in deterministic crate `{}`: model code must be a pure \
                      function of (input, seed, thread count)",
-                    ctx.crate_name
+                    file.crate_name
                 ),
             );
         }

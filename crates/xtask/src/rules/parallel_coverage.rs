@@ -1,36 +1,39 @@
 //! `parallel-coverage`: every `pub fn` of `deepod_tensor::parallel` must
 //! have a regression test whose name contains both the function name and
-//! `serial`, pinning the `threads = 1 == serial` contract by name.
+//! `serial`, pinning the `threads = 1 == serial` contract by name. A view
+//! of the parsed fns: a test fn anywhere in the checked files counts.
 
-use super::Finding;
-use crate::lexer::Lexed;
-use std::collections::BTreeSet;
+use super::{push, Finding};
+use crate::parser::ParsedFile;
 
-pub fn check_parallel_coverage(
-    parallel_rel_path: &str,
-    pub_fns: &[(String, u32)],
-    test_names: &BTreeSet<String>,
-    allows: &Lexed,
-    out: &mut Vec<Finding>,
-) {
-    for (name, line) in pub_fns {
-        let covered = test_names
-            .iter()
-            .any(|t| t.contains(name.as_str()) && t.contains("serial"));
-        let allowed = allows
-            .allows
-            .get(line)
-            .is_some_and(|s| s.contains("parallel-coverage"));
-        if !covered && !allowed {
-            out.push(Finding {
-                rule: "parallel-coverage",
-                path: parallel_rel_path.to_string(),
-                line: *line,
-                msg: format!(
-                    "pub fn `{name}` has no `*{name}*serial*` regression test pinning \
-                     the threads=1 == serial contract"
-                ),
-            });
+pub(super) fn check(files: &[ParsedFile], out: &mut Vec<Finding>) {
+    let tests: Vec<&str> = files
+        .iter()
+        .flat_map(|f| &f.functions)
+        .filter(|f| f.is_test)
+        .map(|f| f.name.as_str())
+        .collect();
+    let parallel = files.iter().filter(|f| {
+        f.crate_name == "tensor" && f.rel_path.rsplit('/').next() == Some("parallel.rs")
+    });
+    for file in parallel {
+        for f in file.functions.iter().filter(|f| f.is_pub && !f.is_test) {
+            let name = f.name.as_str();
+            if !tests
+                .iter()
+                .any(|t| t.contains(name) && t.contains("serial"))
+            {
+                push(
+                    file,
+                    out,
+                    "parallel-coverage",
+                    f.line,
+                    format!(
+                        "pub fn `{name}` has no `*{name}*serial*` regression test pinning \
+                         the threads=1 == serial contract"
+                    ),
+                );
+            }
         }
     }
 }

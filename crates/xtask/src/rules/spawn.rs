@@ -5,21 +5,22 @@
 //! anywhere else in the crate is a thread whose panic silently strands
 //! every queued request behind a dead shard.
 
-use super::{FileCtx, Finding};
+use super::{push, Finding};
+use crate::parser::ParsedFile;
 
-pub(super) fn check(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
+pub(super) fn check(file: &ParsedFile, out: &mut Vec<Finding>) {
     // Only the serve crate runs long-lived worker threads; other crates'
     // scoped/parallel helpers are out of scope for this rule.
-    if ctx.crate_name != "serve" {
+    if file.crate_name != "serve" {
         return;
     }
     // The one module allowed to spawn: it *is* the supervision layer.
-    if ctx.rel_path.ends_with("supervisor.rs") {
+    if file.rel_path.ends_with("supervisor.rs") {
         return;
     }
-    let toks = &ctx.lexed.tokens;
+    let toks = &file.tokens;
     for i in 0..toks.len() {
-        if ctx.test_mask[i] {
+        if file.test_mask[i] {
             continue;
         }
         let t = &toks[i];
@@ -32,7 +33,8 @@ pub(super) fn check(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
             && toks.get(i + 1).is_some_and(|n| n.is_ident("spawn"))
             && toks.get(i + 2).is_some_and(|n| n.is_punct("("));
         if path_spawn || method_spawn {
-            ctx.push(
+            push(
+                file,
                 out,
                 "no-unsupervised-spawn",
                 t.line,

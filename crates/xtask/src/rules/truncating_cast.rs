@@ -3,8 +3,9 @@
 //! checked helper (or allow on an audited one).
 
 use super::masks::matching_open;
-use super::{FileCtx, Finding};
+use super::{push, Finding};
 use crate::lexer::TokKind;
+use crate::parser::ParsedFile;
 
 const INT_TARGETS: [&str; 10] = [
     "usize", "isize", "u8", "u16", "u32", "u64", "i8", "i16", "i32", "i64",
@@ -26,10 +27,10 @@ const FLOAT_METHODS: [&str; 10] = [
     "to_radians",
 ];
 
-pub(super) fn check(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    let toks = &ctx.lexed.tokens;
+pub(super) fn check(file: &ParsedFile, out: &mut Vec<Finding>) {
+    let toks = &file.tokens;
     for i in 0..toks.len() {
-        if ctx.test_mask[i] {
+        if file.test_mask[i] {
             continue;
         }
         let t = &toks[i];
@@ -61,7 +62,8 @@ pub(super) fn check(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
                 false
             };
             if flagged {
-                ctx.push(
+                push(
+                    file,
                     out,
                     "truncating-cast",
                     t.line,

@@ -10,8 +10,9 @@
 //! `truncate`). Inserts that delegate to a type that enforces its own
 //! bound carry a justifying `// deepod-lint: allow(no-unbounded-cache)`.
 
-use super::{FileCtx, Finding};
+use super::{push, Finding};
 use crate::lexer::TokKind;
+use crate::parser::ParsedFile;
 
 /// Evidence that this file bounds what it caches.
 fn is_bounding_ident(text: &str) -> bool {
@@ -22,8 +23,8 @@ fn is_bounding_ident(text: &str) -> bool {
         || text == "truncate"
 }
 
-pub(super) fn check(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    let toks = &ctx.lexed.tokens;
+pub(super) fn check(file: &ParsedFile, out: &mut Vec<Finding>) {
+    let toks = &file.tokens;
     if toks
         .iter()
         .any(|t| t.kind == TokKind::Ident && is_bounding_ident(&t.text))
@@ -32,13 +33,13 @@ pub(super) fn check(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     }
     // A file *named* for caching is a cache wholesale: every insert in it
     // is cache growth, whatever the local receiver is called.
-    let file_is_cache = ctx
+    let file_is_cache = file
         .rel_path
         .rsplit('/')
         .next()
         .is_some_and(|f| f.contains("cache"));
     for i in 0..toks.len() {
-        if ctx.test_mask[i] {
+        if file.test_mask[i] {
             continue;
         }
         let t = &toks[i];
@@ -65,7 +66,8 @@ pub(super) fn check(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
             j -= 1;
         }
         if cachey {
-            ctx.push(
+            push(
+                file,
                 out,
                 "no-unbounded-cache",
                 t.line,
@@ -82,14 +84,10 @@ pub(super) fn check(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{check_file, FileCtx};
-    use crate::lexer::lex;
+    use super::super::check_src;
 
     fn lint_as(rel_path: &str, src: &str) -> Vec<super::Finding> {
-        let lexed = lex(src);
-        let ctx = FileCtx::new(rel_path, "serve", &lexed, false, false);
-        let mut out = Vec::new();
-        check_file(&ctx, &mut out);
+        let mut out = check_src(rel_path, "serve", src, false);
         out.retain(|f| f.rule == "no-unbounded-cache");
         out
     }

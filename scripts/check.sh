@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Full local gate. Cheap static stages run first (formatting, clippy,
-# deepod-lint, deepod-audit) so a style slip or invariant violation
-# fails in seconds, before the multi-minute build/test stages; per-stage
-# wall-clock timings print at the end.
+# xtask check) so a style slip or invariant violation fails in seconds,
+# before the multi-minute build/test stages; per-stage wall-clock timings
+# print at the end.
 # Run from anywhere; operates on the workspace containing this script.
-# Any failing step (including lint/audit findings) exits nonzero.
+# Any failing step (including xtask check findings) exits nonzero.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,13 +32,12 @@ trap report EXIT
 # --- cheap static gates first ---------------------------------------------
 stage fmt        cargo fmt --check
 stage clippy     cargo clippy --workspace --all-targets -- -D warnings
-# Per-line invariant checker (token level: determinism, panic hygiene,
-# numeric hygiene, parallel serial-equivalence coverage).
-stage lint       cargo run -q -p xtask -- lint
-# Call-graph analyses (flow level: no-panic certification of the serving
-# hot path, unsafe/SIMD safety, lock order, metrics consistency) gated on
-# zero unbaselined findings against audit-baseline.json.
-stage audit      cargo run -q -p xtask -- audit
+# Every static rule over one parse of the workspace (DESIGN.md §7):
+# per-line determinism, panic and numeric hygiene; the call-graph no-panic
+# certification of the serving hot path (against audit-baseline.json),
+# SAFETY coverage, lock order and metrics consistency; and no allow
+# directive or baseline entry that suppresses nothing.
+stage check      cargo run -q -p xtask -- check
 
 # --- build + test ----------------------------------------------------------
 stage build      cargo build --release
