@@ -47,7 +47,7 @@ impl Scale {
 /// runtime config prints `fatal: …` and exits with
 /// [`deepod_tensor::failpoint::CONFIG_EXIT_CODE`]. The runner calls
 /// `deepod_bench::startup(|k| std::env::var(k).ok())` first — the env
-/// closure keeps every environment read in the binary itself (deepod-lint
+/// closure keeps every environment read in the binary itself (`xtask check`
 /// rule `no-env-read-in-lib`).
 pub fn startup(env: impl Fn(&str) -> Option<String>) {
     let runtime =

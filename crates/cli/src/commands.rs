@@ -1,7 +1,7 @@
 //! Subcommand implementations.
 
 use crate::args::Args;
-use crate::dataset_io::{load_dataset, save_dataset};
+use crate::dataset_io::{load_dataset, read_artifact, save_dataset};
 use deepod_baselines::{RouteTtePredictor, TtePredictor};
 use deepod_core::{
     io_guard, CheckpointPolicy, DeepOdConfig, DeepOdModel, FeatureContext, PredictRequest,
@@ -62,10 +62,10 @@ only queue-depth reject; cache hits are never rejected. The optional
 no effect.
 
 Fault tolerance: --workers N shards the queue over N supervised workers
-(env DEEPOD_SERVE_WORKERS; default 1) sharing one immutable inference
-model; a panicking worker is restarted and its in-flight requests are
-retried up to --retry-budget times (deterministic backoff) before
-failing with a typed worker_crashed reply. --deadline-ms sheds
+(default 1) sharing one immutable inference model; a panicking worker
+is restarted and its in-flight requests are retried up to
+--retry-budget times (deterministic backoff) before failing with a
+typed worker_crashed reply. --deadline-ms sheds
 requests that wait longer than MS in the queue (deadline_exceeded)
 before they reach a batch. Chaos-test the machinery with
 DEEPOD_FAILPOINTS sites serve::worker_batch / serve::slow_batch /
@@ -74,10 +74,9 @@ serve::drop_reply (actions kill|panic|sleep[=MS]).
 Caching: precompute bulk-answers the hot OD matrix — the top --cells
 grid cells by trajectory frequency crossed with the top --slots weekly
 time slots — and writes a checksummed oracle artifact fingerprinted
-against the model file. serve --oracle FILE consults it (plus an
-in-process LRU bounded by --cache-capacity, env DEEPOD_ORACLE /
-DEEPOD_CACHE_CAPACITY) before queue admission: hits answer immediately
-without consuming worker capacity; LRU entries expire when the wall
+against the model. serve --oracle FILE consults it (plus an in-process
+LRU bounded by --cache-capacity) before queue admission: hits answer
+immediately without consuming worker capacity; LRU entries expire when the wall
 clock crosses a --cache-ttl-s slot boundary. A corrupt, version- or
 fingerprint-mismatched oracle is rejected at startup with a warning and
 serving continues cacheless. eval --oracle FILE verifies every oracle
@@ -94,8 +93,10 @@ Global flags (any subcommand):
 
 Crash safety: train checkpoints atomically (default FILE.ckpt next to
 --out) and `--resume` continues a killed run with bit-identical curves.
-predict falls back to the route-tte baseline (exit code 2) when the model
-file is missing or corrupt.
+Dataset and model files are checksummed JSON, so an edited or truncated
+file is refused instead of read. predict and serve fall back to the
+route-tte baseline (exit code 2) when the model file is missing, fails
+its checksum, or is plain JSON from before model files were checksummed.
 ";
 
 /// How a successfully-dispatched command finished. `Degraded` maps to a
@@ -265,13 +266,10 @@ fn train(args: &Args) -> Result<Outcome, String> {
         verbose: args.has_switch("verbose"),
         ..Default::default()
     };
-    let mut trainer =
-        Trainer::new(&ds, cfg, opts).map_err(|e| format!("cannot start training: {e}"))?;
-    if let Some(ckpt) = resume_ckpt {
-        trainer
-            .resume_from(ckpt)
-            .map_err(|e| format!("cannot resume: {e}"))?;
-    }
+    let mut trainer = match resume_ckpt {
+        Some(ckpt) => Trainer::resume(&ds, ckpt, opts).map_err(|e| format!("cannot resume: {e}")),
+        None => Trainer::new(&ds, cfg, opts).map_err(|e| format!("cannot start training: {e}")),
+    }?;
 
     // Checkpointing is on whenever any crash-safety flag is present; the
     // checkpoint file defaults to `<out>.ckpt` (resume keeps writing to
@@ -314,25 +312,19 @@ fn train(args: &Args) -> Result<Outcome, String> {
         println!("wrote {report_path}");
     }
     let json = trainer.model().save_json().map_err(|e| e.to_string())?;
-    io_guard::atomic_write_str(Path::new(out), &json).map_err(|e| format!("writing model: {e}"))?;
+    io_guard::write_checksummed(Path::new(out), json.as_bytes())
+        .map_err(|e| format!("writing model: {e}"))?;
     println!("wrote {out}");
     Ok(Outcome::Ok)
 }
 
-fn load_model(path: &str) -> Result<DeepOdModel, String> {
-    let json = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    DeepOdModel::load_json(&json).map_err(|e| format!("parsing {path}: {e}"))
-}
-
-/// Loads a model plus the fingerprint of its exact file bytes — the
-/// identity an oracle artifact is bound to.
-fn load_model_with_fingerprint(path: &str) -> Result<(DeepOdModel, String), String> {
-    let json = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let model = DeepOdModel::load_json(&json).map_err(|e| format!("parsing {path}: {e}"))?;
-    Ok((
-        model,
-        deepod_core::oracle::model_fingerprint(json.as_bytes()),
-    ))
+/// Loads a checksummed model file, plus the fingerprint of its JSON
+/// payload — the identity an oracle artifact is bound to.
+fn load_model(path: &str) -> Result<(DeepOdModel, String), String> {
+    let payload = read_artifact(path)?;
+    let json = std::str::from_utf8(&payload).map_err(|e| format!("parsing {path}: {e}"))?;
+    let model = DeepOdModel::load_json(json).map_err(|e| format!("parsing {path}: {e}"))?;
+    Ok((model, deepod_core::oracle::model_fingerprint(&payload)))
 }
 
 fn predict(args: &Args) -> Result<Outcome, String> {
@@ -355,7 +347,7 @@ fn predict(args: &Args) -> Result<Outcome, String> {
     // baseline (shortest route over historical segment speeds), warn
     // loudly, and exit with the dedicated "degraded" code.
     match load_model(model_path) {
-        Ok(model) => {
+        Ok((model, _)) => {
             let ctx = FeatureContext::build(&ds, model.config.slot_seconds)
                 .map_err(|e| format!("model slot configuration: {e}"))?;
             let reqs = [PredictRequest::Raw(od)];
@@ -402,7 +394,7 @@ fn predict(args: &Args) -> Result<Outcome, String> {
 
 fn eval_cmd(args: &Args) -> Result<Outcome, String> {
     let ds = load_dataset(args.require("data")?)?;
-    let (model, fingerprint) = load_model_with_fingerprint(args.require("model")?)?;
+    let (model, fingerprint) = load_model(args.require("model")?)?;
     let ctx = FeatureContext::build(&ds, model.config.slot_seconds)
         .map_err(|e| format!("model slot configuration: {e}"))?;
 
@@ -455,7 +447,7 @@ fn eval_cmd(args: &Args) -> Result<Outcome, String> {
 fn precompute_cmd(args: &Args) -> Result<Outcome, String> {
     use deepod_core::oracle::{precompute, PrecomputeSpec};
     let ds = load_dataset(args.require("data")?)?;
-    let (model, fingerprint) = load_model_with_fingerprint(args.require("model")?)?;
+    let (model, fingerprint) = load_model(args.require("model")?)?;
     let out = args.require("out")?;
     let spec = PrecomputeSpec {
         cells: args.get_parsed("cells", 8usize)?,
@@ -483,10 +475,9 @@ fn precompute_cmd(args: &Args) -> Result<Outcome, String> {
     Ok(Outcome::Ok)
 }
 
-/// Builds the serving cache tier from `--oracle` / `--cache-capacity`
-/// (env `DEEPOD_ORACLE` / `DEEPOD_CACHE_CAPACITY`; flags win). A corrupt,
-/// wrong-version, or fingerprint-mismatched oracle is *rejected with a
-/// warning* and serving continues — cacheless if the LRU is off too —
+/// Builds the serving cache tier from `--oracle` / `--cache-capacity`. A
+/// corrupt, wrong-version, or fingerprint-mismatched oracle is *rejected
+/// with a warning* and serving continues — cacheless if the LRU is off too —
 /// because a stale cache is an accuracy incident while a cold one is
 /// only a latency cost. Returns `None` when both tiers are off: the
 /// engine then runs the historical bit-identical cacheless path.
@@ -496,20 +487,17 @@ fn cache_tier(
     oracle_path: Option<&str>,
     capacity: usize,
     ttl_seconds: f64,
-    model_path: &str,
+    model_fingerprint: &str,
     shards: usize,
 ) -> Result<Option<std::sync::Arc<deepod_serve::ServeCache>>, String> {
-    use deepod_core::oracle::{model_fingerprint, OdKeyer, OdOracle};
+    use deepod_core::oracle::{OdKeyer, OdOracle};
     use deepod_serve::{CacheConfig, ServeCache};
     use std::sync::Arc;
     let oracle = match oracle_path {
         None => None,
         Some(path) => match OdOracle::load(Path::new(path)) {
             Ok(oracle) => {
-                let bytes =
-                    std::fs::read(model_path).map_err(|e| format!("reading {model_path}: {e}"))?;
-                let fp = model_fingerprint(&bytes);
-                if oracle.model_fingerprint == fp {
+                if oracle.model_fingerprint == model_fingerprint {
                     deepod_core::obs::info(
                         "serve",
                         "oracle artifact loaded",
@@ -525,7 +513,7 @@ fn cache_tier(
                         "oracle fingerprint does not match the model file; ignoring the oracle",
                         &[
                             ("oracle_fp", oracle.model_fingerprint.as_str().into()),
-                            ("model_fp", fp.as_str().into()),
+                            ("model_fp", model_fingerprint.into()),
                         ],
                     );
                     None
@@ -570,18 +558,12 @@ fn serve(args: &Args) -> Result<Outcome, String> {
 
     let ds = Arc::new(load_dataset(args.require("data")?)?);
     let model_path = args.require("model")?;
-    // `--workers` beats DEEPOD_SERVE_WORKERS beats the single-worker
-    // default (the historically bit-identical configuration).
-    let default_workers = match deepod_core::configured_serve_workers() {
-        0 => 1,
-        n => n,
-    };
     let config = EngineConfig {
         max_batch: args.get_parsed("max-batch", 64usize)?,
         max_wait_ms: args.get_parsed("max-wait-ms", 5u64)?,
         queue_capacity: args.get_parsed("queue", 256usize)?,
         threads: args.get_parsed("threads", 0usize)?,
-        workers: args.get_parsed("workers", default_workers)?,
+        workers: args.get_parsed("workers", 1usize)?,
         deadline_ms: args.get_parsed("deadline-ms", 0u64)?,
         retry_budget: args.get_parsed("retry-budget", 0u32)?,
     };
@@ -591,14 +573,18 @@ fn serve(args: &Args) -> Result<Outcome, String> {
     // the process serving through the route-tte baseline, each response
     // flagged degraded, and the whole run exits with the degraded code.
     let loaded = load_model(model_path);
-    let (slot_seconds, degraded_backend) = match &loaded {
-        Ok(model) => (model.config.slot_seconds, false),
-        Err(_) => (DeepOdConfig::default().slot_seconds, true),
+    let slot_seconds = match &loaded {
+        Ok((model, _)) => model.config.slot_seconds,
+        Err(_) => DeepOdConfig::default().slot_seconds,
     };
     let ctx =
         FeatureContext::build(&ds, slot_seconds).map_err(|e| format!("slot configuration: {e}"))?;
-    let backend = match loaded {
-        Ok(model) => Backend::Inference(Arc::new(InferenceModel::from_model(&model))),
+    // No fingerprint exactly when the backend is the degraded fallback.
+    let (backend, fingerprint) = match loaded {
+        Ok((model, fingerprint)) => (
+            Backend::Inference(Arc::new(InferenceModel::from_model(&model))),
+            Some(fingerprint),
+        ),
         Err(why) => {
             deepod_core::obs::warn(
                 "serve",
@@ -607,39 +593,37 @@ fn serve(args: &Args) -> Result<Outcome, String> {
             );
             let mut fallback = RouteTtePredictor::new();
             fallback.fit(&ds);
-            Backend::RouteTte(Box::new(fallback))
+            (Backend::RouteTte(Box::new(fallback)), None)
         }
     };
-    // Cache tier: flags beat DEEPOD_ORACLE / DEEPOD_CACHE_CAPACITY. With
-    // an unusable model the process serves fallback answers only — those
-    // are degraded and must never be cached, and no fingerprint exists to
-    // validate an oracle against, so the whole tier stays off.
-    let oracle_path: Option<String> = args
-        .get("oracle")
-        .map(str::to_string)
-        .or_else(deepod_core::configured_oracle_path);
-    let cache_capacity =
-        args.get_parsed("cache-capacity", deepod_core::configured_cache_capacity())?;
+    let degraded_backend = fingerprint.is_none();
+    // Cache tier. With an unusable model the process serves fallback
+    // answers only — those are degraded and must never be cached, and no
+    // fingerprint exists to validate an oracle against, so the whole tier
+    // stays off.
+    let oracle_path = args.get("oracle");
+    let cache_capacity = args.get_parsed("cache-capacity", 0usize)?;
     let cache_ttl_s = args.get_parsed("cache-ttl-s", 300.0f64)?;
-    let cache = if degraded_backend {
-        if oracle_path.is_some() || cache_capacity > 0 {
-            deepod_core::obs::warn(
-                "serve",
-                "cache tier disabled: no usable model to validate answers against",
-                &[],
-            );
+    let cache = match &fingerprint {
+        None => {
+            if oracle_path.is_some() || cache_capacity > 0 {
+                deepod_core::obs::warn(
+                    "serve",
+                    "cache tier disabled: no usable model to validate answers against",
+                    &[],
+                );
+            }
+            None
         }
-        None
-    } else {
-        cache_tier(
+        Some(fingerprint) => cache_tier(
             &ds,
             &ctx,
-            oracle_path.as_deref(),
+            oracle_path,
             cache_capacity,
             cache_ttl_s,
-            model_path,
+            fingerprint,
             config.workers.max(1),
-        )?
+        )?,
     };
     let cache_enabled = cache.is_some();
     let engine =

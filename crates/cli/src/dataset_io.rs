@@ -61,21 +61,37 @@ impl DatasetFile {
     }
 }
 
-/// Writes a dataset to a JSON file (atomically: a crash mid-write leaves
-/// any previous file intact instead of a torn one).
+/// Writes a dataset as checksummed JSON (atomically: a crash mid-write
+/// leaves any previous file intact instead of a torn one).
 pub fn save_dataset(ds: &CityDataset, path: &str) -> Result<(), String> {
     let file = DatasetFile::from_dataset(ds);
     let json = serde_json::to_string(&file).map_err(|e| e.to_string())?;
-    deepod_core::io_guard::atomic_write_str(std::path::Path::new(path), &json)
+    deepod_core::io_guard::write_checksummed(std::path::Path::new(path), json.as_bytes())
         .map_err(|e| format!("writing dataset: {e}"))
 }
 
-/// Reads a dataset from a JSON file.
+/// Reads a dataset written by [`save_dataset`].
 pub fn load_dataset(path: &str) -> Result<CityDataset, String> {
-    let json = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let payload = read_artifact(path)?;
+    let json = std::str::from_utf8(&payload).map_err(|e| format!("parsing {path}: {e}"))?;
     let file: DatasetFile =
-        serde_json::from_str(&json).map_err(|e| format!("parsing {path}: {e}"))?;
+        serde_json::from_str(json).map_err(|e| format!("parsing {path}: {e}"))?;
     Ok(file.into_dataset())
+}
+
+/// The verified payload of a checksummed CLI artifact (a dataset or a
+/// model file). A truncated or altered file is a checksum error, and so
+/// is a plain-JSON file from before these artifacts were checksummed;
+/// the error for a missing footer names both causes and the fix.
+pub fn read_artifact(path: &str) -> Result<Vec<u8>, String> {
+    use deepod_core::io_guard::{self, IoGuardError};
+    io_guard::read_checksummed(std::path::Path::new(path)).map_err(|e| match e {
+        IoGuardError::BadMagic { .. } => format!(
+            "{e}: the file is truncated, or is plain JSON from before datasets and \
+             models were checksummed — regenerate it with `deepod simulate` or `deepod train`"
+        ),
+        e => e.to_string(),
+    })
 }
 
 #[cfg(test)]
@@ -109,5 +125,39 @@ mod tests {
     #[test]
     fn load_missing_file_errors() {
         assert!(load_dataset("/nonexistent/deepod.json").is_err());
+    }
+
+    #[test]
+    fn edited_truncated_or_plain_json_files_are_corruption_errors() {
+        let ds = DatasetBuilder::build(&DatasetConfig::for_profile(CityProfile::SynthChengdu, 30));
+        let dir = std::env::temp_dir().join("deepod_cli_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("corrupt_{}.ds", std::process::id()));
+        let path = path.to_str().unwrap();
+        save_dataset(&ds, path).unwrap();
+        let good = std::fs::read(path).unwrap();
+        let footer = deepod_core::io_guard::FOOTER_LEN as usize;
+        let payload = &good[..good.len() - footer];
+
+        // One digit of the payload changed: still valid JSON, and still a
+        // plausible dataset, but no longer the bytes that were written.
+        let digit = payload.iter().position(u8::is_ascii_digit).unwrap();
+        let mut edited = good.clone();
+        edited[digit] ^= 1; // '0' <-> '1', ..., '8' <-> '9'
+        let half = good[..good.len() / 2].to_vec();
+        let cases = [
+            ("edited", edited, "checksum mismatch"),
+            ("truncated", half, "checksum footer"),
+            ("plain JSON", payload.to_vec(), "plain JSON from before"),
+        ];
+        for (label, bytes, want) in cases {
+            deepod_core::io_guard::atomic_write(std::path::Path::new(path), &bytes).unwrap();
+            let typed = deepod_core::io_guard::read_checksummed(std::path::Path::new(path))
+                .expect_err(label);
+            assert!(typed.is_corruption(), "{label}: {typed}");
+            let err = load_dataset(path).err().expect(label);
+            assert!(err.contains(want), "{label}: {err}");
+        }
+        std::fs::remove_file(path).ok();
     }
 }

@@ -93,7 +93,8 @@ fn setup() -> &'static Setup {
             .save_json()
             .expect("serializable model");
         let model = dir.join("model.json").display().to_string();
-        std::fs::write(&model, model_json).expect("write model file");
+        deepod_core::io_guard::write_checksummed(model.as_ref(), model_json.as_bytes())
+            .expect("write model file");
         // Precompute the oracle through the real subcommand so the
         // artifact on disk is exactly what operators would ship.
         let oracle = dir.join("oracle.json").display().to_string();
@@ -154,8 +155,6 @@ fn run_serve_chunked(extra_args: &[&str], model: &str, chunks: Vec<(String, u64)
         .args(["serve", "--data", &s.data, "--model", model])
         .args(extra_args)
         .env("DEEPOD_LOG", "off")
-        .env_remove("DEEPOD_ORACLE")
-        .env_remove("DEEPOD_CACHE_CAPACITY")
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())

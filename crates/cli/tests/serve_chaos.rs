@@ -90,7 +90,8 @@ fn setup() -> &'static Setup {
             .save_json()
             .expect("serializable model");
         let model = dir.join("model.json").display().to_string();
-        std::fs::write(&model, model_json).expect("write model file");
+        deepod_core::io_guard::write_checksummed(model.as_ref(), model_json.as_bytes())
+            .expect("write model file");
         Setup {
             dir,
             data,

@@ -4,10 +4,16 @@
 //! [`crate::Trainer`] needs to continue as if it had never stopped: the
 //! live model, the best-validation parameter snapshot, the Adam moment
 //! estimates, the position inside the epoch/step structure, the validation
-//! curve so far, and — crucially — the RNG stream. Restoring one and
-//! calling `train` again produces **bit-identical** loss and validation
-//! curves to the uninterrupted run for the same `(seed, threads)` pair;
-//! the kill/resume integration suite (`crates/cli/tests/crash_resume.rs`)
+//! curve so far, and — crucially — the RNG stream. It is the loop's one
+//! state value plus the model: the trainer makes every checkpoint with a
+//! single snapshot function, at mid-epoch and epoch-boundary saves alike.
+//!
+//! Resuming is a constructor, [`crate::Trainer::resume`]: it takes the
+//! config and the model from the checkpoint (nothing is rebuilt), checks
+//! the config and the thread count, and the next `train` call continues
+//! the run. That produces **bit-identical** loss and validation curves to
+//! the uninterrupted run for the same `(seed, threads)` pair; the
+//! kill/resume integration suite (`crates/cli/tests/crash_resume.rs`)
 //! enforces this by comparing `f32::to_bits` across a real crash.
 //!
 //! On disk a checkpoint is JSON wrapped in the [`crate::io_guard`]

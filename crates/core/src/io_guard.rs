@@ -13,8 +13,8 @@
 //! 3. `rename(temp, path)` publishes it atomically,
 //! 4. the parent directory is fsynced (the rename itself is durable).
 //!
-//! Artifacts that must also *detect* corruption (checkpoints) use the
-//! checksummed container: `payload ‖ footer`, where the 24-byte footer is
+//! Artifacts that must also *detect* corruption (checkpoints, models,
+//! datasets, oracles, metrics) use the checksummed container: `payload ‖ footer`, where the 24-byte footer is
 //! `[magic "DPODSUM1"][payload_len u64 LE][fnv1a64(payload) u64 LE]`.
 //! Reading verifies magic, length, and checksum, and reports a typed
 //! [`IoGuardError`] — never a panic and never silently wrong bytes.
@@ -23,7 +23,7 @@
 //! retried a bounded number of times with a deterministic backoff
 //! schedule; everything else surfaces immediately.
 //!
-//! The `deepod-lint` rule `no-bare-fs-write` forbids `fs::write` /
+//! The `xtask check` rule `no-bare-fs-write` forbids `fs::write` /
 //! `File::create` everywhere outside this module, so adopting the guard is
 //! enforced mechanically, not by convention.
 

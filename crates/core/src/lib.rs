@@ -68,10 +68,7 @@ pub use oracle::{
     model_fingerprint, precompute, OdKeyer, OdOracle, OracleEntry, OracleError, OracleKey,
     PrecomputeSpec, ORACLE_VERSION,
 };
-pub use runtime::{
-    configured_cache_capacity, configured_oracle_path, configured_serve_workers, RuntimeConfig,
-    RuntimeError, RuntimeOverrides,
-};
+pub use runtime::{RuntimeConfig, RuntimeError, RuntimeOverrides};
 pub use temporal_graph::{build_temporal_graph, temporal_graph_day_only};
 pub use timeslot::{TimeSlotError, TimeSlots};
 pub use train::{

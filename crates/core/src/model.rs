@@ -20,7 +20,7 @@ use deepod_traj::{CityDataset, OdInput};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Typed model-lifecycle failures. These used to be panics; deepod-lint
+/// Typed model-lifecycle failures. These used to be panics; `xtask check`
 /// denies `unwrap`/`expect` in library code, so they surface as errors the
 /// CLI maps to user-facing messages instead of backtraces.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -491,26 +491,19 @@ impl DeepOdModel {
     /// Adopts batch-norm running statistics from data-parallel workers:
     /// the weighted average of the worker EMAs, weights being the fraction
     /// of the minibatch each worker processed (accumulated in worker
-    /// order, so the result is bit-stable for a fixed worker count). With
-    /// a single worker the statistics are copied verbatim, which keeps the
-    /// one-thread path identical to serial training.
+    /// order, so the result is bit-stable for a fixed worker count). The
+    /// sum starts at the first worker's term, so one worker (weight 1)
+    /// hands its statistics over verbatim.
     pub(crate) fn merge_bn_stats(&mut self, workers: &[(f32, DeepOdModel)]) {
-        if workers.is_empty() {
+        let Some(((w0, first), rest)) = workers.split_first() else {
             return;
-        }
-        if let [(_, only)] = workers {
-            for (dst, src) in self.batch_norms_mut().into_iter().zip(only.batch_norms()) {
-                dst.running_mean.clone_from(&src.running_mean);
-                dst.running_var.clone_from(&src.running_var);
-            }
-            return;
-        }
-        let mut bns = self.batch_norms_mut();
-        for (b, bn) in bns.iter_mut().enumerate() {
+        };
+        for (b, bn) in self.batch_norms_mut().into_iter().enumerate() {
+            let src0 = first.batch_norms()[b];
             for c in 0..bn.channels {
-                let mut mean = 0.0f32;
-                let mut var = 0.0f32;
-                for (w, worker) in workers {
+                let mut mean = w0 * src0.running_mean[c];
+                let mut var = w0 * src0.running_var[c];
+                for (w, worker) in rest {
                     let src = worker.batch_norms()[b];
                     mean += w * src.running_mean[c];
                     var += w * src.running_var[c];

@@ -28,7 +28,7 @@
 //! `deepod-eval` verifies the canonical answers stay **bit-identical** to
 //! a fresh `estimate_batch` run for the same model version.
 //!
-//! **Versioning.** The artifact embeds a fingerprint of the model file it
+//! **Versioning.** The artifact embeds a fingerprint of the model JSON it
 //! was computed from ([`model_fingerprint`]); the serving tier refuses to
 //! use an oracle whose fingerprint does not match the model it loaded.
 //!
@@ -99,10 +99,11 @@ impl From<IoGuardError> for OracleError {
     }
 }
 
-/// Fingerprint of a serialized model artifact (FNV-1a over the exact
-/// bytes), rendered as fixed-width hex so it survives JSON round-trips
-/// losslessly. Both `deepod precompute` and `deepod serve` fingerprint
-/// the model *file*, so any retrain invalidates the oracle.
+/// Fingerprint of a serialized model (FNV-1a over the exact JSON
+/// payload of the model file, without its checksum footer), rendered as
+/// fixed-width hex so it survives JSON round-trips losslessly. Both
+/// `deepod precompute` and `deepod serve` fingerprint that payload, so
+/// any retrain invalidates the oracle.
 pub fn model_fingerprint(model_bytes: &[u8]) -> String {
     format!("{:016x}", io_guard::fnv1a64(model_bytes))
 }

@@ -12,66 +12,13 @@
 //!   and an environment lookup closure (precedence: flags > env >
 //!   defaults), then [`RuntimeConfig::apply`] exactly once;
 //! * library crates never read the environment — enforced by the
-//!   deepod-lint rule `no-env-read-in-lib`.
+//!   `xtask check` rule `no-env-read-in-lib`.
 //!
 //! The environment is passed in as a closure rather than read here so the
 //! *only* `std::env::var` tokens in the workspace live in `src/main.rs` /
 //! `src/bin/` files, which the lint exempts.
 
 use crate::obs::{self, Level, LogFormat};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// Process-wide default worker-shard count for the serve engine, installed
-/// by [`RuntimeConfig::apply`] from `DEEPOD_SERVE_WORKERS`. Zero means
-/// "unset" — the CLI falls back to its own default (one worker).
-static SERVE_WORKERS: AtomicUsize = AtomicUsize::new(0);
-
-/// Process-wide default oracle artifact path for the serve cache tier,
-/// installed from `DEEPOD_ORACLE`. `None` means "unset" — the CLI's
-/// `--oracle` flag still wins.
-static ORACLE_PATH: Mutex<Option<String>> = Mutex::new(None);
-
-/// Process-wide default LRU capacity for the serve cache tier, installed
-/// from `DEEPOD_CACHE_CAPACITY`. Zero means "unset/disabled".
-static CACHE_CAPACITY: AtomicUsize = AtomicUsize::new(0);
-
-/// Installs the process-wide serve worker-shard default (`0` = unset).
-pub fn set_configured_serve_workers(n: usize) {
-    SERVE_WORKERS.store(n, Ordering::Relaxed);
-}
-
-/// The serve worker-shard default installed by [`RuntimeConfig::apply`]
-/// (`0` when `DEEPOD_SERVE_WORKERS` was absent or unparseable).
-pub fn configured_serve_workers() -> usize {
-    SERVE_WORKERS.load(Ordering::Relaxed)
-}
-
-/// Installs the process-wide serve oracle-path default (`None` = unset).
-pub fn set_configured_oracle_path(path: Option<String>) {
-    let mut slot = ORACLE_PATH.lock().unwrap_or_else(|p| p.into_inner());
-    *slot = path;
-}
-
-/// The serve oracle-path default installed by [`RuntimeConfig::apply`]
-/// (`None` when `DEEPOD_ORACLE` was absent or empty).
-pub fn configured_oracle_path() -> Option<String> {
-    ORACLE_PATH
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .clone()
-}
-
-/// Installs the process-wide serve cache-capacity default (`0` = unset).
-pub fn set_configured_cache_capacity(n: usize) {
-    CACHE_CAPACITY.store(n, Ordering::Relaxed);
-}
-
-/// The serve cache-capacity default installed by [`RuntimeConfig::apply`]
-/// (`0` when `DEEPOD_CACHE_CAPACITY` was absent or unparseable).
-pub fn configured_cache_capacity() -> usize {
-    CACHE_CAPACITY.load(Ordering::Relaxed)
-}
 
 /// Flag-level overrides a binary resolved from its own argument list.
 /// Anything left `None` falls back to the environment, then defaults.
@@ -106,15 +53,6 @@ pub struct RuntimeConfig {
     /// [`RuntimeConfig::apply`], which surfaces malformed entries as
     /// [`RuntimeError::BadFailpoints`].
     pub failpoints: Option<String>,
-    /// Default worker-shard count for the serve engine (`0` = unset, the
-    /// CLI's `--workers` flag still wins). From `DEEPOD_SERVE_WORKERS`.
-    pub serve_workers: usize,
-    /// Default oracle artifact path for the serve cache tier (`None` =
-    /// unset, `--oracle` still wins). From `DEEPOD_ORACLE`.
-    pub oracle_path: Option<String>,
-    /// Default LRU capacity for the serve cache tier (`0` = unset,
-    /// `--cache-capacity` still wins). From `DEEPOD_CACHE_CAPACITY`.
-    pub cache_capacity: usize,
     /// An unrecognized `DEEPOD_LOG` value, kept so [`RuntimeConfig::apply`]
     /// can warn about it *after* the log pipeline is up. A typo'd level is
     /// not worth killing a training run over, but must not pass silently.
@@ -173,23 +111,12 @@ impl RuntimeConfig {
             .metrics_path
             .or_else(|| env("DEEPOD_METRICS").filter(|s| !s.is_empty()));
         let failpoints = env("DEEPOD_FAILPOINTS").filter(|s| !s.trim().is_empty());
-        let serve_workers = env("DEEPOD_SERVE_WORKERS")
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(0);
-        let oracle_path = env("DEEPOD_ORACLE").filter(|s| !s.trim().is_empty());
-        let cache_capacity = env("DEEPOD_CACHE_CAPACITY")
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(0);
         RuntimeConfig {
             threads,
             log_level,
             log_format,
             metrics_path,
             failpoints,
-            serve_workers,
-            oracle_path,
-            cache_capacity,
             bad_log_value,
         }
     }
@@ -214,9 +141,6 @@ impl RuntimeConfig {
             );
         }
         deepod_tensor::parallel::set_configured_threads(self.threads);
-        set_configured_serve_workers(self.serve_workers);
-        set_configured_oracle_path(self.oracle_path.clone());
-        set_configured_cache_capacity(self.cache_capacity);
         // Materialize the metric keys every run must report (even at zero)
         // so snapshot key sets are comparable across runs.
         crate::io_guard::register_metrics();
@@ -252,9 +176,6 @@ mod tests {
         assert_eq!(cfg.log_format, None);
         assert_eq!(cfg.metrics_path, None);
         assert_eq!(cfg.failpoints, None);
-        assert_eq!(cfg.serve_workers, 0);
-        assert_eq!(cfg.oracle_path, None);
-        assert_eq!(cfg.cache_capacity, 0);
         assert_eq!(cfg.bad_log_value, None);
     }
 
@@ -266,9 +187,6 @@ mod tests {
             ("DEEPOD_LOG_FORMAT", "json"),
             ("DEEPOD_METRICS", "m.json"),
             ("DEEPOD_FAILPOINTS", "train::epoch:1"),
-            ("DEEPOD_SERVE_WORKERS", "4"),
-            ("DEEPOD_ORACLE", "oracle.json"),
-            ("DEEPOD_CACHE_CAPACITY", "512"),
         ]);
         let cfg = RuntimeConfig::resolve(RuntimeOverrides::default(), env);
         assert_eq!(cfg.threads, 4);
@@ -276,9 +194,6 @@ mod tests {
         assert_eq!(cfg.log_format, Some(LogFormat::Json));
         assert_eq!(cfg.metrics_path.as_deref(), Some("m.json"));
         assert_eq!(cfg.failpoints.as_deref(), Some("train::epoch:1"));
-        assert_eq!(cfg.serve_workers, 4);
-        assert_eq!(cfg.oracle_path.as_deref(), Some("oracle.json"));
-        assert_eq!(cfg.cache_capacity, 512);
     }
 
     #[test]
@@ -302,15 +217,9 @@ mod tests {
             ("DEEPOD_THREADS", "zero"),
             ("DEEPOD_LOG", "loud"),
             ("DEEPOD_METRICS", ""),
-            ("DEEPOD_SERVE_WORKERS", "lots"),
-            ("DEEPOD_ORACLE", "  "),
-            ("DEEPOD_CACHE_CAPACITY", "many"),
         ]);
         let cfg = RuntimeConfig::resolve(RuntimeOverrides::default(), env);
         assert_eq!(cfg.threads, 0, "unparseable thread count keeps default");
-        assert_eq!(cfg.serve_workers, 0, "unparseable worker count stays unset");
-        assert_eq!(cfg.oracle_path, None, "blank oracle path is unset");
-        assert_eq!(cfg.cache_capacity, 0, "unparseable capacity stays unset");
         assert_eq!(cfg.log_level, None, "bad level keeps the default gate");
         assert_eq!(cfg.bad_log_value.as_deref(), Some("loud"));
         assert_eq!(cfg.metrics_path, None, "empty metrics path is unset");

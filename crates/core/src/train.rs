@@ -8,9 +8,10 @@ use crate::config::DeepOdConfig;
 use crate::features::{EncodedSample, FeatureContext};
 use crate::inference::InferenceModel;
 use crate::model::{DeepOdModel, ModelError};
-use deepod_nn::{AdamOptimizer, Gradients, LrSchedule};
+use deepod_nn::{AdamOptimizer, Gradients, LrSchedule, ParamStore};
 use deepod_roadnet::RoadNetwork;
 use deepod_traj::CityDataset;
+use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
@@ -56,7 +57,7 @@ pub struct TrainOptions {
     pub weight_decay: f32,
     /// Worker threads for minibatch gradients, validation and batch
     /// prediction. `0` resolves to `DEEPOD_THREADS` (or the machine's
-    /// available parallelism). `1` runs the exact serial path.
+    /// available parallelism). `1` runs every span on the calling thread.
     pub threads: usize,
     /// Raise the observability gate to `info` (unless `DEEPOD_LOG` set it
     /// explicitly) so per-eval and per-epoch progress events reach stderr.
@@ -156,18 +157,50 @@ impl BatchGrad {
     }
 }
 
+/// What Alg. 1's loop carries from one minibatch to the next: all of a
+/// [`TrainingCheckpoint`] except the model. A run starts from a fresh
+/// one or from the one [`Trainer::resume`] rebuilt, and
+/// [`RunState::checkpoint`] is the only way back to a checkpoint.
+struct RunState {
+    opt: AdamOptimizer,
+    rng: StdRng,
+    /// Parameter snapshot of the best validation point (shallow clones;
+    /// copy-on-write keeps it intact while the optimizer updates the live
+    /// store).
+    best_store: ParamStore,
+    /// The live loop position. `rng_state` is the RNG at the start of
+    /// `epoch`, before its shuffle; `elapsed_s` is the wall time earlier
+    /// processes spent on this run.
+    progress: TrainProgress,
+}
+
+impl RunState {
+    /// The run as a checkpoint with `model` live, `elapsed_s` seconds in.
+    fn checkpoint(&self, model: &DeepOdModel, elapsed_s: f64) -> TrainingCheckpoint {
+        TrainingCheckpoint {
+            version: CHECKPOINT_VERSION,
+            model: model.clone(),
+            best_store: self.best_store.clone(),
+            optimizer: self.opt.snapshot(),
+            progress: TrainProgress {
+                elapsed_s,
+                ..self.progress.clone()
+            },
+        }
+    }
+}
+
 /// Drives training of a [`DeepOdModel`] on a [`CityDataset`].
 pub struct Trainer<'a> {
     ds: &'a CityDataset,
     ctx: FeatureContext,
     model: DeepOdModel,
-    cfg: DeepOdConfig,
     opts: TrainOptions,
     train_samples: Vec<EncodedSample>,
     val_samples: Vec<EncodedSample>,
-    /// Training state staged by [`Trainer::resume_from`], consumed by the
-    /// next `train` call.
-    pending_resume: Option<Box<TrainingCheckpoint>>,
+    /// The run [`Trainer::resume`] rebuilt: the next `train` call
+    /// continues it, any later one starts afresh.
+    resumed: Option<RunState>,
 }
 
 impl<'a> Trainer<'a> {
@@ -178,9 +211,76 @@ impl<'a> Trainer<'a> {
         cfg: DeepOdConfig,
         opts: TrainOptions,
     ) -> Result<Self, ModelError> {
-        let ctx = FeatureContext::build(ds, cfg.slot_seconds)
+        Self::build(ds, cfg.slot_seconds, opts, |ctx| {
+            DeepOdModel::new(&cfg, ds, ctx)
+        })
+    }
+
+    /// Rebuilds the trainer of an interrupted run from its checkpoint, so
+    /// the next `train` call continues the run. The config and the model
+    /// come from `ckpt`; for the same `(seed, threads)` the resumed curves
+    /// are bit-identical to the uninterrupted run's.
+    ///
+    /// The checkpoint is outside input, so its config is validated. The
+    /// worker-thread count `opts` resolves to must be the checkpoint's: it
+    /// fixes the floating-point stream, and silently accepting another
+    /// would void the bit-identical-resume guarantee the crash-safety
+    /// suite enforces.
+    pub fn resume(
+        ds: &'a CityDataset,
+        ckpt: TrainingCheckpoint,
+        opts: TrainOptions,
+    ) -> Result<Self, ModelError> {
+        let TrainingCheckpoint {
+            model,
+            best_store,
+            optimizer,
+            progress,
+            ..
+        } = ckpt;
+        model.config.validate().map_err(ModelError::InvalidConfig)?;
+        let threads = deepod_tensor::parallel::resolve_threads(opts.threads);
+        if progress.threads != threads {
+            return Err(ModelError::InvalidConfig(format!(
+                "checkpoint was trained with {} worker threads but this trainer resolves to \
+                 {threads}; gradient merge order depends on the thread count, so resume \
+                 requires the same value (set TrainOptions::threads explicitly)",
+                progress.threads
+            )));
+        }
+        let slot_seconds = model.config.slot_seconds;
+        let mut trainer = Self::build(ds, slot_seconds, opts, |_| Ok(model))?;
+        crate::obs::registry::counter_inc("checkpoint.resume_hits");
+        crate::obs::info(
+            "train",
+            "resumed from checkpoint",
+            &[
+                ("epoch", progress.epoch.into()),
+                ("batches_done", progress.batches_done.into()),
+                ("step", progress.step.into()),
+            ],
+        );
+        trainer.resumed = Some(RunState {
+            opt: AdamOptimizer::from_snapshot(&optimizer),
+            rng: StdRng::from_state(progress.rng_state),
+            best_store,
+            progress,
+        });
+        Ok(trainer)
+    }
+
+    /// What [`Trainer::new`] and [`Trainer::resume`] share: the feature
+    /// context, the model `model` makes over it, and the encoded splits,
+    /// neither of which may be empty.
+    fn build(
+        ds: &'a CityDataset,
+        slot_seconds: f64,
+        opts: TrainOptions,
+        model: impl FnOnce(&FeatureContext) -> Result<DeepOdModel, ModelError>,
+    ) -> Result<Self, ModelError> {
+        let ctx = FeatureContext::build(ds, slot_seconds)
             .map_err(|e| ModelError::InvalidConfig(e.to_string()))?;
-        let model = DeepOdModel::new(&cfg, ds, &ctx)?;
+        let model = model(&ctx)?;
         let train_samples = ctx.encode_orders(&ds.net, &ds.train);
         let val_samples = ctx.encode_orders(&ds.net, &ds.validation);
         if train_samples.is_empty() {
@@ -201,11 +301,10 @@ impl<'a> Trainer<'a> {
             ds,
             ctx,
             model,
-            cfg,
             opts,
             train_samples,
             val_samples,
-            pending_resume: None,
+            resumed: None,
         })
     }
 
@@ -311,29 +410,17 @@ impl<'a> Trainer<'a> {
 
     /// Summed loss and merged gradients for one minibatch.
     ///
-    /// `threads == 1` runs the literal serial loop on the live model —
-    /// bit-identical to the pre-parallel trainer. With more threads the
-    /// batch is split into contiguous spans, each processed on a clone of
-    /// the model (copy-on-write parameter store, so cloning is cheap);
-    /// per-span losses are summed in span order and per-span gradients
-    /// merged by a deterministic adjacent-pair tree reduction, making the
-    /// result a pure function of (batch, thread count) — never of thread
-    /// scheduling. Batch-norm running statistics accumulated by the
-    /// workers are averaged back into the live model weighted by span
+    /// The batch is split into one contiguous span per thread, each
+    /// processed on a clone of the model (copy-on-write parameter store,
+    /// so cloning is cheap); one thread runs its one span on the calling
+    /// thread. Per-span losses are summed in span order and per-span
+    /// gradients merged by a deterministic adjacent-pair tree reduction,
+    /// making the result a pure function of (batch, thread count) — never
+    /// of thread scheduling. Batch-norm running statistics accumulated by
+    /// the workers are averaged back into the live model weighted by span
     /// length.
     fn batch_gradients(&mut self, chunk: &[usize], threads: usize) -> (BatchGrad, Gradients) {
         let t = threads.min(chunk.len()).max(1);
-        if t == 1 {
-            let mut grads = Gradients::new();
-            let mut batch = BatchGrad::default();
-            for &idx in chunk {
-                let (parts, g) = self.model.sample_gradients_traced(&self.train_samples[idx]);
-                batch.accumulate(&parts);
-                grads.merge(g);
-            }
-            return (batch, grads);
-        }
-
         let model = &self.model;
         let samples = &self.train_samples;
         let results = deepod_tensor::parallel::map_ranges(chunk.len(), t, |span| {
@@ -354,8 +441,8 @@ impl<'a> Trainer<'a> {
         let mut grad_parts = Vec::with_capacity(results.len());
         let mut bn_workers = Vec::with_capacity(results.len());
         for (len, part, grads, local) in results {
-            // Span-order sum, exactly like the old scalar loss: the total
-            // stays a pure function of (batch, thread count).
+            // Span-order sum: the total stays a pure function of (batch,
+            // thread count).
             batch.loss += part.loss;
             batch.main += part.main;
             batch.aux += part.aux;
@@ -369,33 +456,6 @@ impl<'a> Trainer<'a> {
         })
         .unwrap_or_default();
         (batch, grads)
-    }
-
-    /// Stages a [`TrainingCheckpoint`] so the next `train` call continues
-    /// the interrupted run instead of starting fresh.
-    ///
-    /// The checkpoint's config and worker-thread count must match this
-    /// trainer's exactly: both determine the floating-point stream, and
-    /// silently accepting a mismatch would void the bit-identical-resume
-    /// guarantee the crash-safety suite enforces.
-    pub fn resume_from(&mut self, ckpt: TrainingCheckpoint) -> Result<(), ModelError> {
-        if ckpt.model.config != self.cfg {
-            return Err(ModelError::InvalidConfig(
-                "checkpoint was produced by a different config; resume requires an identical one"
-                    .into(),
-            ));
-        }
-        let threads = self.threads();
-        if ckpt.progress.threads != threads {
-            return Err(ModelError::InvalidConfig(format!(
-                "checkpoint was trained with {} worker threads but this trainer resolves to \
-                 {threads}; gradient merge order depends on the thread count, so resume \
-                 requires the same value (set TrainOptions::threads explicitly)",
-                ckpt.progress.threads
-            )));
-        }
-        self.pending_resume = Some(Box::new(ckpt));
-        Ok(())
     }
 
     /// Runs Alg. 1's `ModelTrain` for the configured number of epochs and
@@ -413,15 +473,48 @@ impl<'a> Trainer<'a> {
 
     /// Like [`Trainer::train`], but persists a [`TrainingCheckpoint`]
     /// according to `policy` (atomically, with a checksum footer) so the
-    /// run survives crashes. Combined with [`Trainer::resume_from`], a
-    /// killed run continues with bit-identical loss/validation curves for
-    /// the same `(seed, threads)`.
+    /// run survives crashes. [`Trainer::resume`] continues a killed run
+    /// with bit-identical loss/validation curves for the same
+    /// `(seed, threads)`.
     pub fn train_with_checkpoints(
         &mut self,
         policy: &CheckpointPolicy,
     ) -> Result<TrainReport, ModelError> {
         let path = policy.path.clone();
         self.train_driver(Some(policy.every_steps), move |ckpt| ckpt.save(&path))
+    }
+
+    /// A run at step 0: a fresh optimizer and RNG, and a curve that starts
+    /// at the untrained model.
+    fn fresh_run(&mut self, threads: usize) -> RunState {
+        let mut opt = AdamOptimizer::new(self.model.config.lr);
+        opt.set_weight_decay(self.opts.weight_decay);
+        let rng = deepod_tensor::rng_from_seed(self.model.config.seed ^ 0x7124);
+        let mae0 = self.validation_mae();
+        crate::obs::registry::series_push("train.val_mae", 0, f64::from(mae0));
+        RunState {
+            progress: TrainProgress {
+                epoch: 0,
+                batches_done: 0,
+                step: 0,
+                rng_state: rng.state(),
+                curve: vec![CurvePoint {
+                    step: 0,
+                    val_mae: mae0,
+                    elapsed_s: 0.0,
+                }],
+                best_val_mae: f32::INFINITY.min(mae0),
+                since_best: 0,
+                final_train_loss: 0.0,
+                epoch_loss: 0.0,
+                epoch_batches: 0,
+                elapsed_s: 0.0,
+                threads,
+            },
+            opt,
+            rng,
+            best_store: self.model.store.clone(),
+        }
     }
 
     /// The training loop, generic over the checkpoint sink.
@@ -431,7 +524,9 @@ impl<'a> Trainer<'a> {
     /// for every `n` steps plus epoch boundaries. `save` failures abort
     /// the run — better to stop than to keep training unprotected.
     ///
-    /// Resume correctness rests on three invariants:
+    /// The loop reads and writes only the model and one [`RunState`], so
+    /// a checkpoint is that state at a step. Resume correctness rests on
+    /// three invariants:
     /// * the RNG state stored in a checkpoint is the state at the *start*
     ///   of its epoch, so the resumed run re-runs the shuffle and skips
     ///   the already-applied minibatches, landing on the exact stream
@@ -446,18 +541,20 @@ impl<'a> Trainer<'a> {
         checkpoint_every: Option<usize>,
         mut save: impl FnMut(&TrainingCheckpoint) -> Result<(), E>,
     ) -> Result<TrainReport, E> {
+        let epochs = self.model.config.epochs;
         // The paper divides the LR by 5 every 2 epochs — with millions of
         // trips per epoch. At laptop scale an epoch is a few dozen steps,
         // so we scale the decay interval with the run length (÷5 happens
         // at the same *fraction* of training, ~2-3 times per run).
         let schedule = LrSchedule::StepDecay {
-            base: self.cfg.lr,
+            base: self.model.config.lr,
             divisor: 5.0,
-            every_epochs: 2usize.max(self.cfg.epochs.div_ceil(4)),
+            every_epochs: 2usize.max(epochs.div_ceil(4)),
         };
         // deepod-lint: allow(nondeterminism) — report timing only
         let start = Instant::now();
-        let bs = self.cfg.batch_size.max(1);
+        let elapsed = |run: &RunState| run.progress.elapsed_s + start.elapsed().as_secs_f64();
+        let bs = self.model.config.batch_size.max(1);
         let threads = self.threads();
         if self.opts.verbose {
             // Widen the default gate so progress events print; an explicit
@@ -468,100 +565,31 @@ impl<'a> Trainer<'a> {
             "train",
             "training starts",
             &[
-                ("epochs", self.cfg.epochs.into()),
+                ("epochs", epochs.into()),
                 ("batch_size", bs.into()),
                 ("threads", threads.into()),
                 ("train_samples", self.train_samples.len().into()),
                 ("val_samples", self.val_samples.len().into()),
             ],
         );
+        let mut run = match self.resumed.take() {
+            Some(run) => run,
+            None => self.fresh_run(threads),
+        };
 
-        let mut opt;
-        let mut rng;
-        let mut curve;
-        let mut step;
-        let mut best;
-        let mut since_best;
-        let mut final_train_loss;
-        let mut best_store;
-        let start_epoch;
-        let resume_batches;
-        let carried_epoch_loss;
-        let elapsed_offset;
-        match self.pending_resume.take() {
-            Some(ckpt) => {
-                let ckpt = *ckpt;
-                self.model = ckpt.model;
-                opt = AdamOptimizer::from_snapshot(&ckpt.optimizer);
-                rng = rand::rngs::StdRng::from_state(ckpt.progress.rng_state);
-                curve = ckpt.progress.curve;
-                step = ckpt.progress.step;
-                best = ckpt.progress.best_val_mae;
-                since_best = ckpt.progress.since_best;
-                final_train_loss = ckpt.progress.final_train_loss;
-                best_store = ckpt.best_store;
-                start_epoch = ckpt.progress.epoch;
-                resume_batches = ckpt.progress.batches_done;
-                carried_epoch_loss = (ckpt.progress.epoch_loss, ckpt.progress.epoch_batches);
-                elapsed_offset = ckpt.progress.elapsed_s;
-                crate::obs::registry::counter_inc("checkpoint.resume_hits");
-                crate::obs::info(
-                    "train",
-                    "resumed from checkpoint",
-                    &[
-                        ("epoch", start_epoch.into()),
-                        ("batches_done", resume_batches.into()),
-                        ("step", step.into()),
-                    ],
-                );
-            }
-            None => {
-                opt = AdamOptimizer::new(self.cfg.lr);
-                opt.set_weight_decay(self.opts.weight_decay);
-                rng = deepod_tensor::rng_from_seed(self.cfg.seed ^ 0x7124);
-                curve = Vec::new();
-                step = 0usize;
-                best = f32::INFINITY;
-                since_best = 0usize;
-                final_train_loss = 0.0f32;
-                // Initial point so curves start at the untrained model.
-                let mae0 = self.validation_mae();
-                best = best.min(mae0);
-                curve.push(CurvePoint {
-                    step: 0,
-                    val_mae: mae0,
-                    elapsed_s: 0.0,
-                });
-                crate::obs::registry::series_push("train.val_mae", 0, f64::from(mae0));
-                // Best-checkpoint snapshot (shallow Rc clones; copy-on-write
-                // keeps it intact while the optimizer updates the live
-                // store).
-                best_store = self.model.store.clone();
-                start_epoch = 0;
-                resume_batches = 0;
-                carried_epoch_loss = (0.0f32, 0usize);
-                elapsed_offset = 0.0f64;
-            }
-        }
-
-        'outer: for epoch in start_epoch..self.cfg.epochs {
+        'run: while run.progress.epoch < epochs {
+            let epoch = run.progress.epoch;
             deepod_tensor::failpoint::hit("train::epoch");
-            opt.set_lr(schedule.lr_at(epoch));
-            // State at the top of the epoch, *before* the shuffle: what a
-            // mid-epoch checkpoint records so resume can re-shuffle.
-            let epoch_rng_state = rng.state();
+            run.opt.set_lr(schedule.lr_at(epoch));
+            // The state before the shuffle: what a mid-epoch checkpoint
+            // records, so resume can re-shuffle.
+            run.progress.rng_state = run.rng.state();
             // Shuffle sample order (Alg. 1 line 2).
             let mut order: Vec<usize> = (0..self.train_samples.len()).collect();
             for i in (1..order.len()).rev() {
-                order.swap(i, rng.gen_range(0..=i));
+                order.swap(i, run.rng.gen_range(0..=i));
             }
-            let resuming_here = epoch == start_epoch;
-            let skip = if resuming_here { resume_batches } else { 0 };
-            let (mut epoch_loss, mut epoch_batches) = if resuming_here {
-                carried_epoch_loss
-            } else {
-                (0.0f32, 0usize)
-            };
+            let skip = run.progress.batches_done;
             for (batch_idx, chunk) in order.chunks(bs).enumerate().skip(skip) {
                 deepod_tensor::failpoint::hit("train::step");
                 let (batch, mut grads) = self.batch_gradients(chunk, threads);
@@ -572,13 +600,15 @@ impl<'a> Trainer<'a> {
                 if self.opts.clip_norm > 0.0 {
                     grads.clip_global_norm(self.opts.clip_norm);
                 }
-                opt.step(&mut self.model.store, &grads);
-                step += 1;
-                let batches_done = batch_idx + 1;
+                run.opt.step(&mut self.model.store, &grads);
+                let p = &mut run.progress;
+                p.step += 1;
+                p.batches_done = batch_idx + 1;
+                let step = p.step;
                 let n = chunk.len() as f32;
                 let step_loss = batch.loss / n;
-                epoch_loss += step_loss;
-                epoch_batches += 1;
+                p.epoch_loss += step_loss;
+                p.epoch_batches += 1;
                 crate::obs::registry::counter_inc("train.steps");
                 crate::obs::registry::observe("train.grad_norm", f64::from(grad_norm));
                 crate::obs::registry::gauge_set("train.loss_last", f64::from(step_loss));
@@ -596,14 +626,14 @@ impl<'a> Trainer<'a> {
                     ],
                 );
 
-                let eval_now =
-                    self.opts.eval_every > 0 && step.is_multiple_of(self.opts.eval_every);
-                if eval_now {
+                if self.opts.eval_every > 0 && step.is_multiple_of(self.opts.eval_every) {
                     let mae = self.validation_mae();
-                    curve.push(CurvePoint {
+                    let elapsed_s = elapsed(&run);
+                    let p = &mut run.progress;
+                    p.curve.push(CurvePoint {
                         step,
                         val_mae: mae,
-                        elapsed_s: elapsed_offset + start.elapsed().as_secs_f64(),
+                        elapsed_s,
                     });
                     crate::obs::registry::counter_inc("train.evals");
                     crate::obs::registry::series_push("train.val_mae", step as u64, f64::from(mae));
@@ -613,121 +643,88 @@ impl<'a> Trainer<'a> {
                         "validation",
                         &[("step", step.into()), ("val_mae_s", mae.into())],
                     );
-                    if mae < best {
-                        best = mae;
-                        since_best = 0;
-                        best_store = self.model.store.clone();
+                    if mae < p.best_val_mae {
+                        p.best_val_mae = mae;
+                        p.since_best = 0;
+                        run.best_store = self.model.store.clone();
                     } else {
-                        since_best += 1;
-                        if self.opts.patience > 0 && since_best >= self.opts.patience {
-                            break 'outer;
+                        p.since_best += 1;
+                        if self.opts.patience > 0 && p.since_best >= self.opts.patience {
+                            break 'run;
                         }
                     }
                 }
 
-                if let Some(every) = checkpoint_every {
-                    if every > 0 && step.is_multiple_of(every) {
-                        save(&TrainingCheckpoint {
-                            version: CHECKPOINT_VERSION,
-                            model: self.model.clone(),
-                            best_store: best_store.clone(),
-                            optimizer: opt.snapshot(),
-                            progress: TrainProgress {
-                                epoch,
-                                batches_done,
-                                step,
-                                rng_state: epoch_rng_state,
-                                curve: curve.clone(),
-                                best_val_mae: best,
-                                since_best,
-                                final_train_loss,
-                                epoch_loss,
-                                epoch_batches,
-                                elapsed_s: elapsed_offset + start.elapsed().as_secs_f64(),
-                                threads,
-                            },
-                        })?;
-                    }
+                if checkpoint_every.is_some_and(|every| every > 0 && step.is_multiple_of(every)) {
+                    save(&run.checkpoint(&self.model, elapsed(&run)))?;
                 }
             }
-            final_train_loss = epoch_loss / epoch_batches.max(1) as f32;
-            // Per-epoch evaluation point.
             let mae = self.validation_mae();
-            curve.push(CurvePoint {
-                step,
+            let elapsed_s = elapsed(&run);
+            let p = &mut run.progress;
+            p.final_train_loss = p.epoch_loss / p.epoch_batches.max(1) as f32;
+            // Per-epoch evaluation point.
+            p.curve.push(CurvePoint {
+                step: p.step,
                 val_mae: mae,
-                elapsed_s: elapsed_offset + start.elapsed().as_secs_f64(),
+                elapsed_s,
             });
-            if mae < best {
-                best = mae;
-                best_store = self.model.store.clone();
+            if mae < p.best_val_mae {
+                p.best_val_mae = mae;
+                run.best_store = self.model.store.clone();
             }
             crate::obs::registry::counter_inc("train.epochs");
             crate::obs::registry::series_push(
                 "train.epoch_loss",
                 epoch as u64,
-                f64::from(final_train_loss),
+                f64::from(p.final_train_loss),
             );
-            crate::obs::registry::series_push("train.val_mae", step as u64, f64::from(mae));
+            crate::obs::registry::series_push("train.val_mae", p.step as u64, f64::from(mae));
             crate::obs::registry::gauge_set("train.val_mae_last", f64::from(mae));
-            crate::obs::registry::gauge_set("train.best_val_mae", f64::from(best));
+            crate::obs::registry::gauge_set("train.best_val_mae", f64::from(p.best_val_mae));
             crate::obs::info(
                 "train",
                 "epoch complete",
                 &[
                     ("epoch", epoch.into()),
-                    ("train_loss", final_train_loss.into()),
+                    ("train_loss", p.final_train_loss.into()),
                     ("val_mae_s", mae.into()),
-                    ("best_val_mae_s", best.into()),
+                    ("best_val_mae_s", p.best_val_mae.into()),
                 ],
             );
 
-            // Epoch-boundary checkpoint: `batches_done = 0` and the RNG
-            // state as it stands now, which *is* the start-of-next-epoch
+            // Epoch boundary: the next epoch with nothing applied yet, and
+            // the RNG as it stands now, which *is* the start-of-next-epoch
             // state (the next iteration shuffles from here).
+            p.epoch += 1;
+            p.batches_done = 0;
+            p.epoch_loss = 0.0;
+            p.epoch_batches = 0;
+            p.rng_state = run.rng.state();
             if checkpoint_every.is_some() {
-                save(&TrainingCheckpoint {
-                    version: CHECKPOINT_VERSION,
-                    model: self.model.clone(),
-                    best_store: best_store.clone(),
-                    optimizer: opt.snapshot(),
-                    progress: TrainProgress {
-                        epoch: epoch + 1,
-                        batches_done: 0,
-                        step,
-                        rng_state: rng.state(),
-                        curve: curve.clone(),
-                        best_val_mae: best,
-                        since_best,
-                        final_train_loss,
-                        epoch_loss: 0.0,
-                        epoch_batches: 0,
-                        elapsed_s: elapsed_offset + start.elapsed().as_secs_f64(),
-                        threads,
-                    },
-                })?;
+                save(&run.checkpoint(&self.model, elapsed(&run)))?;
             }
         }
 
+        let total_time_s = elapsed(&run);
         // Restore the best validation checkpoint (early-stopping model
         // selection; the paper fine-tunes on validation data, §6.1).
-        self.model.store = best_store;
-
+        self.model.store = run.best_store;
+        let p = run.progress;
         // Fall back to a zero point for the degenerate empty curve.
-        let conv = convergence_point(&curve).copied().unwrap_or(CurvePoint {
+        let conv = convergence_point(&p.curve).copied().unwrap_or(CurvePoint {
             step: 0,
             elapsed_s: 0.0,
-            val_mae: best,
+            val_mae: p.best_val_mae,
         });
-
         Ok(TrainReport {
-            best_val_mae: best,
+            best_val_mae: p.best_val_mae,
             convergence_step: conv.step,
             convergence_time_s: conv.elapsed_s,
-            total_steps: step,
-            total_time_s: elapsed_offset + start.elapsed().as_secs_f64(),
-            final_train_loss,
-            curve,
+            total_steps: p.step,
+            total_time_s,
+            final_train_loss: p.final_train_loss,
+            curve: p.curve,
         })
     }
 }
@@ -916,11 +913,12 @@ mod tests {
         assert_eq!(a.convergence_step, b.convergence_step);
     }
 
-    #[test]
-    fn resume_from_any_checkpoint_matches_uninterrupted() {
+    /// Resumes from one mid-epoch and one epoch-boundary checkpoint at
+    /// `threads` and checks both against the uninterrupted run.
+    fn check_resume_matches_uninterrupted(threads: usize) {
         let ds = DatasetBuilder::build(&DatasetConfig::for_profile(CityProfile::SynthChengdu, 80));
         let opts = || TrainOptions {
-            threads: 1,
+            threads,
             eval_every: 3,
             ..Default::default()
         };
@@ -955,54 +953,51 @@ mod tests {
             .find(|c| c.progress.batches_done == 0 && c.progress.epoch < tiny_cfg().epochs)
             .expect("an epoch-boundary checkpoint");
         for (label, ckpt) in [("mid-epoch", mid), ("epoch-boundary", boundary)] {
-            let mut resumed = Trainer::new(&ds, tiny_cfg(), opts()).expect("trainer");
-            resumed
-                .resume_from(ckpt.clone())
-                .expect("matching config and threads");
-            let report = resumed.train();
+            let report = Trainer::resume(&ds, ckpt.clone(), opts())
+                .expect("matching threads")
+                .train();
             assert_eq!(
                 baseline.curve.len(),
                 report.curve.len(),
-                "{label}: curve length"
+                "threads={threads} {label}: curve length"
             );
             assert_reports_bit_equal(&baseline, &report);
         }
     }
 
     #[test]
+    fn resume_from_any_checkpoint_matches_uninterrupted() {
+        // One thread and two take the same span path; both must resume.
+        for threads in [1, 2] {
+            check_resume_matches_uninterrupted(threads);
+        }
+    }
+
+    #[test]
     fn resume_rejects_mismatched_config_or_threads() {
         let ds = DatasetBuilder::build(&DatasetConfig::for_profile(CityProfile::SynthChengdu, 60));
-        let opts = || TrainOptions {
-            threads: 1,
+        let opts = |threads| TrainOptions {
+            threads,
             ..Default::default()
         };
         let mut ckpts: Vec<TrainingCheckpoint> = Vec::new();
-        let mut t = Trainer::new(&ds, tiny_cfg(), opts()).expect("trainer");
+        let mut t = Trainer::new(&ds, tiny_cfg(), opts(1)).expect("trainer");
         let _: Result<TrainReport, std::convert::Infallible> = t.train_driver(Some(0), |c| {
             ckpts.push(c.clone());
             Ok(())
         });
         let ckpt = ckpts.first().expect("boundary checkpoint").clone();
 
-        let mut other_cfg = tiny_cfg();
-        other_cfg.seed ^= 1;
-        let mut t2 = Trainer::new(&ds, other_cfg, opts()).expect("trainer");
+        // The config comes from the checkpoint, so it can only be invalid,
+        // never mismatched.
+        let mut invalid = ckpt.clone();
+        invalid.model.config.ds = 0;
         assert!(matches!(
-            t2.resume_from(ckpt.clone()),
+            Trainer::resume(&ds, invalid, opts(1)),
             Err(ModelError::InvalidConfig(_))
         ));
-
-        let mut t3 = Trainer::new(
-            &ds,
-            tiny_cfg(),
-            TrainOptions {
-                threads: 7,
-                ..Default::default()
-            },
-        )
-        .expect("trainer");
         assert!(matches!(
-            t3.resume_from(ckpt),
+            Trainer::resume(&ds, ckpt, opts(7)),
             Err(ModelError::InvalidConfig(_))
         ));
     }

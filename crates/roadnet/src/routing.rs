@@ -17,7 +17,7 @@ use std::fmt;
 /// Typed routing failures. `Unreachable` is the routine outcome callers
 /// branch on (disconnected OD pairs are normal on real networks); the
 /// other variants are caller or internal contract violations that used to
-/// be panics — deepod-lint denies those in library code, so they surface
+/// be panics — `xtask check` denies those in library code, so they surface
 /// as errors the CLI can turn into messages instead of backtraces.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RoutingError {

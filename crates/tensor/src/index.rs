@@ -2,7 +2,7 @@
 //!
 //! A bare `expr as usize` on a float silently truncates — and on a NaN or
 //! negative input it silently produces 0, which turns a numeric bug into
-//! a wrong-but-plausible slot/bucket index far from its cause. deepod-lint
+//! a wrong-but-plausible slot/bucket index far from its cause. `xtask check`
 //! (`truncating-cast`) denies float-producing expressions cast straight to
 //! integer types; this module is the audited funnel those casts go
 //! through instead. Each helper `debug_assert!`s the domain (zero release

@@ -450,7 +450,8 @@ mod x86 {
         }
     }
 
-    /// Safe wrapper for [`mm4x16`]; the [`Avx`] token proves AVX.
+    /// Safe wrapper for [`mm4x16`] over the first `kc` packed columns, or
+    /// as many as both panels hold; the [`Avx`] token proves AVX.
     pub(super) fn run_mm4x16(
         _: Avx,
         apanel: &[f32],
@@ -458,9 +459,9 @@ mod x86 {
         kc: usize,
         acc: &mut [f32; MR * NR],
     ) {
-        debug_assert!(apanel.len() >= kc * MR && bpanel.len() >= kc * NR);
+        let kc = kc.min(apanel.len() / MR).min(bpanel.len() / NR);
         // SAFETY: the `Avx` token exists only once the runtime probe found
-        // AVX; panel bounds are debug-asserted and guaranteed by the packers.
+        // AVX; `kc` is cut to what both panels hold.
         unsafe { mm4x16(apanel.as_ptr(), bpanel.as_ptr(), kc, acc.as_mut_ptr()) }
     }
 
@@ -481,11 +482,13 @@ mod x86 {
         _mm256_storeu_ps(out, acc);
     }
 
-    /// Safe wrapper for [`mv8`]; the [`Avx`] token proves AVX.
+    /// Safe wrapper for [`mv8`] over the `k` leading entries of `x` that
+    /// `panel` holds rows for; the [`Avx`] token proves AVX.
     pub(super) fn run_mv8(_: Avx, panel: &[f32], x: &[f32], accs: &mut [f32; PR]) {
-        debug_assert!(panel.len() >= x.len() * PR);
-        // SAFETY: the `Avx` token proves AVX; panel length debug-asserted.
-        unsafe { mv8(panel.as_ptr(), x.as_ptr(), x.len(), accs.as_mut_ptr()) }
+        let k = x.len().min(panel.len() / PR);
+        // SAFETY: the `Avx` token proves AVX; `panel` holds `k·PR` floats
+        // and `x` holds `k`.
+        unsafe { mv8(panel.as_ptr(), x.as_ptr(), k, accs.as_mut_ptr()) }
     }
 
     /// Vectorized `y += a·x` with a scalar tail; element-wise, so lane
@@ -605,6 +608,53 @@ mod tests {
                 *yv += 0.37 * xv;
             }
             assert_eq!(got, want, "y={ny} x={nx}");
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn run_mm4x16_stops_at_the_shorter_panel_like_a_scalar_loop() {
+        let Some(avx) = Avx::detect() else {
+            return; // no AVX here: the wrapper is unreachable
+        };
+        // (kc asked, columns in the A panel, columns in the B panel)
+        for (kc, ka, kb) in [(5, 5, 5), (9, 4, 9), (9, 9, 3), (6, 8, 7), (3, 0, 3)] {
+            let a = rand_vec(ka * MR, 300 + ka as u64)[..ka * MR].to_vec();
+            let b = rand_vec(kb * NR, 400 + kb as u64)[..kb * NR].to_vec();
+            let mut got = [0.0f32; MR * NR];
+            got.copy_from_slice(&rand_vec(MR * NR, 500));
+            let mut want = got;
+            x86::run_mm4x16(avx, &a, &b, kc, &mut got);
+            for p in 0..kc.min(ka).min(kb) {
+                for r in 0..MR {
+                    for c in 0..NR {
+                        want[r * NR + c] += a[p * MR + r] * b[p * NR + c];
+                    }
+                }
+            }
+            assert_eq!(got, want, "kc={kc} a={ka} b={kb}");
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn run_mv8_stops_at_the_shorter_input_like_a_scalar_loop() {
+        let Some(avx) = Avx::detect() else {
+            return; // no AVX here: the wrapper is unreachable
+        };
+        // (entries of x, rows of the panel)
+        for (nx, kp) in [(7, 7), (9, 4), (4, 9), (0, 3)] {
+            let x = rand_vec(nx, 600 + nx as u64)[..nx].to_vec();
+            let panel = rand_vec(kp * PR, 700 + kp as u64)[..kp * PR].to_vec();
+            let mut got = [f32::NAN; PR];
+            x86::run_mv8(avx, &panel, &x, &mut got);
+            let mut want = [0.0f32; PR];
+            for (p, &xv) in x.iter().enumerate().take(kp) {
+                for (r, w) in want.iter_mut().enumerate() {
+                    *w += panel[p * PR + r] * xv;
+                }
+            }
+            assert_eq!(got, want, "x={nx} panel={kp}");
         }
     }
 

@@ -6,7 +6,7 @@
 //! The thread count is configured *programmatically* via
 //! [`set_configured_threads`] — binaries resolve `DEEPOD_THREADS` (and
 //! flags) into a `deepod_core::RuntimeConfig` once at startup and apply it
-//! here; library code never reads the environment (deepod-lint rule
+//! here; library code never reads the environment (`xtask check` rule
 //! `no-env-read-in-lib`).
 //!
 //! # Determinism contract
@@ -253,7 +253,7 @@ mod tests {
 
     // --- threads=1 == serial regression tests -------------------------
     //
-    // deepod-lint's `parallel-coverage` rule requires every pub fn of
+    // `xtask check`'s `parallel-coverage` rule requires every pub fn of
     // this module to have a test below whose name contains the fn name
     // and `serial`: the single-thread path of each primitive must be the
     // literal serial computation, bit for bit (DESIGN.md §6).

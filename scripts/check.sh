@@ -41,7 +41,15 @@ stage check      cargo run -q -p xtask -- check
 
 # --- build + test ----------------------------------------------------------
 stage build      cargo build --release
-stage test       cargo test -q
+# Every test target once: the workspace minus the CLI's integration
+# suites, each of which is a named stage below. The wire-codec, oracle
+# decode, kernel, gradcheck and step-batched encoder properties run here
+# too (DESIGN.md §12 determinism contract).
+unit_tests() {
+  cargo test -q --workspace --exclude deepod-cli &&
+    cargo test -q -p deepod-cli --bins
+}
+stage test       unit_tests
 # Fault-injection stage: drives the real `deepod` binary under several
 # DEEPOD_FAILPOINTS schedules (epoch-boundary kill, mid-epoch step kill,
 # injected worker panic, torn-rename crash) and asserts lossless,
@@ -70,45 +78,17 @@ stage chaos      cargo test -q -p deepod-cli --test serve_chaos
 # concurrent clients answered exactly once, per-connection in-flight
 # shedding isolated from polite clients, typed rejects that do not kill
 # the connection, clean drain on stdin close, deterministic stdin
-# output, and worker-crash chaos — plus the wire codec's properties:
-# every error kind parses back, flat error lines are rejected, and no
-# damaged frame panics a parser.
-net_tests() {
-  cargo test -q -p deepod-cli --test serve_net &&
-    cargo test -q -p deepod-serve --test wire_props
-}
-stage net        net_tests
+# output, and worker-crash chaos. The wire codec's properties run in
+# the test stage.
+stage net        cargo test -q -p deepod-cli --test serve_net
 # Cache stage: the serving-cache tier end to end (DESIGN.md §15) —
 # precompute writes a fingerprinted OD-oracle artifact, canonical
 # requests hit it without touching the queue, LRU repeats answer
 # bit-identically to the cacheless path, TTL slot rollover expires
 # entries, and a corrupt or mismatched oracle degrades to cacheless
-# serving instead of wrong answers — plus the DPODORC2 reader's decode
-# properties (arbitrary bytes never panic, valid oracles round-trip
-# bit-identically, every strict prefix is a typed error, and any keyer it
-# accepts keys arbitrary finite points without panicking).
-cache_tests() {
-  cargo test -q -p deepod-cli --test serve_cache &&
-    cargo test -q -p deepod-core --lib oracle
-}
-stage cache      cache_tests
-# Kernel stage: property tests proving the packed/SIMD matmul, matvec
-# and axpy paths bit-identical to the scalar reference, the matmul fork
-# floor (products below 2^23 FLOP never fork, spans clamp to rows and
-# cores) pinned by its unit test, the matmul-form conv gradients
-# bit-identical to their scalar reference loops, every tape op's
-# finite-difference gradcheck, and the step-batched trajectory encoder
-# bit-identical to the per-step tape it replaced (DESIGN.md §12
-# determinism contract).
-kernel_tests() {
-  cargo test -q -p deepod-tensor --test kernel_props &&
-    cargo test -q -p deepod-tensor --lib matmul_fork_floor &&
-    cargo test -q -p deepod-nn conv &&
-    cargo test -q -p deepod-nn gradcheck &&
-    cargo test -q -p deepod-nn row_batched &&
-    cargo test -q -p deepod-core --lib mt_reference_tests
-}
-stage kernels    kernel_tests
+# serving instead of wrong answers. The DPODORC2 reader's decode
+# properties run in the test stage.
+stage cache      cargo test -q -p deepod-cli --test serve_cache
 # Benchmark smoke stage: one short pass of every workload of the repo
 # benchmark (BENCHMARK.json). Its gate — each served reply `to_bits`-equal
 # to `estimate_batch(threads = 1)` on the same request — is the end-to-end
