@@ -12,7 +12,7 @@ use deepod_roadnet::{RoadNetwork, SpatialGrid};
 use deepod_tensor::Tensor;
 use deepod_traffic::{SpeedMatrixBuilder, SpeedMatrixStore, NUM_WEATHER_TYPES};
 use deepod_traj::{CityDataset, OdInput, TaxiOrder};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Encoded OD input: indices and scalars ready for [`crate::OdEncoder`].
 #[derive(Clone, Debug)]
@@ -80,9 +80,10 @@ pub struct FeatureContext {
     grid: SpatialGrid,
     speeds: SpeedMatrixStore,
     num_edges: usize,
-    /// Cache of downsampled matrices keyed by speed-store slot. A `Mutex`
-    /// (not `RefCell`) so encoding can run from worker threads.
-    matrix_cache: std::sync::Mutex<std::collections::HashMap<usize, Arc<Tensor>>>,
+    /// The downsampled matrix of each speed-store slot, made on first use.
+    /// One `OnceLock` per slot: no lock on a hit, and every encoding of a
+    /// slot shares one `Arc`, even when threads miss it together.
+    matrix_cache: Box<[OnceLock<Arc<Tensor>>]>,
 }
 
 impl FeatureContext {
@@ -110,12 +111,13 @@ impl FeatureContext {
                 builder.observe(&mid, step.enter, v);
             }
         }
+        let speeds = builder.build();
         Ok(FeatureContext {
             slots,
             grid,
-            speeds: builder.build(),
+            matrix_cache: (0..speeds.num_slots()).map(|_| OnceLock::new()).collect(),
+            speeds,
             num_edges: ds.net.num_edges(),
-            matrix_cache: Default::default(),
         })
     }
 
@@ -142,16 +144,16 @@ impl FeatureContext {
     fn downsampled_matrix(&self, t: f64) -> Arc<Tensor> {
         let slot = deepod_tensor::floor_index(t.max(0.0) / self.speeds.slot_len());
         let slot = slot.min(self.speeds.num_slots() - 1);
-        // Poisoning cannot corrupt the cache (entries are written whole);
-        // recover the guard rather than propagating a worker panic twice.
-        if let Some(m) = self
-            .matrix_cache
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(&slot)
-        {
-            return Arc::clone(m);
+        match self.matrix_cache.get(slot) {
+            Some(cell) => Arc::clone(cell.get_or_init(|| Arc::new(self.downsample(slot)))),
+            // Unreachable: the cache has one cell per clamped slot.
+            None => Arc::new(self.downsample(slot)),
         }
+    }
+
+    /// The speed matrix of store slot `slot`, averaged down to
+    /// `[1, TRAF_GRID, TRAF_GRID]` and scaled to roughly unit range.
+    fn downsample(&self, slot: usize) -> Tensor {
         let src = self
             .speeds
             .nearest_before(slot as f64 * self.speeds.slot_len() + 1.0);
@@ -176,12 +178,7 @@ impl FeatureContext {
                 *out.at_mut(&[0, y, x]) = acc / cnt.max(1) as f32 / 15.0;
             }
         }
-        let rc = Arc::new(out);
-        self.matrix_cache
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .insert(slot, Arc::clone(&rc));
-        rc
+        out
     }
 
     /// Encodes a raw OD input; `None` when an endpoint cannot be matched to
@@ -289,6 +286,28 @@ mod tests {
         // Normalized speeds should be O(1).
         assert!(e1.speed_matrix.max() < 5.0);
         assert!(e1.speed_matrix.min() > 0.0);
+    }
+
+    #[test]
+    fn threads_that_miss_one_slot_together_share_one_matrix() {
+        let ds = small_ds();
+        let ctx = FeatureContext::build(&ds, 300.0).expect("valid slot size");
+        let od = &ds.train[0].od;
+        let start = std::sync::Barrier::new(4);
+        let matrices: Vec<Arc<Tensor>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        ctx.encode_od(&ds.net, od).unwrap().speed_matrix
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        for m in &matrices[1..] {
+            assert!(Arc::ptr_eq(&matrices[0], m));
+        }
     }
 
     #[test]

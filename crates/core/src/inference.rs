@@ -11,16 +11,24 @@
 //! `to_bits`-identical to the training forward in eval mode (pinned by
 //! `tests/inference_differential.rs`, DESIGN.md §12).
 //!
-//! Every accumulation is ascending-`k` f32 regardless of ISA and requests
-//! never share state, so answers are bit-stable across machines, thread
-//! counts and batch compositions.
+//! The CNN half of `ocode` (Eq. 18) reads only the speed matrix, never the
+//! OD pair, so a batch runs as a staged pass: encode and check every
+//! request, group the requests by speed matrix, run each distinct matrix
+//! through the CNN once, then finish every request on its group's result.
+//!
+//! Every accumulation is ascending-`k` f32 regardless of ISA, and requests
+//! share only the read-only CNN result of one speed matrix, so answers are
+//! bit-stable across machines, thread counts and batch compositions.
 
 use crate::features::{EncodedOd, FeatureContext};
 use crate::model::{DeepOdModel, ModelError, PredictRequest, PredictResponse};
+use crate::obs::registry;
 use deepod_nn::layers::{BatchNorm2d, Linear, Mlp2};
 use deepod_nn::{conv2d_forward, ParamId, ParamStore};
-use deepod_tensor::{kernels, Activation, Tensor};
+use deepod_tensor::{kernels, parallel, Activation, Tensor};
 use deepod_traffic::NUM_WEATHER_TYPES;
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One fully-connected layer: the trained `[out, in]` weight and `[out]`
@@ -160,34 +168,41 @@ impl InferenceModel {
         }
     }
 
-    /// `ocode` (Eq. 18): the speed matrix through the CNN, averaged per
-    /// channel, concatenated with the weather one-hot, through the MLP.
-    fn ocode(&self, od: &EncodedOd) -> Result<Vec<f32>, ModelError> {
-        if od.weather_onehot.len() != NUM_WEATHER_TYPES {
+    /// The per-request checks, in the order the forward reads its inputs:
+    /// origin edge, destination edge, departure slot and (with external
+    /// features) the weather one-hot width. The encoding is public input,
+    /// so every index it carries is checked before use.
+    fn check_od(&self, od: &EncodedOd) -> Result<(), ModelError> {
+        table_row(&self.road_emb, od.origin_edge, "origin edge")?;
+        table_row(&self.road_emb, od.dest_edge, "destination edge")?;
+        if self.embeds_time {
+            table_row(&self.slot_emb, od.depart_node, "departure slot")?;
+        }
+        if self.uses_external && od.weather_onehot.len() != NUM_WEATHER_TYPES {
             return Err(ModelError::MalformedEncoding("weather one-hot width"));
         }
-        let hw = match *od.speed_matrix.dims() {
-            [1, h, w] if h * w > 0 => h * w,
-            _ => return Err(ModelError::MalformedEncoding("speed matrix shape")),
-        };
-        let z = self.conv1.apply(&od.speed_matrix);
+        Ok(())
+    }
+
+    /// The OD-independent half of `ocode` (Eq. 18): the speed matrix
+    /// through the CNN, averaged per channel into a `[d_traf]` vector.
+    fn traffic_code(&self, input: TrafficInput<'_>) -> Vec<f32> {
+        let z = self.conv1.apply(input.matrix);
         let z = self.conv3.apply(&self.conv2.apply(&z));
         // Global average pool per channel: the `[c, h·w] × [h·w, 1]`
         // product against a constant 1/(h·w) column the tape records.
-        let ones = vec![1.0 / hw as f32; hw];
-        let mut z8 = od.weather_onehot.clone();
-        z8.resize(NUM_WEATHER_TYPES + z.numel() / hw, 0.0);
-        if let Some(pooled) = z8.get_mut(NUM_WEATHER_TYPES..) {
-            kernels::matmul(z.as_slice(), &ones, pooled, hw, 1);
-        }
-        Ok(self.ext_mlp.apply(&z8))
+        let ones = vec![1.0 / input.hw as f32; input.hw];
+        let mut pooled = vec![0.0f32; z.numel() / input.hw];
+        kernels::matmul(z.as_slice(), &ones, &mut pooled, input.hw, 1);
+        pooled
     }
 
-    /// Estimates one pre-encoded OD in seconds: Z⁹ → MLP1 → `code` → M_E
-    /// (Eq. 19–20), de-standardised and clamped non-negative. The encoding
-    /// is public input, so every index and shape it carries is checked
-    /// before use.
-    pub fn eval_encoded(&self, od: &EncodedOd) -> Result<f32, ModelError> {
+    /// Estimates one checked encoding in seconds: Z⁹ → MLP1 → `code` → M_E
+    /// (Eq. 19–20), de-standardised and clamped non-negative. `traffic` is
+    /// the [`Self::traffic_code`] of the encoding's speed matrix (empty
+    /// without external features); `ocode` is its weather one-hot ++
+    /// `traffic` through the external MLP.
+    fn tail(&self, od: &EncodedOd, traffic: &[f32]) -> Result<f32, ModelError> {
         let mut z9 = table_row(&self.road_emb, od.origin_edge, "origin edge")?.to_vec();
         z9.extend_from_slice(table_row(&self.road_emb, od.dest_edge, "destination edge")?);
         if self.embeds_time {
@@ -196,7 +211,9 @@ impl InferenceModel {
             z9.push(od.depart_raw);
         }
         if self.uses_external {
-            z9.extend(self.ocode(od)?);
+            let mut z8 = od.weather_onehot.clone();
+            z8.extend_from_slice(traffic);
+            z9.extend(self.ext_mlp.apply(&z8));
         }
         z9.extend([od.r_start, od.r_end, od.depart_rem]);
 
@@ -205,34 +222,145 @@ impl InferenceModel {
         Ok((y * self.y_std + self.y_mean).max(0.0))
     }
 
-    fn answer(
-        &self,
-        ctx: &FeatureContext,
-        net: &deepod_roadnet::RoadNetwork,
-        req: &PredictRequest,
-    ) -> Result<PredictResponse, ModelError> {
-        let matched;
-        let enc = match req {
-            PredictRequest::Raw(od) => {
-                matched = ctx
-                    .encode_od(net, od)
-                    .ok_or(ModelError::UnmatchedEndpoints)?;
-                &matched
-            }
-            PredictRequest::Encoded(enc) => enc,
+    /// Estimates one pre-encoded OD in seconds: the one-request case of
+    /// the staged pass ([`Self::estimate_batch`]), with the same checks in
+    /// the same order.
+    pub fn eval_encoded(&self, od: &EncodedOd) -> Result<f32, ModelError> {
+        self.check_od(od)?;
+        let traffic = if self.uses_external {
+            self.traffic_code(TrafficInput::check(&od.speed_matrix)?)
+        } else {
+            Vec::new()
         };
-        let eta_seconds = self.eval_encoded(enc)?;
-        Ok(PredictResponse { eta_seconds })
+        self.tail(od, &traffic)
+    }
+
+    /// The staged pass behind [`Self::estimate_batch`] and validation:
+    ///
+    /// 1. **encode** — one fan-out over `items`: `encode` yields each
+    ///    item's encoding (owned or borrowed), then [`Self::check_od`] runs;
+    /// 2. **distinct matrices** — one serial pass groups the checked
+    ///    requests by speed-matrix `Arc` identity, in order of first
+    ///    appearance, and checks each matrix's shape once (a bad shape is
+    ///    the error of every request that reads it);
+    /// 3. **CNN and tail** (stages 3 and 4, fused) — one fan-out over the
+    ///    groups: each group's matrix goes through the CNN once, then every
+    ///    member runs [`Self::tail`] on the shared result.
+    ///
+    /// Without external features every request is its own group and no
+    /// CNN runs. Each answer is the same kernel calls on the same inputs
+    /// as [`Self::eval_encoded`], so it is `to_bits`-identical to it for
+    /// any `threads` and any grouping. Answers come back in `items` order.
+    pub(crate) fn staged<'r, R, F>(
+        &self,
+        items: &'r [R],
+        threads: usize,
+        encode: F,
+    ) -> (Vec<Result<f32, ModelError>>, CnnRuns)
+    where
+        R: Sync,
+        F: Fn(&'r R) -> Result<Cow<'r, EncodedOd>, ModelError> + Sync,
+    {
+        // Stage 1: encode (or borrow) and check.
+        let encoded: Vec<Result<Cow<'r, EncodedOd>, ModelError>> =
+            parallel::map_ranges(items.len(), threads, |span| {
+                // `map_ranges` only hands out in-bounds spans; an empty
+                // slice (rather than a panic) is the right degradation if
+                // that contract ever breaks.
+                items
+                    .get(span)
+                    .unwrap_or(&[])
+                    .iter()
+                    .map(|item| encode(item).and_then(|od| self.check_od(&od).map(|()| od)))
+                    .collect::<Vec<_>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect();
+
+        // Stage 2: one group per distinct speed matrix. The key is the
+        // matrix's address; `encoded` holds every `Arc` until the call
+        // returns, so no address is reused while its key is live.
+        let mut answers: Vec<(usize, Result<f32, ModelError>)> = Vec::with_capacity(items.len());
+        let mut groups: Vec<Group<'_>> = Vec::new();
+        let mut group_of: HashMap<*const Tensor, Result<usize, ModelError>> = HashMap::new();
+        for (i, enc) in encoded.iter().enumerate() {
+            let od = match enc {
+                Ok(od) => od.as_ref(),
+                Err(e) => {
+                    answers.push((i, Err(e.clone())));
+                    continue;
+                }
+            };
+            if !self.uses_external {
+                groups.push(Group {
+                    traffic: None,
+                    members: vec![(i, od)],
+                });
+                continue;
+            }
+            let matrix: &Tensor = &od.speed_matrix;
+            let slot = group_of.entry(matrix as *const Tensor).or_insert_with(|| {
+                TrafficInput::check(matrix).map(|input| {
+                    groups.push(Group {
+                        traffic: Some(input),
+                        members: Vec::new(),
+                    });
+                    groups.len() - 1
+                })
+            });
+            match slot {
+                Ok(g) => {
+                    if let Some(group) = groups.get_mut(*g) {
+                        group.members.push((i, od));
+                    }
+                }
+                Err(e) => answers.push((i, Err(e.clone()))),
+            }
+        }
+        let runs = CnnRuns {
+            runs: groups.iter().filter(|g| g.traffic.is_some()).count(),
+            requests: groups
+                .iter()
+                .filter(|g| g.traffic.is_some())
+                .map(|g| g.members.len())
+                .sum(),
+        };
+        registry::counter_add("model.external_cnn_runs", runs.runs as u64);
+        registry::counter_add("model.external_requests", runs.requests as u64);
+
+        // Stages 3 + 4: one CNN run per group, then its members' tails.
+        let tails = parallel::map_ranges(groups.len(), threads, |span| {
+            let mut out = Vec::new();
+            for group in groups.get(span).unwrap_or(&[]) {
+                let traffic = group
+                    .traffic
+                    .map(|input| self.traffic_code(input))
+                    .unwrap_or_default();
+                out.extend(
+                    group
+                        .members
+                        .iter()
+                        .map(|&(i, od)| (i, self.tail(od, &traffic))),
+                );
+            }
+            out
+        });
+        answers.extend(tails.into_iter().flatten());
+        // Every index appears exactly once; restore request order.
+        answers.sort_unstable_by_key(|&(i, _)| i);
+        (answers.into_iter().map(|(_, eta)| eta).collect(), runs)
     }
 
     /// Batched online estimation. Requests are answered independently: one
     /// that cannot be matched to the road network, or whose encoding is
     /// malformed, yields its error in its slot without affecting its
-    /// neighbors. With `threads > 1` the batch is split into contiguous
-    /// spans via [`deepod_tensor::parallel::map_ranges`], all sharing
-    /// `self`, and the per-span outputs are re-concatenated in span order,
-    /// so predictions are bit-identical for any `(threads, batch size)`
-    /// (DESIGN.md §6). `threads == 0` defers to the process-wide default.
+    /// neighbors. The batch runs as one staged pass ([`Self::staged`]):
+    /// requests that share a speed matrix share its one CNN run, and every
+    /// fan-out goes through [`parallel::map_ranges`] with all spans
+    /// sharing `self`, so predictions are bit-identical for any
+    /// `(threads, batch size)` (DESIGN.md §6). `threads == 0` defers to the
+    /// process-wide default.
     pub fn estimate_batch(
         &self,
         ctx: &FeatureContext,
@@ -243,28 +371,75 @@ impl InferenceModel {
         if reqs.is_empty() {
             return Vec::new();
         }
-        let mut t = deepod_tensor::parallel::resolve_threads(threads)
-            .min(reqs.len())
-            .max(1);
+        let mut t = parallel::resolve_threads(threads).min(reqs.len()).max(1);
         if threads == 0 {
             // Default-threaded serving never fans out wider than the
             // machine; explicit thread counts are honored as requested.
-            t = t.min(deepod_tensor::parallel::hardware_parallelism());
+            t = t.min(parallel::hardware_parallelism());
         }
-        deepod_tensor::parallel::map_ranges(reqs.len(), t, |span| {
-            // `map_ranges` only hands out in-bounds spans; an empty
-            // slice (rather than a panic) is the right degradation if
-            // that contract ever breaks.
-            reqs.get(span)
-                .unwrap_or(&[])
-                .iter()
-                .map(|r| self.answer(ctx, net, r))
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
+        let (etas, _) = self.staged(reqs, t, |req| encode_request(ctx, net, req));
+        etas.into_iter()
+            .map(|eta| eta.map(|eta_seconds| PredictResponse { eta_seconds }))
+            .collect()
     }
+}
+
+/// Stage 1's encoding of one request: a raw OD is map-matched and encoded
+/// (or fails as unmatched); an encoded one is borrowed as is.
+fn encode_request<'r>(
+    ctx: &FeatureContext,
+    net: &deepod_roadnet::RoadNetwork,
+    req: &'r PredictRequest,
+) -> Result<Cow<'r, EncodedOd>, ModelError> {
+    match req {
+        PredictRequest::Raw(od) => ctx
+            .encode_od(net, od)
+            .map(Cow::Owned)
+            .ok_or(ModelError::UnmatchedEndpoints),
+        PredictRequest::Encoded(enc) => Ok(Cow::Borrowed(enc)),
+    }
+}
+
+/// A speed matrix checked to be a `[1, h, w]` CNN input with `h·w > 0`.
+#[derive(Clone, Copy)]
+struct TrafficInput<'m> {
+    matrix: &'m Tensor,
+    hw: usize,
+}
+
+impl TrafficInput<'_> {
+    fn check(matrix: &Tensor) -> Result<TrafficInput<'_>, ModelError> {
+        match *matrix.dims() {
+            [1, h, w] if h * w > 0 => Ok(TrafficInput { matrix, hw: h * w }),
+            _ => Err(ModelError::MalformedEncoding("speed matrix shape")),
+        }
+    }
+}
+
+/// The checked requests of one staged pass that read one speed matrix.
+struct Group<'e> {
+    /// The shared CNN input; `None` without external features.
+    traffic: Option<TrafficInput<'e>>,
+    /// `(request index, encoding)` of each member, in request order.
+    members: Vec<(usize, &'e EncodedOd)>,
+}
+
+/// What one staged pass spent on the external CNN (the
+/// `model.external_cnn_runs` / `model.external_requests` counters).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct CnnRuns {
+    /// Distinct speed matrices run through the CNN.
+    pub runs: usize,
+    /// Requests answered from those runs.
+    pub requests: usize,
+}
+
+/// Eagerly registers the staged pass's counters, so a snapshot carries
+/// them before the first estimate. Both are thread-invariant: they count
+/// distinct speed matrices and the requests that read them.
+pub(crate) fn register_metrics() {
+    registry::counter_add("model.external_cnn_runs", 0);
+    registry::counter_add("model.external_requests", 0);
 }
 
 #[cfg(test)]
@@ -296,6 +471,67 @@ mod tests {
         let ctx = FeatureContext::build(&ds, cfg.slot_seconds).expect("valid slot size");
         let model = DeepOdModel::new(&cfg, &ds, &ctx).expect("valid test config");
         (ds, ctx, model)
+    }
+
+    /// Counts one staged pass over `reqs` at `threads`.
+    fn cnn_runs(
+        model: &DeepOdModel,
+        ctx: &FeatureContext,
+        net: &deepod_roadnet::RoadNetwork,
+        reqs: &[PredictRequest],
+        threads: usize,
+    ) -> CnnRuns {
+        let view = InferenceModel::from_model(model);
+        view.staged(reqs, threads, |req| encode_request(ctx, net, req))
+            .1
+    }
+
+    #[test]
+    fn one_cnn_run_per_distinct_speed_matrix_at_any_thread_count() {
+        let (ds, ctx, model) = tiny_setup();
+        // 12 distinct ODs over three departure slots an hour apart.
+        let reqs: Vec<PredictRequest> = ds
+            .train
+            .iter()
+            .take(12)
+            .enumerate()
+            .map(|(i, o)| {
+                let mut od = o.od;
+                od.depart = 3_600.0 * (1 + i % 3) as f64 + 7.0 * i as f64;
+                PredictRequest::Raw(od)
+            })
+            .collect();
+        assert_eq!(reqs.len(), 12);
+        for threads in [1, 2, 4] {
+            assert_eq!(
+                cnn_runs(&model, &ctx, &ds.net, &reqs, threads),
+                CnnRuns {
+                    runs: 3,
+                    requests: 12
+                },
+                "threads={threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_no_external_variant_runs_no_cnn() {
+        let (ds, ctx, model) = tiny_setup();
+        let cfg = DeepOdConfig {
+            variant: crate::ablation::Variant::NoExternal,
+            ..model.config.clone()
+        };
+        let noext = DeepOdModel::new(&cfg, &ds, &ctx).expect("valid test config");
+        let reqs: Vec<PredictRequest> = ds
+            .train
+            .iter()
+            .take(6)
+            .map(|o| PredictRequest::Raw(o.od))
+            .collect();
+        assert_eq!(
+            cnn_runs(&noext, &ctx, &ds.net, &reqs, 2),
+            CnnRuns::default()
+        );
     }
 
     #[test]

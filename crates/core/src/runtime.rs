@@ -147,6 +147,7 @@ impl RuntimeConfig {
         crate::checkpoint::register_metrics();
         crate::train::register_metrics();
         crate::timeslot::register_metrics();
+        crate::inference::register_metrics();
         obs::register_parallel_metrics();
         if let Some(spec) = &self.failpoints {
             deepod_tensor::failpoint::arm(spec).map_err(RuntimeError::BadFailpoints)?;

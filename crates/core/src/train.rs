@@ -14,6 +14,7 @@ use deepod_traj::CityDataset;
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::path::PathBuf;
 // Wall clocks time the *report*, never the computation: loss curves and
 // model selection depend only on (seed, thread count). The
@@ -390,22 +391,26 @@ impl<'a> Trainer<'a> {
             return f32::NAN;
         }
         let t = self.threads().min(n).max(1);
-        // Per-span partial sums, added back in span order: the total is a
-        // fixed left-to-right sum over spans, deterministic per thread
-        // count (one span at one thread, i.e. the plain serial sum).
+        // Every prediction comes from one staged pass over the borrowed
+        // encodings. Per-span partial sums, added back in span order: the
+        // total is a fixed left-to-right sum over spans, deterministic per
+        // thread count (one span at one thread, i.e. the plain serial sum).
         let model = InferenceModel::from_model(&self.model);
-        let samples = &self.val_samples;
-        let sums = deepod_tensor::parallel::map_ranges(n, t, |span| {
-            let mut acc = 0.0f32;
-            for s in &samples[span] {
-                // Samples come from this trainer's own context, so the
-                // encoding is well-formed; NaN would poison the MAE loudly.
-                let pred = model.eval_encoded(&s.od).unwrap_or(f32::NAN);
-                acc += (pred - s.travel_time).abs();
-            }
-            acc
-        });
-        sums.into_iter().fold(0.0f32, |a, b| a + b) / n as f32
+        let samples = self.val_samples.get(..n).unwrap_or(&[]);
+        let (preds, _) = model.staged(samples, t, |s| Ok(Cow::Borrowed(&s.od)));
+        let sums = deepod_tensor::parallel::split_ranges(n, t)
+            .into_iter()
+            .map(|span| {
+                let mut acc = 0.0f32;
+                for (pred, s) in preds[span.clone()].iter().zip(&samples[span]) {
+                    // Samples come from this trainer's own context, so the
+                    // encoding is well-formed; NaN would poison the MAE loudly.
+                    let pred = pred.as_ref().copied().unwrap_or(f32::NAN);
+                    acc += (pred - s.travel_time).abs();
+                }
+                acc
+            });
+        sums.fold(0.0f32, |a, b| a + b) / n as f32
     }
 
     /// Summed loss and merged gradients for one minibatch.
@@ -856,6 +861,34 @@ mod tests {
                 );
             }
             assert_eq!(a.final_train_loss.to_bits(), b.final_train_loss.to_bits());
+        }
+    }
+
+    /// The validation MAE is the per-span sum of one-request forwards, the
+    /// same bits at every thread count as before the staged pass.
+    #[test]
+    fn validation_mae_is_the_span_sum_of_one_request_forwards() {
+        let ds = DatasetBuilder::build(&DatasetConfig::for_profile(CityProfile::SynthChengdu, 80));
+        let mut trainer = Trainer::new(&ds, tiny_cfg(), TrainOptions::default()).expect("trainer");
+        let samples = trainer.val_samples.clone();
+        let n = samples.len().min(trainer.opts.max_eval_samples.max(1));
+        let model = InferenceModel::from_model(&trainer.model);
+        for threads in 1..=4 {
+            trainer.opts.threads = threads;
+            let want = deepod_tensor::parallel::split_ranges(n, threads.min(n))
+                .into_iter()
+                .map(|span| {
+                    samples[span].iter().fold(0.0f32, |acc, s| {
+                        acc + (model.eval_encoded(&s.od).unwrap() - s.travel_time).abs()
+                    })
+                })
+                .fold(0.0f32, |a, b| a + b)
+                / n as f32;
+            assert_eq!(
+                trainer.validation_mae().to_bits(),
+                want.to_bits(),
+                "threads={threads}"
+            );
         }
     }
 
