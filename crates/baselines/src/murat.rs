@@ -116,9 +116,9 @@ impl MuratPredictor {
                 _ => return 0.0,
             };
         let mut g = Graph::new();
-        let e1 = road.lookup(&mut g, &self.store, oe);
-        let en = road.lookup(&mut g, &self.store, de);
-        let ts = slot_emb.lookup(&mut g, &self.store, slot);
+        let e1 = road.lookup_one(&mut g, &self.store, oe);
+        let en = road.lookup_one(&mut g, &self.store, de);
+        let ts = slot_emb.lookup_one(&mut g, &self.store, slot);
         let ex = g.input(Tensor::from_vec(extras, &[2]));
         let cat = g.concat(&[e1, en, ts, ex]);
         let h = trunk.forward(&mut g, &self.store, cat);
@@ -323,9 +323,9 @@ impl MuratPredictor {
                 for &idx in chunk {
                     let (oe, de, slot, ref extras, y, d) = encoded[idx];
                     let mut g = Graph::new();
-                    let e1 = road_emb.lookup(&mut g, &self.store, oe);
-                    let en = road_emb.lookup(&mut g, &self.store, de);
-                    let tsv = slot_emb.lookup(&mut g, &self.store, slot);
+                    let e1 = road_emb.lookup_one(&mut g, &self.store, oe);
+                    let en = road_emb.lookup_one(&mut g, &self.store, de);
+                    let tsv = slot_emb.lookup_one(&mut g, &self.store, slot);
                     let ex = g.input(Tensor::from_vec(extras.clone(), &[2]));
                     let cat = g.concat(&[e1, en, tsv, ex]);
                     let h = trunk.forward(&mut g, &self.store, cat);

@@ -21,13 +21,11 @@ USAGE:
                   [--threads T] [--checkpoint-every N] [--checkpoint FILE]
                   [--resume FILE] [--report FILE] [--verbose] --out FILE
   deepod predict  --data FILE --model FILE --from X,Y --to X,Y --depart T
-  deepod eval     --data FILE --model FILE [--oracle FILE]
-  deepod precompute --data FILE --model FILE --out FILE [--cells K]
-                  [--slots N] [--cell-meters M] [--threads T]
+  deepod eval     --data FILE --model FILE
   deepod serve    --data FILE --model FILE [--max-batch N] [--max-wait-ms MS]
                   [--queue N] [--threads T] [--workers N] [--deadline-ms MS]
                   [--retry-budget N] [--reject-when-full]
-                  [--oracle FILE] [--cache-capacity N] [--cache-ttl-s S]
+                  [--cache-capacity N] [--cache-ttl-s S]
                   [--listen ADDR] [--max-conns N] [--max-in-flight N]
                   [--max-frame-bytes N]
   deepod info     --data FILE
@@ -71,18 +69,14 @@ before they reach a batch. Chaos-test the machinery with
 DEEPOD_FAILPOINTS sites serve::worker_batch / serve::slow_batch /
 serve::drop_reply (actions kill|panic|sleep[=MS]).
 
-Caching: precompute bulk-answers the hot OD matrix — the top --cells
-grid cells by trajectory frequency crossed with the top --slots weekly
-time slots — and writes a checksummed oracle artifact fingerprinted
-against the model. serve --oracle FILE consults it (plus an in-process
-LRU bounded by --cache-capacity) before queue admission: hits answer
-immediately without consuming worker capacity; LRU entries expire when the wall
-clock crosses a --cache-ttl-s slot boundary. A corrupt, version- or
-fingerprint-mismatched oracle is rejected at startup with a warning and
-serving continues cacheless. eval --oracle FILE verifies every oracle
-entry stays bit-identical to a fresh model run and exits with the
-degraded code (2) on any drift. Requests with a pre-epoch departure
-(depart < 0) are rejected per request on the wire.
+Caching: --cache-capacity N (default 0, off) keeps up to N answers in
+an in-process LRU keyed on the exact request (from, to, depart and its
+weather), consulted before queue admission: a repeated request is
+answered immediately, without consuming worker capacity, with the
+bytes the model would have produced. Entries expire when the wall
+clock crosses a --cache-ttl-s slot boundary (default 300, must divide
+a week). Requests with a pre-epoch departure (depart < 0) are rejected
+per request on the wire.
 
 Global flags (any subcommand):
   --log-format <text|json>   structured-event format on stderr
@@ -126,7 +120,7 @@ type Handler = fn(&Args) -> Result<Outcome, String>;
 /// Every subcommand with the one list of flags it accepts (without the
 /// leading `--`; the global `--log-format` / `--metrics` are stripped
 /// before dispatch) and its handler. Any other flag is a usage error.
-const SUBCOMMANDS: [(&str, &[&str], Handler); 7] = [
+const SUBCOMMANDS: [(&str, &[&str], Handler); 6] = [
     ("simulate", &["profile", "orders", "out"], simulate),
     (
         "train",
@@ -150,20 +144,7 @@ const SUBCOMMANDS: [(&str, &[&str], Handler); 7] = [
         &["data", "model", "from", "to", "depart"],
         predict,
     ),
-    ("eval", &["data", "model", "oracle"], eval_cmd),
-    (
-        "precompute",
-        &[
-            "data",
-            "model",
-            "out",
-            "cells",
-            "slots",
-            "cell-meters",
-            "threads",
-        ],
-        precompute_cmd,
-    ),
+    ("eval", &["data", "model"], eval_cmd),
     (
         "serve",
         &[
@@ -177,7 +158,6 @@ const SUBCOMMANDS: [(&str, &[&str], Handler); 7] = [
             "deadline-ms",
             "retry-budget",
             "reject-when-full",
-            "oracle",
             "cache-capacity",
             "cache-ttl-s",
             "listen",
@@ -318,13 +298,11 @@ fn train(args: &Args) -> Result<Outcome, String> {
     Ok(Outcome::Ok)
 }
 
-/// Loads a checksummed model file, plus the fingerprint of its JSON
-/// payload — the identity an oracle artifact is bound to.
-fn load_model(path: &str) -> Result<(DeepOdModel, String), String> {
+/// Loads a checksummed model file.
+fn load_model(path: &str) -> Result<DeepOdModel, String> {
     let payload = read_artifact(path)?;
     let json = std::str::from_utf8(&payload).map_err(|e| format!("parsing {path}: {e}"))?;
-    let model = DeepOdModel::load_json(json).map_err(|e| format!("parsing {path}: {e}"))?;
-    Ok((model, deepod_core::oracle::model_fingerprint(&payload)))
+    DeepOdModel::load_json(json).map_err(|e| format!("parsing {path}: {e}"))
 }
 
 fn predict(args: &Args) -> Result<Outcome, String> {
@@ -347,7 +325,7 @@ fn predict(args: &Args) -> Result<Outcome, String> {
     // baseline (shortest route over historical segment speeds), warn
     // loudly, and exit with the dedicated "degraded" code.
     match load_model(model_path) {
-        Ok((model, _)) => {
+        Ok(model) => {
             let ctx = FeatureContext::build(&ds, model.config.slot_seconds)
                 .map_err(|e| format!("model slot configuration: {e}"))?;
             let reqs = [PredictRequest::Raw(od)];
@@ -394,21 +372,9 @@ fn predict(args: &Args) -> Result<Outcome, String> {
 
 fn eval_cmd(args: &Args) -> Result<Outcome, String> {
     let ds = load_dataset(args.require("data")?)?;
-    let (model, fingerprint) = load_model(args.require("model")?)?;
+    let model = load_model(args.require("model")?)?;
     let ctx = FeatureContext::build(&ds, model.config.slot_seconds)
         .map_err(|e| format!("model slot configuration: {e}"))?;
-
-    // Cache-vs-fresh drift gate: every oracle entry must stay
-    // bit-identical to a fresh estimate_batch answer for this model.
-    if let Some(oracle_path) = args.get("oracle") {
-        let oracle = deepod_core::OdOracle::load(Path::new(oracle_path))
-            .map_err(|e| format!("loading oracle {oracle_path}: {e}"))?;
-        let rep = deepod_eval::check_drift(&oracle, &model, &ctx, &ds, &fingerprint, 0);
-        println!("oracle drift gate: {rep}");
-        if !rep.passed {
-            return Ok(Outcome::Degraded);
-        }
-    }
 
     let reqs: Vec<PredictRequest> = ds.test.iter().map(|o| PredictRequest::Raw(o.od)).collect();
     let mut pairs = Vec::new();
@@ -439,106 +405,25 @@ fn eval_cmd(args: &Args) -> Result<Outcome, String> {
     Ok(Outcome::Ok)
 }
 
-/// Precomputes the OD-oracle artifact: bulk-answers the hot OD matrix
-/// (top `--cells` grid cells by trajectory endpoint frequency crossed
-/// with the top `--slots` weekly time slots by departure frequency)
-/// through the batched inference path and writes the checksummed,
-/// model-fingerprinted artifact for `serve --oracle` / `eval --oracle`.
-fn precompute_cmd(args: &Args) -> Result<Outcome, String> {
-    use deepod_core::oracle::{precompute, PrecomputeSpec};
-    let ds = load_dataset(args.require("data")?)?;
-    let (model, fingerprint) = load_model(args.require("model")?)?;
-    let out = args.require("out")?;
-    let spec = PrecomputeSpec {
-        cells: args.get_parsed("cells", 8usize)?,
-        slots: args.get_parsed("slots", 16usize)?,
-        cell_meters: args.get_parsed("cell-meters", 500.0f64)?,
-    };
-    let threads = args.get_parsed("threads", 0usize)?;
-    let ctx = FeatureContext::build(&ds, model.config.slot_seconds)
-        .map_err(|e| format!("model slot configuration: {e}"))?;
-    println!(
-        "precomputing hot OD matrix: top {} cells x top {} weekly slots ({} m grid) ...",
-        spec.cells, spec.slots, spec.cell_meters
-    );
-    let oracle = precompute(&model, &ctx, &ds, &spec, fingerprint, threads);
-    oracle
-        .save(Path::new(out))
-        .map_err(|e| format!("writing {out}: {e}"))?;
-    println!(
-        "wrote {out}: {} entries over a {}x{} cell grid (model fingerprint {})",
-        oracle.entries.len(),
-        oracle.keyer.nx,
-        oracle.keyer.ny,
-        oracle.model_fingerprint
-    );
-    Ok(Outcome::Ok)
-}
-
-/// Builds the serving cache tier from `--oracle` / `--cache-capacity`. A
-/// corrupt, wrong-version, or fingerprint-mismatched oracle is *rejected
-/// with a warning* and serving continues — cacheless if the LRU is off too —
-/// because a stale cache is an accuracy incident while a cold one is
-/// only a latency cost. Returns `None` when both tiers are off: the
-/// engine then runs the historical bit-identical cacheless path.
+/// Builds the serving cache from `--cache-capacity` / `--cache-ttl-s`.
+/// Returns `None` at capacity 0 (the default): the engine then runs the
+/// cacheless path.
 fn cache_tier(
     ds: &deepod_traj::CityDataset,
     ctx: &FeatureContext,
-    oracle_path: Option<&str>,
     capacity: usize,
     ttl_seconds: f64,
-    model_fingerprint: &str,
     shards: usize,
 ) -> Result<Option<std::sync::Arc<deepod_serve::ServeCache>>, String> {
-    use deepod_core::oracle::{OdKeyer, OdOracle};
+    use deepod_core::oracle::OdKeyer;
     use deepod_serve::{CacheConfig, ServeCache};
-    use std::sync::Arc;
-    let oracle = match oracle_path {
-        None => None,
-        Some(path) => match OdOracle::load(Path::new(path)) {
-            Ok(oracle) => {
-                if oracle.model_fingerprint == model_fingerprint {
-                    deepod_core::obs::info(
-                        "serve",
-                        "oracle artifact loaded",
-                        &[
-                            ("path", path.into()),
-                            ("entries", oracle.entries.len().into()),
-                        ],
-                    );
-                    Some(Arc::new(oracle))
-                } else {
-                    deepod_core::obs::warn(
-                        "serve",
-                        "oracle fingerprint does not match the model file; ignoring the oracle",
-                        &[
-                            ("oracle_fp", oracle.model_fingerprint.as_str().into()),
-                            ("model_fp", model_fingerprint.into()),
-                        ],
-                    );
-                    None
-                }
-            }
-            Err(e) => {
-                deepod_core::obs::warn(
-                    "serve",
-                    "oracle artifact unusable; serving without it",
-                    &[("path", path.into()), ("why", e.to_string().into())],
-                );
-                None
-            }
-        },
-    };
-    if oracle.is_none() && capacity == 0 {
+    if capacity == 0 {
         return Ok(None);
     }
-    let keyer = match &oracle {
-        Some(o) => o.keyer,
-        None => OdKeyer::for_network(&ds.net, 500.0, *ctx.slots()),
-    };
+    // The cache ignores the keyer; `ServeCache::new` still takes one.
     let cache = ServeCache::new(
-        keyer,
-        oracle,
+        OdKeyer::for_network(&ds.net, 500.0, *ctx.slots()),
+        None,
         CacheConfig {
             capacity,
             ttl_seconds,
@@ -546,7 +431,7 @@ fn cache_tier(
         },
     )
     .map_err(|e| format!("--cache-ttl-s: {e}"))?;
-    Ok(Some(Arc::new(cache)))
+    Ok(Some(std::sync::Arc::new(cache)))
 }
 
 fn serve(args: &Args) -> Result<Outcome, String> {
@@ -574,16 +459,15 @@ fn serve(args: &Args) -> Result<Outcome, String> {
     // flagged degraded, and the whole run exits with the degraded code.
     let loaded = load_model(model_path);
     let slot_seconds = match &loaded {
-        Ok((model, _)) => model.config.slot_seconds,
+        Ok(model) => model.config.slot_seconds,
         Err(_) => DeepOdConfig::default().slot_seconds,
     };
     let ctx =
         FeatureContext::build(&ds, slot_seconds).map_err(|e| format!("slot configuration: {e}"))?;
-    // No fingerprint exactly when the backend is the degraded fallback.
-    let (backend, fingerprint) = match loaded {
-        Ok((model, fingerprint)) => (
+    let (backend, degraded_backend) = match loaded {
+        Ok(model) => (
             Backend::Inference(Arc::new(InferenceModel::from_model(&model))),
-            Some(fingerprint),
+            false,
         ),
         Err(why) => {
             deepod_core::obs::warn(
@@ -593,37 +477,31 @@ fn serve(args: &Args) -> Result<Outcome, String> {
             );
             let mut fallback = RouteTtePredictor::new();
             fallback.fit(&ds);
-            (Backend::RouteTte(Box::new(fallback)), None)
+            (Backend::RouteTte(Box::new(fallback)), true)
         }
     };
-    let degraded_backend = fingerprint.is_none();
-    // Cache tier. With an unusable model the process serves fallback
-    // answers only — those are degraded and must never be cached, and no
-    // fingerprint exists to validate an oracle against, so the whole tier
+    // Cache. With an unusable model the process serves fallback answers
+    // only — those are degraded and must never be cached, so the cache
     // stays off.
-    let oracle_path = args.get("oracle");
     let cache_capacity = args.get_parsed("cache-capacity", 0usize)?;
     let cache_ttl_s = args.get_parsed("cache-ttl-s", 300.0f64)?;
-    let cache = match &fingerprint {
-        None => {
-            if oracle_path.is_some() || cache_capacity > 0 {
-                deepod_core::obs::warn(
-                    "serve",
-                    "cache tier disabled: no usable model to validate answers against",
-                    &[],
-                );
-            }
-            None
+    let cache = if degraded_backend {
+        if cache_capacity > 0 {
+            deepod_core::obs::warn(
+                "serve",
+                "cache disabled: no usable model to cache answers from",
+                &[],
+            );
         }
-        Some(fingerprint) => cache_tier(
+        None
+    } else {
+        cache_tier(
             &ds,
             &ctx,
-            oracle_path,
             cache_capacity,
             cache_ttl_s,
-            fingerprint,
             config.workers.max(1),
-        )?,
+        )?
     };
     let cache_enabled = cache.is_some();
     let engine =
@@ -832,6 +710,14 @@ mod tests {
         assert_eq!(err, "unknown flag --epoch for train");
         let err = dispatch(&argv(&["serve", "--precision", "int8"])).unwrap_err();
         assert_eq!(err, "unknown flag --precision for serve");
+        // The OD-oracle tier is gone: its flag and its
+        // subcommand are usage errors.
+        for cmd in ["serve", "eval"] {
+            let err = dispatch(&argv(&[cmd, "--oracle", "o.bin"])).unwrap_err();
+            assert_eq!(err, format!("unknown flag --oracle for {cmd}"));
+        }
+        let err = dispatch(&argv(&["precompute", "--data", "x.ds"])).unwrap_err();
+        assert_eq!(err, "unknown subcommand 'precompute'");
     }
 
     /// The flags USAGE lists under one subcommand (its `deepod <name>`

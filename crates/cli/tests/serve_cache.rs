@@ -1,26 +1,23 @@
-//! Serving-cache integration suite: drives the real `deepod precompute`
-//! and `deepod serve` subcommands end to end and proves the DESIGN.md §15
-//! contract:
+//! Serving-cache integration suite: drives the real `deepod serve`
+//! subcommand end to end and proves the DESIGN.md §15 contract:
 //!
-//! * a precomputed OD-oracle artifact answers its own canonical requests
-//!   as cache hits (observable in the `--metrics` artifact) with the
-//!   precomputed values;
-//! * the in-process LRU tier answers repeated ODs bit-identically to the
+//! * the in-process LRU answers repeated requests bit-identically to the
 //!   cacheless path — enabling the cache never changes a reply;
+//! * a request that shares a 500 m cell pair and a time slot with an
+//!   earlier, cached one still gets its own answer, not its neighbour's;
 //! * entries expire when the wall clock crosses a `--cache-ttl-s` slot
 //!   boundary (the `serve.cache_stale` counter fires);
-//! * a corrupt or fingerprint-mismatched oracle is rejected at startup
-//!   and serving continues cacheless, replying exactly as an uncached run;
 //! * pre-epoch departures are rejected per request with a typed error
 //!   line, without disturbing neighboring requests;
 //! * with the cache tier off (the default), serving is bit-identical
 //!   across runs.
 
 use deepod_core::obs::registry::MetricsSnapshot;
-use deepod_core::{DeepOdConfig, DeepOdModel, EmbeddingInit, FeatureContext};
+use deepod_core::oracle::OdKeyer;
+use deepod_core::{DeepOdConfig, DeepOdModel, EmbeddingInit, FeatureContext, PredictRequest};
 use deepod_roadnet::CityProfile;
 use deepod_serve::{ErrorKind, WireResponse};
-use deepod_traj::{CityDataset, DatasetBuilder, DatasetConfig};
+use deepod_traj::{CityDataset, DatasetBuilder, DatasetConfig, OdInput};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
@@ -34,7 +31,6 @@ struct Setup {
     dir: PathBuf,
     data: String,
     model: String,
-    oracle: String,
     ds: CityDataset,
 }
 
@@ -44,8 +40,7 @@ impl Setup {
     }
 }
 
-/// Built once: a simulated city + saved model (as in the serve suite),
-/// plus an oracle artifact precomputed through the real CLI subcommand.
+/// Built once: a simulated city + saved model (as in the serve suite).
 fn setup() -> &'static Setup {
     static SETUP: OnceLock<Setup> = OnceLock::new();
     SETUP.get_or_init(|| {
@@ -95,35 +90,10 @@ fn setup() -> &'static Setup {
         let model = dir.join("model.json").display().to_string();
         deepod_core::io_guard::write_checksummed(model.as_ref(), model_json.as_bytes())
             .expect("write model file");
-        // Precompute the oracle through the real subcommand so the
-        // artifact on disk is exactly what operators would ship.
-        let oracle = dir.join("oracle.json").display().to_string();
-        let out = Command::new(bin())
-            .args([
-                "precompute",
-                "--data",
-                &data,
-                "--model",
-                &model,
-                "--out",
-                &oracle,
-                "--cells",
-                "3",
-                "--slots",
-                "2",
-            ])
-            .output()
-            .expect("spawn deepod precompute");
-        assert!(
-            out.status.success(),
-            "precompute failed: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
         Setup {
             dir,
             data,
             model,
-            oracle,
             ds,
         }
     })
@@ -221,53 +191,6 @@ fn eta_fragment(line: &str) -> &str {
 }
 
 #[test]
-fn oracle_hits_answer_canonical_requests_with_precomputed_values() {
-    let s = setup();
-    // Build the oracle's own canonical requests from the shipped artifact
-    // — these must all be cache hits, answered with the stored values.
-    let oracle = deepod_core::OdOracle::load(Path::new(&s.oracle)).expect("oracle loads");
-    assert!(!oracle.entries.is_empty(), "precompute produced entries");
-    let input: String = oracle
-        .entries
-        .iter()
-        .enumerate()
-        .map(|(i, e)| {
-            let od = oracle.keyer.canonical_od(e.key, &s.ds);
-            od_line(
-                i as u64,
-                od.origin.x,
-                od.origin.y,
-                od.destination.x,
-                od.destination.y,
-                od.depart,
-            ) + "\n"
-        })
-        .collect();
-    let metrics = s.path("oracle_hits_metrics.json");
-    let out = run_serve(
-        &["--oracle", &s.oracle, "--metrics", &metrics],
-        &s.model,
-        input,
-    );
-    let lines = stdout_lines(&out);
-    assert_eq!(lines.len(), oracle.entries.len());
-    for (line, entry) in lines.iter().zip(&oracle.entries) {
-        let want = format!("\"eta_s\":{:.1}", entry.eta_seconds);
-        assert!(
-            line.contains(&want) && line.contains("\"degraded\":false"),
-            "expected precomputed {want} in {line}"
-        );
-    }
-    let snap = read_metrics(&metrics);
-    assert_eq!(
-        counter(&snap, "serve.cache_hits"),
-        oracle.entries.len() as u64,
-        "every canonical request hits the oracle tier"
-    );
-    assert_eq!(counter(&snap, "serve.cache_misses"), 0);
-}
-
-#[test]
 fn lru_tier_answers_repeats_bit_identically_to_the_cacheless_path() {
     let s = setup();
     const N: usize = 16;
@@ -334,6 +257,118 @@ fn lru_tier_answers_repeats_bit_identically_to_the_cacheless_path() {
     );
 }
 
+/// A train request and a cell-mate of it: a request that shares its
+/// 500 m origin cell, destination cell and weekly slot, but whose own
+/// answer renders differently — the case a cell-grid cache key would
+/// answer with the first request's reply.
+fn request_and_cell_mate(s: &Setup) -> Option<(OdInput, OdInput)> {
+    let payload = deepod_core::io_guard::read_checksummed(Path::new(&s.model))
+        .expect("model file passes its checksum");
+    let model = DeepOdModel::load_json(std::str::from_utf8(&payload).expect("utf-8 model"))
+        .expect("model parses");
+    let ctx = FeatureContext::build(&s.ds, model.config.slot_seconds).expect("valid slot size");
+    let keyer = OdKeyer::for_network(&s.ds.net, 500.0, *ctx.slots());
+    s.ds.train.iter().find_map(|order| {
+        let mate = cell_mate(s, &model, &ctx, &keyer, &order.od)?;
+        Some((order.od, mate))
+    })
+}
+
+/// A cell-mate of `od` whose answer renders differently, if a nearby
+/// candidate qualifies.
+fn cell_mate(
+    s: &Setup,
+    model: &DeepOdModel,
+    ctx: &FeatureContext,
+    keyer: &OdKeyer,
+    od: &OdInput,
+) -> Option<OdInput> {
+    let with_depart = |mut od: OdInput, depart: f64| {
+        od.depart = depart;
+        od.weather = s.ds.traffic.weather().at(depart);
+        od
+    };
+    let mut candidates = vec![*od];
+    for shift in [40.0, -40.0, 120.0, -120.0] {
+        for wait in [1.0, 20.0, 60.0, 150.0] {
+            let mut mate = with_depart(*od, od.depart + wait);
+            mate.origin.x += shift;
+            mate.destination.y -= shift;
+            candidates.push(mate);
+        }
+    }
+    let reqs: Vec<PredictRequest> = candidates.iter().map(|&c| PredictRequest::Raw(c)).collect();
+    let answers = model.estimate_batch(ctx, &s.ds.net, &reqs, 1);
+    let rendered: Vec<Option<String>> = answers
+        .into_iter()
+        .map(|a| a.ok().map(|r| format!("{:.1}", r.eta_seconds)))
+        .collect();
+    let own = rendered.first()?.clone()?;
+    candidates
+        .iter()
+        .zip(&rendered)
+        .skip(1)
+        .find(|(mate, eta)| {
+            keyer.key_of(mate) == keyer.key_of(od) && eta.as_ref().is_some_and(|e| *e != own)
+        })
+        .map(|(mate, _)| *mate)
+}
+
+#[test]
+fn cell_mates_get_their_own_answers_not_a_cached_neighbours() {
+    let s = setup();
+    let (od, mate) = request_and_cell_mate(s)
+        .expect("some train request has a cell-mate with a different answer");
+    let line = |id: u64, od: &OdInput| {
+        od_line(
+            id,
+            od.origin.x,
+            od.origin.y,
+            od.destination.x,
+            od.destination.y,
+            od.depart,
+        ) + "\n"
+    };
+    // The pauses let each answer reach the cache before the next line is
+    // read, so the mate is looked up after `od` was inserted.
+    let chunks = vec![
+        (line(0, &od), 1500),
+        (line(1, &mate), 1500),
+        (line(2, &od), 0),
+    ];
+    let input: String = chunks.iter().map(|(l, _)| l.as_str()).collect();
+    let metrics = s.path("cell_mate_metrics.json");
+    let cached = run_serve_chunked(
+        &[
+            "--cache-capacity",
+            "64",
+            "--cache-ttl-s",
+            "604800",
+            "--metrics",
+            &metrics,
+        ],
+        &s.model,
+        chunks,
+    );
+    let plain = stdout_lines(&run_serve(&[], &s.model, input));
+    assert_ne!(
+        eta_fragment(&plain[0]),
+        eta_fragment(&plain[1]),
+        "the mate's own answer differs"
+    );
+    assert_eq!(
+        stdout_lines(&cached),
+        plain,
+        "every line gets the cacheless run's bytes"
+    );
+    let snap = read_metrics(&metrics);
+    assert_eq!(
+        counter(&snap, "serve.cache_hits"),
+        1,
+        "only the exact repeat hits"
+    );
+}
+
 #[test]
 fn ttl_slot_rollover_expires_lru_entries() {
     let s = setup();
@@ -369,61 +404,6 @@ fn ttl_slot_rollover_expires_lru_entries() {
 }
 
 #[test]
-fn corrupt_oracle_is_rejected_and_serving_continues_cacheless() {
-    let s = setup();
-    let corrupt = s.path("corrupt_oracle.json");
-    std::fs::write(&corrupt, "definitely not a checksummed artifact").expect("write corrupt file");
-    let input: String = (0..6).map(|i| request_line(s, i) + "\n").collect();
-    let metrics = s.path("corrupt_oracle_metrics.json");
-    let with = run_serve(
-        &["--oracle", &corrupt, "--metrics", &metrics],
-        &s.model,
-        input.clone(),
-    );
-    let without = run_serve(&[], &s.model, input);
-    assert_eq!(
-        stdout_lines(&with),
-        stdout_lines(&without),
-        "a rejected oracle leaves serving exactly cacheless"
-    );
-    let snap = read_metrics(&metrics);
-    assert_eq!(counter(&snap, "serve.cache_hits"), 0);
-    assert_eq!(
-        counter(&snap, "serve.cache_misses"),
-        0,
-        "the tier is fully off, not merely empty"
-    );
-}
-
-#[test]
-fn fingerprint_mismatched_oracle_is_rejected_at_startup() {
-    let s = setup();
-    // Same artifact, wrong model identity: re-stamp the fingerprint via
-    // the real save path (the artifact is checksummed, so a byte-edit
-    // would be rejected as corruption rather than as a mismatch).
-    let mut oracle = deepod_core::OdOracle::load(Path::new(&s.oracle)).expect("oracle loads");
-    oracle.model_fingerprint = "0123456789abcdef".into();
-    let stale = s.path("stale_oracle.json");
-    oracle
-        .save(Path::new(&stale))
-        .expect("save re-stamped oracle");
-    let input: String = (0..6).map(|i| request_line(s, i) + "\n").collect();
-    let metrics = s.path("stale_oracle_metrics.json");
-    let out = run_serve(
-        &["--oracle", &stale, "--metrics", &metrics],
-        &s.model,
-        input,
-    );
-    assert_eq!(stdout_lines(&out).len(), 6, "serving continues cacheless");
-    let snap = read_metrics(&metrics);
-    assert_eq!(
-        counter(&snap, "serve.cache_hits") + counter(&snap, "serve.cache_misses"),
-        0,
-        "a mismatched oracle must not serve (or even consult) answers"
-    );
-}
-
-#[test]
 fn pre_epoch_departures_get_typed_rejections_in_a_mixed_stream() {
     let s = setup();
     let od = &s.ds.train[0].od;
@@ -440,11 +420,7 @@ fn pre_epoch_departures_get_typed_rejections_in_a_mixed_stream() {
         ),
         request_line(s, 2),
     );
-    let out = run_serve(
-        &["--cache-capacity", "64", "--oracle", &s.oracle],
-        &s.model,
-        input,
-    );
+    let out = run_serve(&["--cache-capacity", "64"], &s.model, input);
     let replies: Vec<WireResponse> = stdout_lines(&out)
         .iter()
         .map(|line| WireResponse::parse(line).unwrap_or_else(|e| panic!("bad reply {line:?}: {e}")))
@@ -470,6 +446,6 @@ fn cacheless_serving_is_bit_identical_across_runs() {
     assert_eq!(
         stdout_lines(&a),
         stdout_lines(&b),
-        "defaults (no oracle, capacity 0) stay bit-identical cross-run"
+        "defaults (capacity 0) stay bit-identical cross-run"
     );
 }

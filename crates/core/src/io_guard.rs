@@ -14,10 +14,13 @@
 //! 4. the parent directory is fsynced (the rename itself is durable).
 //!
 //! Artifacts that must also *detect* corruption (checkpoints, models,
-//! datasets, oracles, metrics) use the checksummed container: `payload ‖ footer`, where the 24-byte footer is
+//! datasets, metrics) use the checksummed container: `payload ‖ footer`,
+//! where the 24-byte footer is
 //! `[magic "DPODSUM1"][payload_len u64 LE][fnv1a64(payload) u64 LE]`.
-//! Reading verifies magic, length, and checksum, and reports a typed
-//! [`IoGuardError`] — never a panic and never silently wrong bytes.
+//! Reading is a file read followed by a pure check of the bytes
+//! (`verify_checksummed`) that verifies magic, length, and checksum,
+//! and reports a typed [`IoGuardError`] — never a panic and never
+//! silently wrong bytes.
 //!
 //! Transient OS errors (`Interrupted`, `WouldBlock`, `TimedOut`) are
 //! retried a bounded number of times with a deterministic backoff
@@ -260,20 +263,24 @@ pub fn atomic_write_str(path: &Path, text: &str) -> Result<(), IoGuardError> {
     atomic_write(path, text.as_bytes())
 }
 
-/// Writes `payload ‖ footer` atomically, where the footer records the
-/// payload length and FNV-1a checksum. Pair with [`read_checksummed`].
-pub fn write_checksummed(path: &Path, payload: &[u8]) -> Result<(), IoGuardError> {
+/// `payload ‖ footer`, where the footer records the payload length and
+/// FNV-1a checksum.
+fn seal(payload: &[u8]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(payload.len() + FOOTER_LEN as usize);
     buf.extend_from_slice(payload);
     buf.extend_from_slice(&FOOTER_MAGIC);
     buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     buf.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-    atomic_write(path, &buf)
+    buf
 }
 
-/// Reads a [`write_checksummed`] artifact, verifying footer magic, length,
-/// and checksum. Returns the payload bytes; any inconsistency is a typed
-/// error, never a panic and never silently wrong bytes.
+/// Writes `payload ‖ footer` atomically. Pair with [`read_checksummed`].
+pub fn write_checksummed(path: &Path, payload: &[u8]) -> Result<(), IoGuardError> {
+    atomic_write(path, &seal(payload))
+}
+
+/// Reads a [`write_checksummed`] artifact and checks it with
+/// `verify_checksummed`. Returns the payload bytes.
 pub fn read_checksummed(path: &Path) -> Result<Vec<u8>, IoGuardError> {
     crate::obs::registry::counter_inc("io_guard.reads");
     let mut bytes = Vec::new();
@@ -281,6 +288,14 @@ pub fn read_checksummed(path: &Path) -> Result<Vec<u8>, IoGuardError> {
         bytes.clear();
         File::open(path)?.read_to_end(&mut bytes).map(|_| ())
     })?;
+    verify_checksummed(path, bytes)
+}
+
+/// Checks `payload ‖ footer` bytes read from `path` (which only names
+/// the file in errors): footer magic, recorded length, and checksum.
+/// Returns the payload; any inconsistency is a typed error, never a
+/// panic and never silently wrong bytes.
+fn verify_checksummed(path: &Path, mut bytes: Vec<u8>) -> Result<Vec<u8>, IoGuardError> {
     let disp = || path.display().to_string();
     let len = bytes.len() as u64;
     if len < FOOTER_LEN {
@@ -306,7 +321,7 @@ pub fn read_checksummed(path: &Path) -> Result<Vec<u8>, IoGuardError> {
         return Err(IoGuardError::Truncated {
             path: disp(),
             len,
-            need: recorded_len + FOOTER_LEN,
+            need: recorded_len.saturating_add(FOOTER_LEN),
         });
     }
     let found = fnv1a64(&bytes[..payload_end]);
@@ -335,6 +350,8 @@ fn tmp_path(path: &Path) -> std::path::PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decode_props::check_decoder;
+    use proptest::prelude::*;
 
     fn temp_file(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("deepod_io_guard_tests");
@@ -414,6 +431,28 @@ mod tests {
         assert!(matches!(err, IoGuardError::Io { .. }));
         assert!(!err.is_corruption());
         assert_eq!(err.path(), p.display().to_string());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The container as a decoder of untrusted bytes: sealed payloads
+        /// round-trip, every strict prefix is a typed error, and random
+        /// or damaged bytes never panic the check.
+        #[test]
+        fn container_decoder_properties(
+            payload in proptest::collection::vec(any::<u8>(), 0..96),
+            seed in any::<u64>(),
+        ) {
+            let checked = check_decoder(
+                seed,
+                &payload,
+                |p| seal(p),
+                |bytes| verify_checksummed(Path::new("payload"), bytes.to_vec()),
+                |_| Ok(()),
+            );
+            prop_assert!(checked.is_ok(), "{checked:?}");
+        }
     }
 
     #[test]

@@ -64,10 +64,6 @@ pub use interval_encoder::TimeIntervalEncoder;
 pub use io_guard::IoGuardError;
 pub use model::{DeepOdModel, ModelError, PredictRequest, PredictResponse};
 pub use od_encoder::OdEncoder;
-pub use oracle::{
-    model_fingerprint, precompute, OdKeyer, OdOracle, OracleEntry, OracleError, OracleKey,
-    PrecomputeSpec, ORACLE_VERSION,
-};
 pub use runtime::{RuntimeConfig, RuntimeError, RuntimeOverrides};
 pub use temporal_graph::{build_temporal_graph, temporal_graph_day_only};
 pub use timeslot::{TimeSlotError, TimeSlots};

@@ -106,7 +106,7 @@ fn stcode(
             ));
         }
         if variant.traj_uses_spatial() {
-            parts.push(model.road_emb.lookup(g, &model.store, s.edge));
+            parts.push(model.road_emb.lookup_one(g, &model.store, s.edge));
         }
         inputs.push(if parts.len() == 1 {
             parts[0]

@@ -82,13 +82,13 @@ impl OdEncoder {
         training: bool,
     ) -> VarId {
         // D^s_1, D^s_n: origin/destination segment embeddings.
-        let e1 = road_emb.lookup(g, store, od.origin_edge);
-        let en = road_emb.lookup(g, store, od.dest_edge);
+        let e1 = road_emb.lookup_one(g, store, od.origin_edge);
+        let en = road_emb.lookup_one(g, store, od.dest_edge);
 
         // Temporal part: slot embedding + remainder, or raw timestamp for
         // the T-stamp ablation.
         let time_part = if self.init.embeds_time() {
-            slot_emb.lookup(g, store, od.depart_node)
+            slot_emb.lookup_one(g, store, od.depart_node)
         } else {
             g.input(Tensor::from_vec(vec![od.depart_raw], &[1]))
         };

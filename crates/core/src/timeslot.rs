@@ -2,8 +2,9 @@
 //! onto a slot `t_p = ⌊(t − t₀)/Δt⌋` and a remainder `t_r = t − t₀ − t_p·Δt`;
 //! slots wrap onto a weekly temporal graph of `week/Δt` nodes.
 //!
-//! Slot attribution is the cache key of the serving oracle tier, so the
-//! boundary behaviour is load-bearing and pinned down precisely:
+//! Slot attribution decides which slot embedding and which speed matrix a
+//! request is answered with, so the boundary behaviour is load-bearing
+//! and pinned down precisely:
 //!
 //! * a timestamp on an exact slot edge (`t = t₀ + k·Δt`, even when the
 //!   product is computed in floating point and lands one ulp off the true
@@ -14,7 +15,7 @@
 //!   rounds a value just below `1.0` up to exactly `1.0`;
 //! * pre-epoch timestamps (`t < t₀`) never panic: they clamp to slot `0`
 //!   and bump the `core.timeslot_clamped` counter so the aliasing is
-//!   observable. Callers that must not alias (the serve cache key) use
+//!   observable. Callers that must not alias (the OD grid key) use
 //!   [`Self::slot_rem_checked`] and reject instead.
 
 use serde::{Deserialize, Serialize};
@@ -147,8 +148,8 @@ impl TimeSlots {
     }
 
     /// [`Self::slot_rem`] without the pre-epoch clamp: `None` when
-    /// `t < t₀` or `t` is not finite. The serve cache key goes through
-    /// this so a pre-epoch timestamp cannot alias slot 0's entry.
+    /// `t < t₀` or `t` is not finite. The OD grid key goes through this
+    /// so a pre-epoch timestamp cannot alias slot 0's key.
     pub fn slot_rem_checked(&self, t: f64) -> Option<(usize, f64)> {
         (t.is_finite() && t >= self.t0).then(|| self.slot_rem(t))
     }

@@ -3,12 +3,10 @@
 //! any DeepOD config into one result row, distribution utilities, and
 //! plain-text/CSV reporting used by the paper runner in `deepod-bench`.
 
-mod drift;
 mod harness;
 mod metrics;
 mod report;
 
-pub use drift::{check_drift, DriftReport};
 pub use harness::{all_baselines, run_deepod, run_method, DeepOdRun, HarnessError, MethodResult};
 pub use metrics::{histogram, mae, mape, mare, Metrics, MetricsError, PredPair, MAPE_MIN_ACTUAL};
 pub use report::{metric_cell, write_csv, TextTable};

@@ -209,7 +209,7 @@ impl Embedding {
     }
 
     /// Looks up one row as a rank-1 vector.
-    pub fn lookup(&self, g: &mut Graph, store: &ParamStore, index: usize) -> VarId {
+    pub fn lookup_one(&self, g: &mut Graph, store: &ParamStore, index: usize) -> VarId {
         let t = g.param(store, self.table);
         g.gather_row(t, index)
     }
@@ -382,7 +382,7 @@ mod tests {
         let pre = Tensor::from_vec((0..12).map(|i| i as f32).collect(), &[6, 2]);
         emb.load_pretrained(&mut store, pre);
         let mut g = Graph::new();
-        let v = emb.lookup(&mut g, &store, 2);
+        let v = emb.lookup_one(&mut g, &store, 2);
         assert_eq!(g.value(v).as_slice(), &[4.0, 5.0]);
         let m = emb.lookup_many(&mut g, &store, &[0, 5], &[2]);
         assert_eq!(g.value(m).as_slice(), &[0.0, 1.0, 10.0, 11.0]);

@@ -76,7 +76,7 @@ fn embedding_lookup_out_of_range_panics() {
     let emb = Embedding::new(&mut store, "e", 5, 3, &mut rng);
     let mut g = Graph::new();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        emb.lookup(&mut g, &store, 7)
+        emb.lookup_one(&mut g, &store, 7)
     }));
     assert!(result.is_err());
 }

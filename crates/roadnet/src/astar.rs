@@ -1,7 +1,7 @@
 //! Goal-directed routing: A* with an admissible Euclidean heuristic, and
-//! ALT (A*–Landmarks–Triangle inequality) with precomputed landmark
-//! distances — the production-grade query path a deployed ETA service
-//! would use instead of plain Dijkstra.
+//! ALT (A*–Landmarks–Triangle inequality) with landmark distances
+//! computed once up front — the production-grade query path a deployed
+//! ETA service would use instead of plain Dijkstra.
 
 use crate::graph::{EdgeId, NodeId, RoadNetwork};
 use crate::routing::RoutePath;

@@ -1,36 +1,46 @@
-//! The serving cache tier: an optional precomputed [`OdOracle`] plus an
-//! in-process bounded LRU, consulted **before** queue admission
-//! (DESIGN.md §15).
+//! The serving cache: a bounded in-process LRU keyed on the exact
+//! request, consulted **before** queue admission (DESIGN.md §15).
 //!
 //! A hit replies immediately on the caller's reply channel and never
 //! consumes worker capacity — under a hot-OD workload the batching
-//! workers only ever see the cold tail. Two tiers answer a lookup:
+//! workers only ever see the cold tail.
 //!
-//! 1. **LRU** — answers the engine itself computed earlier, keyed by the
-//!    same [`OracleKey`] scheme. Entries expire by *time slot*, not by
-//!    age: each entry stamps the wall-clock slot it was inserted in, and
-//!    dies as soon as the wall clock advances past that slot — traffic
-//!    conditions are modeled per slot, so an answer from the previous
-//!    slot is wrong, not merely old. Capacity is enforced per shard with
-//!    a recency index (`BTreeMap` of insertion ticks — no slice indexing
-//!    anywhere on the hot path, so the no-panic audit can certify it).
-//! 2. **Oracle** — canonical precomputed answers from `deepod
-//!    precompute`. Immutable, never expires (it is keyed by *weekly*
-//!    slot, which already encodes time-of-week), validated against the
-//!    model fingerprint at startup.
+//! **Key.** A [`CacheKey`] holds the bits of every field of the raw
+//! request: origin, destination, departure and weather. A miss answers
+//! from exactly those fields plus the frozen model and context, so a hit
+//! is the miss path's answer by construction — never a neighbour's.
+//!
+//! **Expiry.** Entries expire by *time slot*, not by age: each entry
+//! stamps the wall-clock slot it was inserted in, and dies as soon as the
+//! wall clock advances past that slot. Capacity is enforced per shard
+//! with a recency index (`BTreeMap` of insertion ticks — no slice
+//! indexing anywhere on the hot path, so the no-panic audit can certify
+//! it).
 //!
 //! All clock reads are injected (`now_s`), so expiry is unit-testable
 //! without sleeping; the engine passes UNIX time.
 
 use std::collections::{BTreeMap, HashMap};
+use std::convert::Infallible;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use deepod_core::obs::registry;
-use deepod_core::oracle::{OdKeyer, OdOracle, OracleKey};
+use deepod_core::oracle::OdKeyer;
 use deepod_core::{TimeSlotError, TimeSlots};
 use deepod_traj::OdInput;
+
+/// The cache key ([`ServeCache::key_of`]): the exact bits of a raw
+/// request's fields. Two requests share a key only if the model would see
+/// the same input.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct CacheKey {
+    origin: [u64; 2],
+    destination: [u64; 2],
+    depart: u64,
+    weather: u8,
+}
 
 /// Registers the cache metric keys at zero so snapshots carry them even
 /// for a cacheless engine.
@@ -42,11 +52,10 @@ pub fn register_metrics() {
     registry::register_gauge("serve.cache_hit_rate");
 }
 
-/// Tunables of the LRU tier.
+/// Tunables of the cache.
 #[derive(Clone, Copy, Debug)]
 pub struct CacheConfig {
-    /// Total LRU entries across all shards; `0` disables the LRU tier
-    /// (the oracle tier, if present, still answers).
+    /// Total LRU entries across all shards; `0` disables the cache.
     pub capacity: usize,
     /// Wall-clock slot size for expiry, in seconds; must divide a week
     /// (the same contract as the model's own slots). Entries inserted in
@@ -70,9 +79,9 @@ impl Default for CacheConfig {
 /// registry; kept locally so tests can assert without snapshotting).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups answered by either tier.
+    /// Lookups answered from the LRU.
     pub hits: u64,
-    /// Lookups neither tier could answer.
+    /// Lookups the LRU could not answer.
     pub misses: u64,
     /// LRU entries displaced by capacity.
     pub evictions: u64,
@@ -82,9 +91,9 @@ pub struct CacheStats {
 
 struct LruShard {
     /// key → (answer, wall slot at insert, recency tick).
-    map: HashMap<OracleKey, (f32, usize, u64)>,
+    map: HashMap<CacheKey, (f32, usize, u64)>,
     /// tick → key, oldest first; `pop_first` is the eviction victim.
-    order: BTreeMap<u64, OracleKey>,
+    order: BTreeMap<u64, CacheKey>,
     next_tick: u64,
 }
 
@@ -96,21 +105,21 @@ impl LruShard {
             next_tick: 0,
         }
     }
-
-    fn touch(&mut self, key: OracleKey, old_tick: u64) -> u64 {
-        self.order.remove(&old_tick);
-        let tick = self.next_tick;
-        self.next_tick = self.next_tick.wrapping_add(1);
-        self.order.insert(tick, key);
-        tick
-    }
 }
 
-/// The serving cache: oracle tier + sharded LRU tier. Cheap to share
-/// (`Arc` it into the engine); all interior mutability is per-shard.
+/// Appends `key` at the most-recent end of a shard's `order` and returns
+/// its tick. Takes the shard's fields apart so a caller can hold a `map`
+/// entry meanwhile.
+fn push_recent(order: &mut BTreeMap<u64, CacheKey>, next_tick: &mut u64, key: CacheKey) -> u64 {
+    let tick = *next_tick;
+    *next_tick = next_tick.wrapping_add(1);
+    order.insert(tick, key);
+    tick
+}
+
+/// The serving cache: a sharded LRU. Cheap to share (`Arc` it into the
+/// engine); all interior mutability is per-shard.
 pub struct ServeCache {
-    keyer: OdKeyer,
-    oracle: Option<Arc<OdOracle>>,
     /// Wall-clock discretization driving LRU expiry.
     wall: TimeSlots,
     shards: Vec<Mutex<LruShard>>,
@@ -122,12 +131,16 @@ pub struct ServeCache {
 }
 
 impl ServeCache {
-    /// Builds a cache over `keyer`'s OD discretization. When an oracle is
-    /// supplied, pass its own keyer — the two tiers must agree on what a
-    /// key means. Fails only if `ttl_seconds` violates the slot contract.
+    /// Builds a cache. Fails only if `ttl_seconds` violates the slot
+    /// contract.
+    ///
+    /// The first two arguments are ignored: the cache keys on the exact
+    /// request, not on a cell grid, and the second is uninhabited — the
+    /// OD-oracle tier it once carried is gone. Both stay only so
+    /// existing callers keep compiling (ROADMAP item 7(a) removes them).
     pub fn new(
-        keyer: OdKeyer,
-        oracle: Option<Arc<OdOracle>>,
+        _keyer: OdKeyer,
+        _no_oracle: Option<Infallible>,
         cfg: CacheConfig,
     ) -> Result<ServeCache, TimeSlotError> {
         let wall = TimeSlots::new(0.0, cfg.ttl_seconds)?;
@@ -138,8 +151,6 @@ impl ServeCache {
             cfg.capacity.div_ceil(nshards)
         };
         Ok(ServeCache {
-            keyer,
-            oracle,
             wall,
             shards: (0..nshards).map(|_| Mutex::new(LruShard::new())).collect(),
             per_shard_capacity,
@@ -150,26 +161,35 @@ impl ServeCache {
         })
     }
 
-    /// The key scheme in use (shared with any oracle tier).
-    pub fn keyer(&self) -> &OdKeyer {
-        &self.keyer
+    /// Keys a raw request; `None` when a field is not finite, so such a
+    /// request is never served from cache.
+    pub fn key_of(&self, od: &OdInput) -> Option<CacheKey> {
+        let fields = [
+            od.origin.x,
+            od.origin.y,
+            od.destination.x,
+            od.destination.y,
+            od.depart,
+        ];
+        if !fields.iter().all(|v| v.is_finite()) {
+            return None;
+        }
+        Some(CacheKey {
+            origin: [od.origin.x.to_bits(), od.origin.y.to_bits()],
+            destination: [od.destination.x.to_bits(), od.destination.y.to_bits()],
+            depart: od.depart.to_bits(),
+            weather: od.weather.0,
+        })
     }
 
-    /// Keys a raw request; `None` for pre-epoch or non-finite inputs,
-    /// which must never be served from cache.
-    pub fn key_of(&self, od: &OdInput) -> Option<OracleKey> {
-        self.keyer.key_of(od)
-    }
-
-    /// Whether the LRU tier can hold anything (`insert` is a no-op
-    /// otherwise).
+    /// Whether the LRU can hold anything (`insert` is a no-op otherwise).
     pub fn lru_enabled(&self) -> bool {
         self.per_shard_capacity > 0
     }
 
     /// `None` only if the shard vector were empty — the constructor
     /// builds at least one, so callers degrade to a miss/no-op.
-    fn shard_of(&self, key: &OracleKey) -> Option<&Mutex<LruShard>> {
+    fn shard_of(&self, key: &CacheKey) -> Option<&Mutex<LruShard>> {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         key.hash(&mut h);
         let idx = (h.finish() as usize) % self.shards.len().max(1);
@@ -189,32 +209,36 @@ impl ServeCache {
             .unwrap_or(0)
     }
 
-    /// Looks up an answer at wall time `now_s`: LRU first (dropping the
-    /// entry as stale if the wall slot advanced past it), then the
-    /// oracle. Updates hit/miss/stale accounting and the hit-rate gauge.
-    pub fn lookup(&self, key: OracleKey, now_s: f64) -> Option<f32> {
+    /// Looks up an answer at wall time `now_s`, dropping the entry as
+    /// stale if the wall slot advanced past it. Updates hit/miss/stale
+    /// accounting and the hit-rate gauge.
+    pub fn lookup(&self, key: CacheKey, now_s: f64) -> Option<f32> {
         let now_slot = self.wall_slot(now_s);
         if let Some(mutex) = self.shard_of(&key).filter(|_| self.lru_enabled()) {
-            let mut shard = Self::lock_shard(mutex);
-            match shard.map.get(&key).copied() {
-                Some((_, slot, tick)) if slot < now_slot => {
-                    shard.map.remove(&key);
-                    shard.order.remove(&tick);
+            let mut guard = Self::lock_shard(mutex);
+            let LruShard {
+                map,
+                order,
+                next_tick,
+            } = &mut *guard;
+            match map.get_mut(&key) {
+                Some(&mut (_, slot, tick)) if slot < now_slot => {
+                    map.remove(&key);
+                    order.remove(&tick);
                     self.stale.fetch_add(1, Ordering::Relaxed);
                     registry::counter_inc("serve.cache_stale");
                 }
-                Some((eta, slot, tick)) => {
-                    let new_tick = shard.touch(key, tick);
-                    shard.map.insert(key, (eta, slot, new_tick));
-                    drop(shard);
-                    return Some(self.record_hit(eta));
+                Some((eta, _, tick)) => {
+                    let eta = *eta;
+                    order.remove(tick);
+                    *tick = push_recent(order, next_tick, key);
+                    drop(guard);
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    registry::counter_inc("serve.cache_hits");
+                    self.publish_hit_rate();
+                    return Some(eta);
                 }
                 None => {}
-            }
-        }
-        if let Some(oracle) = &self.oracle {
-            if let Some(eta) = oracle.lookup(key) {
-                return Some(self.record_hit(eta));
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
@@ -223,17 +247,10 @@ impl ServeCache {
         None
     }
 
-    fn record_hit(&self, eta: f32) -> f32 {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        registry::counter_inc("serve.cache_hits");
-        self.publish_hit_rate();
-        eta
-    }
-
     /// Stores an engine-computed answer, stamped with the current wall
-    /// slot. No-op when the LRU tier is disabled. At capacity the
+    /// slot. No-op when the LRU is disabled. At capacity the
     /// least-recently-used entry is evicted first.
-    pub fn insert(&self, key: OracleKey, eta_seconds: f32, now_s: f64) {
+    pub fn insert(&self, key: CacheKey, eta_seconds: f32, now_s: f64) {
         if !self.lru_enabled() {
             return;
         }
@@ -241,24 +258,27 @@ impl ServeCache {
         let Some(mutex) = self.shard_of(&key) else {
             return;
         };
-        let mut shard = Self::lock_shard(mutex);
-        if let Some((_, _, tick)) = shard.map.get(&key).copied() {
-            let new_tick = shard.touch(key, tick);
-            shard.map.insert(key, (eta_seconds, now_slot, new_tick));
+        let mut guard = Self::lock_shard(mutex);
+        let LruShard {
+            map,
+            order,
+            next_tick,
+        } = &mut *guard;
+        if let Some(entry) = map.get_mut(&key) {
+            order.remove(&entry.2);
+            *entry = (eta_seconds, now_slot, push_recent(order, next_tick, key));
             return;
         }
-        while shard.map.len() >= self.per_shard_capacity {
-            let Some((_, victim)) = shard.order.pop_first() else {
+        while map.len() >= self.per_shard_capacity {
+            let Some((_, victim)) = order.pop_first() else {
                 break; // order/map out of sync; recover by inserting anyway
             };
-            shard.map.remove(&victim);
+            map.remove(&victim);
             self.evictions.fetch_add(1, Ordering::Relaxed);
             registry::counter_inc("serve.cache_evictions");
         }
-        let tick = shard.next_tick;
-        shard.next_tick = shard.next_tick.wrapping_add(1);
-        shard.order.insert(tick, key);
-        shard.map.insert(key, (eta_seconds, now_slot, tick));
+        let tick = push_recent(order, next_tick, key);
+        map.insert(key, (eta_seconds, now_slot, tick));
     }
 
     /// Current counters.
@@ -293,27 +313,42 @@ pub fn now_epoch_s() -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use deepod_roadnet::Point;
+    use deepod_traffic::WeatherType;
 
-    fn key(o: u32, d: u32, s: u32) -> OracleKey {
-        OracleKey {
-            origin_cell: o,
-            dest_cell: d,
-            week_slot: s,
+    fn od(x: f64, depart: f64) -> OdInput {
+        OdInput {
+            origin: Point::new(x, 0.0),
+            destination: Point::new(0.0, x),
+            depart,
+            weather: WeatherType(0),
         }
     }
 
-    fn lru_only(capacity: usize, ttl: f64) -> ServeCache {
-        // A 1×1 grid keyer is enough for pure-LRU tests.
-        let keyer = OdKeyer {
+    fn key(o: u32, d: u32, s: u32) -> CacheKey {
+        CacheKey {
+            origin: [u64::from(o), 0],
+            destination: [u64::from(d), 0],
+            depart: u64::from(s),
+            weather: 0,
+        }
+    }
+
+    /// A 1×1 grid keyer: the cache ignores it.
+    fn keyer() -> OdKeyer {
+        OdKeyer {
             x0: 0.0,
             y0: 0.0,
             cell_meters: 1000.0,
             nx: 1,
             ny: 1,
             slots: TimeSlots::five_minutes(),
-        };
+        }
+    }
+
+    fn lru_only(capacity: usize, ttl: f64) -> ServeCache {
         ServeCache::new(
-            keyer,
+            keyer(),
             None,
             CacheConfig {
                 capacity,
@@ -322,6 +357,30 @@ mod tests {
             },
         )
         .expect("valid ttl")
+    }
+
+    #[test]
+    fn keys_are_exact_requests_and_reject_non_finite_fields() {
+        let cache = lru_only(1, 300.0);
+        let base = od(100.0, 30_000.0);
+        let k = cache.key_of(&base).expect("finite request");
+        assert_eq!(cache.key_of(&base), Some(k), "same request, same key");
+        // Requests that share a 1 km cell and a weekly slot still differ.
+        let mut moved = base;
+        moved.origin.x += 1.0;
+        let mut later = base;
+        later.depart += 1.0;
+        let mut wet = base;
+        wet.weather = WeatherType(3);
+        for other in [moved, later, wet] {
+            assert_ne!(cache.key_of(&other), Some(k), "{other:?}");
+        }
+        // A pre-epoch request keys; the protocol layer rejects it.
+        assert!(cache.key_of(&od(100.0, -5.0)).is_some());
+        for bad in [f64::NAN, f64::INFINITY] {
+            assert_eq!(cache.key_of(&od(bad, 30_000.0)), None);
+            assert_eq!(cache.key_of(&od(100.0, bad)), None);
+        }
     }
 
     #[test]
@@ -381,16 +440,8 @@ mod tests {
 
     #[test]
     fn ttl_must_satisfy_the_slot_contract() {
-        let keyer = OdKeyer {
-            x0: 0.0,
-            y0: 0.0,
-            cell_meters: 1000.0,
-            nx: 1,
-            ny: 1,
-            slots: TimeSlots::five_minutes(),
-        };
         let bad = ServeCache::new(
-            keyer,
+            keyer(),
             None,
             CacheConfig {
                 capacity: 4,

@@ -26,13 +26,12 @@ use std::time::{Duration, Instant};
 
 use deepod_baselines::RouteTtePredictor;
 use deepod_core::obs::registry;
-use deepod_core::oracle::OracleKey;
 use deepod_core::{
     DeepOdModel, FeatureContext, InferenceModel, ModelError, PredictRequest, PredictResponse,
 };
 use deepod_traj::CityDataset;
 
-use crate::cache::{self, ServeCache};
+use crate::cache::{self, CacheKey, ServeCache};
 use crate::supervisor::{self, Master};
 
 /// Typed failures of the queueing layer — distinct from [`ModelError`],
@@ -203,7 +202,7 @@ enum CacheOutcome {
     Hit(ReplyHandle),
     /// No cached answer; the key (if the request was keyable) rides along
     /// so the worker can populate the cache.
-    Miss(Option<OracleKey>),
+    Miss(Option<CacheKey>),
 }
 
 pub(crate) struct Pending {
@@ -216,7 +215,7 @@ pub(crate) struct Pending {
     pub(crate) attempts: u32,
     /// The cache key this request missed on at admission; a non-degraded
     /// answer populates the cache under it.
-    pub(crate) cache_key: Option<OracleKey>,
+    pub(crate) cache_key: Option<CacheKey>,
 }
 
 pub(crate) struct QueueState {
@@ -302,7 +301,7 @@ impl InferenceEngine {
     /// (DESIGN.md §15): raw requests are looked up in the cache *before*
     /// queue admission — a hit replies immediately without consuming
     /// worker capacity — and every non-degraded model answer populates
-    /// the cache's LRU tier. `None` is the cacheless engine,
+    /// the cache. `None` is the cacheless engine,
     /// bit-identical to the historical behavior.
     ///
     /// The second argument is uninhabited: the per-request route-tte
@@ -447,8 +446,8 @@ impl InferenceEngine {
             return CacheOutcome::Miss(None);
         };
         let PredictRequest::Raw(od) = req else {
-            // Encoded requests carry pre-built features the keyer cannot
-            // see through; they always take the worker path.
+            // Encoded requests carry pre-built features, not the raw
+            // fields a key is made of; they always take the worker path.
             return CacheOutcome::Miss(None);
         };
         let Some(key) = cache.key_of(od) else {
@@ -479,7 +478,7 @@ impl InferenceEngine {
         shard: &Shard,
         mut q: std::sync::MutexGuard<'_, QueueState>,
         req: PredictRequest,
-        cache_key: Option<OracleKey>,
+        cache_key: Option<CacheKey>,
     ) -> ReplyHandle {
         let (tx, rx) = mpsc::channel();
         let deadline = if self.config.deadline_ms > 0 {

@@ -31,12 +31,12 @@
 //! * Graceful degradation — [`Backend::RouteTte`] serves baseline answers
 //!   (marked `degraded`) when the model file is unusable, instead of
 //!   taking the process down.
-//! * [`cache`] — the serving cache tier (DESIGN.md §15): an optional
-//!   precomputed [`deepod_core::OdOracle`] plus a bounded in-process LRU
-//!   ([`ServeCache`]), consulted **before queue admission** — a hit
-//!   replies immediately with the model's own bit-identical answer and
-//!   never consumes worker capacity; entries expire on wall-clock
-//!   time-slot boundaries, and degraded answers are never cached.
+//! * [`cache`] — the serving cache (DESIGN.md §15): a bounded in-process
+//!   LRU ([`ServeCache`]) keyed on the exact request ([`CacheKey`]),
+//!   consulted **before queue admission** — a hit replies immediately
+//!   with the answer the miss path would have produced and never
+//!   consumes worker capacity; entries expire on wall-clock time-slot
+//!   boundaries, and degraded answers are never cached.
 //! * [`protocol`] — the versioned newline-delimited JSON wire format
 //!   (`"v":2`) the `deepod serve` subcommand speaks, identically over
 //!   stdin/stdout and TCP; pre-epoch departures are rejected per request
@@ -64,7 +64,7 @@ pub mod protocol;
 mod supervisor;
 mod worker;
 
-pub use cache::{CacheConfig, CacheStats, ServeCache};
+pub use cache::{CacheConfig, CacheKey, CacheStats, ServeCache};
 pub use client::ServeClient;
 pub use engine::{Backend, EngineConfig, EngineReply, InferenceEngine, ReplyHandle, ServeError};
 pub use net::{NetConfig, NetServer};
@@ -73,10 +73,14 @@ pub use protocol::{ErrorKind, WireError, WireRequest, WireResponse};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deepod_core::{DeepOdConfig, DeepOdModel, EmbeddingInit, FeatureContext, PredictRequest};
+    use deepod_core::oracle::OdKeyer;
+    use deepod_core::{
+        DeepOdConfig, DeepOdModel, EmbeddingInit, FeatureContext, InferenceModel, PredictRequest,
+    };
     use deepod_roadnet::CityProfile;
     use deepod_traj::{CityDataset, DatasetBuilder, DatasetConfig, OdInput};
-    use std::sync::Arc;
+    use proptest::prelude::*;
+    use std::sync::{Arc, OnceLock};
 
     fn tiny_setup() -> (Arc<CityDataset>, FeatureContext, DeepOdModel) {
         let ds = DatasetBuilder::build(&DatasetConfig::for_profile(CityProfile::SynthChengdu, 40));
@@ -115,7 +119,7 @@ mod tests {
 
         // Both model arms — the one `deepod serve` uses and the one the
         // engine lowers itself — must answer with the direct call's bits.
-        let inference = Arc::new(deepod_core::InferenceModel::from_model(&model));
+        let inference = Arc::new(InferenceModel::from_model(&model));
         let ctx2 = FeatureContext::build(&ds, model.config.slot_seconds).expect("valid slot size");
         for (backend, ctx) in [
             (Backend::Model(Box::new(model)), ctx),
@@ -243,7 +247,6 @@ mod tests {
 
     #[test]
     fn lru_cache_answers_repeat_requests_bit_identically() {
-        use deepod_core::oracle::OdKeyer;
         let (ds, ctx, model) = tiny_setup();
         let od = od_of(&ds, 0);
         let direct = model
@@ -301,52 +304,121 @@ mod tests {
         engine.shutdown();
     }
 
-    #[test]
-    fn oracle_tier_serves_canonical_requests_without_workers() {
-        use deepod_core::oracle::{precompute, PrecomputeSpec};
-        let (ds, ctx, model) = tiny_setup();
-        let oracle = precompute(
-            &model,
-            &ctx,
-            &ds,
-            &PrecomputeSpec {
-                cells: 3,
-                slots: 3,
-                cell_meters: 500.0,
-            },
-            "fp".into(),
-            1,
-        );
-        assert!(!oracle.entries.is_empty());
-        let entry = oracle.entries[0];
-        let canonical = oracle.keyer.canonical_od(entry.key, &ds);
-        let keyer = oracle.keyer;
-        let cache = Arc::new(
-            ServeCache::new(keyer, Some(Arc::new(oracle)), CacheConfig::default())
-                .expect("valid ttl"),
-        );
-        let engine = InferenceEngine::start_with_cache(
-            Backend::Model(Box::new(model)),
-            None,
-            Some(Arc::clone(&cache)),
-            ctx,
-            Arc::clone(&ds),
-            EngineConfig::default(),
-        );
+    /// Training ODs followed by their cell-mates — distinct requests that
+    /// share a 500 m origin cell, destination cell and weekly slot, which
+    /// a cell-grid cache key would answer with whichever came first — and
+    /// the cacheless engine a cached one is compared against.
+    struct Equivalence {
+        ds: Arc<CityDataset>,
+        model: Arc<InferenceModel>,
+        slot_seconds: f64,
+        pool: Vec<OdInput>,
+        plain: InferenceEngine,
+    }
+
+    /// One request at a time, each answered before the next is sent, so a
+    /// repeat finds its original's answer already cached.
+    fn one_at_a_time() -> EngineConfig {
+        EngineConfig {
+            max_batch: 1,
+            max_wait_ms: 0,
+            threads: 1,
+            ..EngineConfig::default()
+        }
+    }
+
+    fn equivalence() -> &'static Equivalence {
+        static FIXTURE: OnceLock<Equivalence> = OnceLock::new();
+        FIXTURE.get_or_init(|| {
+            let (ds, ctx, model) = tiny_setup();
+            let keyer = OdKeyer::for_network(&ds.net, 500.0, *ctx.slots());
+            let bases: Vec<OdInput> = (0..6).map(|i| od_of(&ds, i)).collect();
+            let mut pool = bases.clone();
+            for base in &bases {
+                for (dx, dy, wait) in [(3.0, 0.0, 0.0), (0.0, 0.0, 2.0), (0.0, -5.0, 7.0)] {
+                    let mut mate = *base;
+                    mate.origin.x += dx;
+                    mate.destination.y += dy;
+                    mate.depart += wait;
+                    mate.weather = ds.traffic.weather().at(mate.depart);
+                    if keyer.key_of(&mate) == keyer.key_of(base) {
+                        pool.push(mate);
+                    }
+                }
+            }
+            assert!(pool.len() >= bases.len() + 6, "the pool needs cell-mates");
+            let slot_seconds = model.config.slot_seconds;
+            let model = Arc::new(InferenceModel::from_model(&model));
+            let plain = InferenceEngine::start(
+                Backend::Inference(Arc::clone(&model)),
+                ctx,
+                Arc::clone(&ds),
+                one_at_a_time(),
+            );
+            Equivalence {
+                ds,
+                model,
+                slot_seconds,
+                pool,
+                plain,
+            }
+        })
+    }
+
+    /// The engine's answer to one raw request, as bits (`None` if the
+    /// model could not answer it).
+    fn answer(engine: &InferenceEngine, od: OdInput) -> Option<u32> {
         let reply = engine
-            .try_submit(PredictRequest::Raw(canonical))
-            .expect("oracle hit bypasses admission")
+            .submit(PredictRequest::Raw(od))
+            .expect("queue accepts")
             .recv()
             .expect("answered");
         assert!(!reply.degraded);
-        assert_eq!(
-            reply.result.expect("resolves").eta_seconds.to_bits(),
-            entry.eta_seconds.to_bits(),
-            "oracle answer must be the precomputed one"
-        );
-        assert_eq!(cache.stats().hits, 1);
-        assert_eq!(cache.stats().misses, 0, "no worker involved");
-        engine.shutdown();
+        reply.result.ok().map(|r| r.eta_seconds.to_bits())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Any sequence of raw requests, cell-mates included, gets
+        /// `to_bits`-equal replies from an engine with an LRU and from the
+        /// cacheless engine.
+        #[test]
+        fn cached_replies_equal_cacheless_replies(
+            capacity in 1usize..8,
+            picks in proptest::collection::vec(any::<usize>(), 1..40),
+        ) {
+            let f = equivalence();
+            let ctx = FeatureContext::build(&f.ds, f.slot_seconds).expect("valid slot size");
+            let keyer = OdKeyer::for_network(&f.ds.net, 500.0, *ctx.slots());
+            let cache = Arc::new(
+                ServeCache::new(
+                    keyer,
+                    None,
+                    CacheConfig {
+                        capacity,
+                        ttl_seconds: 604_800.0,
+                        shards: 1,
+                    },
+                )
+                .expect("a week divides a week"),
+            );
+            let cached = InferenceEngine::start_with_cache(
+                Backend::Inference(Arc::clone(&f.model)),
+                None,
+                Some(Arc::clone(&cache)),
+                ctx,
+                Arc::clone(&f.ds),
+                one_at_a_time(),
+            );
+            for pick in &picks {
+                let od = f.pool[pick % f.pool.len()];
+                prop_assert_eq!(answer(&cached, od), answer(&f.plain, od), "request {:?}", od);
+            }
+            let stats = cache.stats();
+            prop_assert_eq!(stats.hits + stats.misses, picks.len() as u64);
+            cached.shutdown();
+        }
     }
 
     #[test]

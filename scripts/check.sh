@@ -42,9 +42,10 @@ stage check      cargo run -q -p xtask -- check
 # --- build + test ----------------------------------------------------------
 stage build      cargo build --release
 # Every test target once: the workspace minus the CLI's integration
-# suites, each of which is a named stage below. The wire-codec, oracle
-# decode, kernel, gradcheck and step-batched encoder properties run here
-# too (DESIGN.md §12 determinism contract).
+# suites, each of which is a named stage below. The wire-codec,
+# checksummed-container decode, cached-vs-cacheless serving, kernel,
+# gradcheck and step-batched encoder properties run here too (DESIGN.md
+# §12 determinism contract).
 unit_tests() {
   cargo test -q --workspace --exclude deepod-cli &&
     cargo test -q -p deepod-cli --bins
@@ -81,13 +82,10 @@ stage chaos      cargo test -q -p deepod-cli --test serve_chaos
 # output, and worker-crash chaos. The wire codec's properties run in
 # the test stage.
 stage net        cargo test -q -p deepod-cli --test serve_net
-# Cache stage: the serving-cache tier end to end (DESIGN.md §15) —
-# precompute writes a fingerprinted OD-oracle artifact, canonical
-# requests hit it without touching the queue, LRU repeats answer
-# bit-identically to the cacheless path, TTL slot rollover expires
-# entries, and a corrupt or mismatched oracle degrades to cacheless
-# serving instead of wrong answers. The DPODORC2 reader's decode
-# properties run in the test stage.
+# Cache stage: the exact-key serving cache end to end (DESIGN.md §15) —
+# LRU repeats answer bit-identically to the cacheless path, a cell-mate
+# of a cached request gets its own answer, TTL slot rollover expires
+# entries, and pre-epoch departures get typed per-request rejects.
 stage cache      cargo test -q -p deepod-cli --test serve_cache
 # Benchmark smoke stage: one short pass of every workload of the repo
 # benchmark (BENCHMARK.json). Its gate — each served reply `to_bits`-equal
