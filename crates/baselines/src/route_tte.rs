@@ -19,10 +19,6 @@ use std::collections::HashMap;
 const BUCKETS: usize = 7 * 12;
 
 /// Route-based TTE via learned per-segment speeds.
-///
-/// `Clone` is cheap relative to a refit and exists for the serve-side
-/// supervisor, which rebuilds a fallback replica after a worker crash.
-#[derive(Clone)]
 pub struct RouteTtePredictor {
     /// Mean speed per (edge, bucket), m/s.
     speeds: HashMap<(u32, u16), f32>,
@@ -70,6 +66,32 @@ impl RouteTtePredictor {
             return v;
         }
         self.global_speed
+    }
+
+    /// Estimated travel time for `od`, in seconds (`None` when unfitted or
+    /// when an endpoint or the route cannot be matched). Reads `self` only,
+    /// so one fitted predictor can answer from many threads at once.
+    pub fn route_eta(&self, od: &OdInput) -> Option<f32> {
+        let net = self.net.as_ref()?;
+        let grid = self.grid.as_ref()?;
+        let (oe, opr) = grid.nearest_edge(net, &od.origin, 600.0)?;
+        let (de, dpr) = grid.nearest_edge(net, &od.destination, 600.0)?;
+
+        // Route on learned time-dependent speeds, then integrate, adding
+        // the partial first/last segments.
+        let route = time_dependent_route(
+            net,
+            net.edge(oe).to,
+            net.edge(de).from,
+            od.depart,
+            |e, t| (net.edge(e).length / self.speed(net, e, t) as f64).max(0.5),
+        )
+        .ok()?;
+
+        let head = net.edge(oe).length * (1.0 - opr.t) / self.speed(net, oe, od.depart) as f64;
+        let tail_t = od.depart + head + route.cost;
+        let tail = net.edge(de).length * dpr.t / self.speed(net, de, tail_t) as f64;
+        Some((head + route.cost + tail) as f32)
     }
 
     /// Number of (segment, bucket) pairs with direct observations.
@@ -131,27 +153,7 @@ impl TtePredictor for RouteTtePredictor {
     }
 
     fn predict(&mut self, od: &OdInput) -> Option<f32> {
-        let net = self.net.as_ref()?;
-        let grid = self.grid.as_ref()?;
-        let (oe, opr) = grid.nearest_edge(net, &od.origin, 600.0)?;
-        let (de, dpr) = grid.nearest_edge(net, &od.destination, 600.0)?;
-
-        // Route on learned time-dependent speeds, then integrate, adding
-        // the partial first/last segments.
-        let this = &*self;
-        let route = time_dependent_route(
-            net,
-            net.edge(oe).to,
-            net.edge(de).from,
-            od.depart,
-            |e, t| (net.edge(e).length / this.speed(net, e, t) as f64).max(0.5),
-        )
-        .ok()?;
-
-        let head = net.edge(oe).length * (1.0 - opr.t) / self.speed(net, oe, od.depart) as f64;
-        let tail_t = od.depart + head + route.cost;
-        let tail = net.edge(de).length * dpr.t / self.speed(net, de, tail_t) as f64;
-        Some((head + route.cost + tail) as f32)
+        self.route_eta(od)
     }
 
     fn size_bytes(&self) -> usize {

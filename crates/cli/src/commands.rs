@@ -52,15 +52,17 @@ greedy client sheds itself instead of filling the shared queue),
 connection survives).
 
 By default a full queue blocks the stdin reader (backpressure); with
---reject-when-full, and always over TCP, a request whose queue shard is
-full is retried up to --retry-budget times (deterministic 1/4/16/64 ms
-backoff) and then rejected with kind queue_full. A full shard is the
-only queue-depth reject; cache hits are never rejected. The optional
+--reject-when-full, and always over TCP, a request that finds the
+queue full is retried up to --retry-budget times (deterministic
+1/4/16/64 ms backoff) and then rejected with kind queue_full. A full
+queue is the only queue-depth reject; cache hits are never rejected.
+--queue N is the queue's total capacity (default 256). The optional
 \"priority\" request field (\"low\" or \"normal\") is accepted and has
 no effect.
 
-Fault tolerance: --workers N shards the queue over N supervised workers
-(default 1) sharing one immutable inference model; a panicking worker
+Fault tolerance: --workers N runs N supervised workers (default 1) on
+the one queue, any idle worker taking the oldest request, all reading
+one shared model; a panicking worker
 is restarted and its in-flight requests are retried up to
 --retry-budget times (deterministic backoff) before failing with a
 typed worker_crashed reply. --deadline-ms sheds

@@ -222,7 +222,7 @@ fn reject_when_full_sheds_load_with_queue_full_errors() {
     let replies = replies(&out);
     assert_eq!(replies.len(), N, "every request gets a verdict line");
     let answered = replies.iter().filter(|r| r.is_ok()).count();
-    // A saturated capacity-1 queue sheds as `queue_full`: a full shard
+    // A saturated capacity-1 queue sheds as `queue_full`: a full queue
     // is the one queue-depth reject.
     let shed = replies
         .iter()

@@ -12,7 +12,9 @@
 //! * **deadlines shed stale work** — a slow batch makes queued requests
 //!   miss `--deadline-ms` and they are swept with typed errors, counted
 //!   in `serve.deadline_expired`;
-//! * **saturation rejects one way** — a full shard is the only
+//! * **one queue, any idle worker** — while one worker is stuck in a slow
+//!   batch, the other drains the queue, so nothing misses its deadline;
+//! * **saturation rejects one way** — a full queue is the only
 //!   queue-depth reject (`queue_full`, counted once in `serve.rejected`),
 //!   retried first on the `--retry-budget` backoff (`serve.retries`);
 //! * **the default single-worker configuration is unchanged** — `--workers
@@ -287,6 +289,47 @@ fn slow_batch_makes_queued_requests_miss_their_deadline() {
 }
 
 #[test]
+fn an_idle_worker_takes_queued_work_while_another_is_stuck_in_a_slow_batch() {
+    let s = setup();
+    const N: usize = 16;
+    let metrics = s.dir.join("idle_worker_metrics.json").display().to_string();
+    let input: String = (0..N).map(|i| request_line(s, i) + "\n").collect();
+    // The first batch sleeps 1.5 s, past the 1 s deadline. Every other
+    // request must go to the idle worker instead of waiting behind it.
+    let out = run_serve(
+        &[
+            "--workers",
+            "2",
+            "--max-batch",
+            "1",
+            "--deadline-ms",
+            "1000",
+        ],
+        &[
+            ("DEEPOD_FAILPOINTS", "serve::slow_batch:1:sleep=1500"),
+            ("DEEPOD_METRICS", metrics.as_str()),
+        ],
+        input,
+    );
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let replies = replies(&out);
+    assert_exactly_one_reply_each(&replies, N);
+    for r in &replies {
+        assert!(r.is_ok(), "every request is answered; got {r:?}");
+    }
+    let snap = read_metrics(&metrics);
+    assert_eq!(
+        counter(&snap, "serve.deadline_expired"),
+        0,
+        "no request waited behind the slow batch"
+    );
+}
+
+#[test]
 fn a_dropped_reply_surfaces_as_a_typed_error_not_a_hang() {
     let s = setup();
     const N: usize = 16;
@@ -321,7 +364,7 @@ fn saturation_sheds_with_typed_errors_and_counts_them() {
     const N: usize = 1500;
     let input: String = (0..N).map(|i| request_line(s, i) + "\n").collect();
     let saturate = ["--reject-when-full", "--queue", "1", "--max-batch", "1"];
-    // (retry budget, metrics file): without retries a full shard rejects
+    // (retry budget, metrics file): without retries a full queue rejects
     // at once; with them every reject first waits out the backoff.
     for (budget, file) in [("0", "shed_metrics.json"), ("2", "shed_retry_metrics.json")] {
         let metrics = s.dir.join(file).display().to_string();
@@ -338,7 +381,7 @@ fn saturation_sheds_with_typed_errors_and_counts_them() {
         let replies = replies(&out);
         assert_exactly_one_reply_each(&replies, N);
         let answered = count_ok(&replies);
-        // A full shard is the only queue-depth reject: no other kind.
+        // A full queue is the only queue-depth reject: no other kind.
         let shed = count_kinds(&replies, &[ErrorKind::QueueFull]);
         assert_eq!(answered + shed, N, "answers and queue_full rejects only");
         assert!(
@@ -356,7 +399,7 @@ fn saturation_sheds_with_typed_errors_and_counts_them() {
         } else {
             assert!(
                 counter(&snap, "serve.retries") >= 1,
-                "a full shard is retried before it rejects"
+                "a full queue is retried before it rejects"
             );
         }
     }
@@ -387,6 +430,6 @@ fn single_worker_defaults_are_bit_identical_and_multi_worker_agrees() {
     assert_eq!(
         String::from_utf8(multi.stdout).expect("utf8 stdout"),
         String::from_utf8(a.stdout).expect("utf8 stdout"),
-        "four shards return the same answers in the same order"
+        "four workers return the same answers in the same order"
     );
 }

@@ -21,7 +21,7 @@
 //! bit-stable across machines, thread counts and batch compositions.
 
 use crate::features::{EncodedOd, FeatureContext};
-use crate::model::{DeepOdModel, ModelError, PredictRequest, PredictResponse};
+use crate::model::{DeepOdModel, EstimateError, PredictRequest, PredictResponse};
 use crate::obs::registry;
 use deepod_nn::layers::{BatchNorm2d, Linear, Mlp2};
 use deepod_nn::{conv2d_forward, ParamId, ParamStore};
@@ -124,10 +124,14 @@ impl ConvBnRelu {
 
 /// Row `i` of a `[rows, dim]` embedding table; an index that is not a row
 /// of it is a malformed encoding (`what` names the offending field).
-fn table_row<'t>(table: &'t Tensor, i: usize, what: &'static str) -> Result<&'t [f32], ModelError> {
+fn table_row<'t>(
+    table: &'t Tensor,
+    i: usize,
+    what: &'static str,
+) -> Result<&'t [f32], EstimateError> {
     let dim = table.dims().last().copied().unwrap_or(0).max(1);
     let mut rows = table.as_slice().chunks_exact(dim);
-    rows.nth(i).ok_or(ModelError::MalformedEncoding(what))
+    rows.nth(i).ok_or(EstimateError::MalformedEncoding(what))
 }
 
 /// The immutable estimation model (M_O + M_E).
@@ -172,14 +176,14 @@ impl InferenceModel {
     /// origin edge, destination edge, departure slot and (with external
     /// features) the weather one-hot width. The encoding is public input,
     /// so every index it carries is checked before use.
-    fn check_od(&self, od: &EncodedOd) -> Result<(), ModelError> {
+    fn check_od(&self, od: &EncodedOd) -> Result<(), EstimateError> {
         table_row(&self.road_emb, od.origin_edge, "origin edge")?;
         table_row(&self.road_emb, od.dest_edge, "destination edge")?;
         if self.embeds_time {
             table_row(&self.slot_emb, od.depart_node, "departure slot")?;
         }
         if self.uses_external && od.weather_onehot.len() != NUM_WEATHER_TYPES {
-            return Err(ModelError::MalformedEncoding("weather one-hot width"));
+            return Err(EstimateError::MalformedEncoding("weather one-hot width"));
         }
         Ok(())
     }
@@ -202,7 +206,7 @@ impl InferenceModel {
     /// the [`Self::traffic_code`] of the encoding's speed matrix (empty
     /// without external features); `ocode` is its weather one-hot ++
     /// `traffic` through the external MLP.
-    fn tail(&self, od: &EncodedOd, traffic: &[f32]) -> Result<f32, ModelError> {
+    fn tail(&self, od: &EncodedOd, traffic: &[f32]) -> Result<f32, EstimateError> {
         let mut z9 = table_row(&self.road_emb, od.origin_edge, "origin edge")?.to_vec();
         z9.extend_from_slice(table_row(&self.road_emb, od.dest_edge, "destination edge")?);
         if self.embeds_time {
@@ -225,7 +229,7 @@ impl InferenceModel {
     /// Estimates one pre-encoded OD in seconds: the one-request case of
     /// the staged pass ([`Self::estimate_batch`]), with the same checks in
     /// the same order.
-    pub fn eval_encoded(&self, od: &EncodedOd) -> Result<f32, ModelError> {
+    pub fn eval_encoded(&self, od: &EncodedOd) -> Result<f32, EstimateError> {
         self.check_od(od)?;
         let traffic = if self.uses_external {
             self.traffic_code(TrafficInput::check(&od.speed_matrix)?)
@@ -256,13 +260,13 @@ impl InferenceModel {
         items: &'r [R],
         threads: usize,
         encode: F,
-    ) -> (Vec<Result<f32, ModelError>>, CnnRuns)
+    ) -> (Vec<Result<f32, EstimateError>>, CnnRuns)
     where
         R: Sync,
-        F: Fn(&'r R) -> Result<Cow<'r, EncodedOd>, ModelError> + Sync,
+        F: Fn(&'r R) -> Result<Cow<'r, EncodedOd>, EstimateError> + Sync,
     {
         // Stage 1: encode (or borrow) and check.
-        let encoded: Vec<Result<Cow<'r, EncodedOd>, ModelError>> =
+        let encoded: Vec<Result<Cow<'r, EncodedOd>, EstimateError>> =
             parallel::map_ranges(items.len(), threads, |span| {
                 // `map_ranges` only hands out in-bounds spans; an empty
                 // slice (rather than a panic) is the right degradation if
@@ -281,14 +285,14 @@ impl InferenceModel {
         // Stage 2: one group per distinct speed matrix. The key is the
         // matrix's address; `encoded` holds every `Arc` until the call
         // returns, so no address is reused while its key is live.
-        let mut answers: Vec<(usize, Result<f32, ModelError>)> = Vec::with_capacity(items.len());
+        let mut answers: Vec<(usize, Result<f32, EstimateError>)> = Vec::with_capacity(items.len());
         let mut groups: Vec<Group<'_>> = Vec::new();
-        let mut group_of: HashMap<*const Tensor, Result<usize, ModelError>> = HashMap::new();
+        let mut group_of: HashMap<*const Tensor, Result<usize, EstimateError>> = HashMap::new();
         for (i, enc) in encoded.iter().enumerate() {
             let od = match enc {
                 Ok(od) => od.as_ref(),
                 Err(e) => {
-                    answers.push((i, Err(e.clone())));
+                    answers.push((i, Err(*e)));
                     continue;
                 }
             };
@@ -315,7 +319,7 @@ impl InferenceModel {
                         group.members.push((i, od));
                     }
                 }
-                Err(e) => answers.push((i, Err(e.clone()))),
+                Err(e) => answers.push((i, Err(*e))),
             }
         }
         let runs = CnnRuns {
@@ -367,7 +371,7 @@ impl InferenceModel {
         net: &deepod_roadnet::RoadNetwork,
         reqs: &[PredictRequest],
         threads: usize,
-    ) -> Vec<Result<PredictResponse, ModelError>> {
+    ) -> Vec<Result<PredictResponse, EstimateError>> {
         if reqs.is_empty() {
             return Vec::new();
         }
@@ -390,12 +394,12 @@ fn encode_request<'r>(
     ctx: &FeatureContext,
     net: &deepod_roadnet::RoadNetwork,
     req: &'r PredictRequest,
-) -> Result<Cow<'r, EncodedOd>, ModelError> {
+) -> Result<Cow<'r, EncodedOd>, EstimateError> {
     match req {
         PredictRequest::Raw(od) => ctx
             .encode_od(net, od)
             .map(Cow::Owned)
-            .ok_or(ModelError::UnmatchedEndpoints),
+            .ok_or(EstimateError::UnmatchedEndpoints),
         PredictRequest::Encoded(enc) => Ok(Cow::Borrowed(enc)),
     }
 }
@@ -408,10 +412,10 @@ struct TrafficInput<'m> {
 }
 
 impl TrafficInput<'_> {
-    fn check(matrix: &Tensor) -> Result<TrafficInput<'_>, ModelError> {
+    fn check(matrix: &Tensor) -> Result<TrafficInput<'_>, EstimateError> {
         match *matrix.dims() {
             [1, h, w] if h * w > 0 => Ok(TrafficInput { matrix, hw: h * w }),
-            _ => Err(ModelError::MalformedEncoding("speed matrix shape")),
+            _ => Err(EstimateError::MalformedEncoding("speed matrix shape")),
         }
     }
 }
@@ -547,6 +551,6 @@ mod tests {
             1,
         );
         assert!(out[0].is_ok());
-        assert_eq!(out[1], Err(ModelError::UnmatchedEndpoints));
+        assert_eq!(out[1], Err(EstimateError::UnmatchedEndpoints));
     }
 }

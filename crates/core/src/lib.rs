@@ -62,7 +62,7 @@ pub use features::{EncodedOd, EncodedSample, FeatureContext};
 pub use inference::InferenceModel;
 pub use interval_encoder::TimeIntervalEncoder;
 pub use io_guard::IoGuardError;
-pub use model::{DeepOdModel, ModelError, PredictRequest, PredictResponse};
+pub use model::{DeepOdModel, EstimateError, ModelError, PredictRequest, PredictResponse};
 pub use od_encoder::OdEncoder;
 pub use runtime::{RuntimeConfig, RuntimeError, RuntimeOverrides};
 pub use temporal_graph::{build_temporal_graph, temporal_graph_day_only};

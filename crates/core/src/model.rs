@@ -32,14 +32,6 @@ pub enum ModelError {
     /// A guarded filesystem operation failed (missing, truncated, or
     /// corrupt artifact — see [`crate::io_guard::IoGuardError`]).
     Io(crate::io_guard::IoGuardError),
-    /// A prediction request's origin or destination could not be matched
-    /// to any road segment (per-request failure of [`DeepOdModel::
-    /// estimate_batch`]; the rest of the batch is unaffected).
-    UnmatchedEndpoints,
-    /// A [`PredictRequest::Encoded`] carried an index outside an embedding
-    /// table or a feature of the wrong shape (per-request, like
-    /// [`Self::UnmatchedEndpoints`]); names the offending field.
-    MalformedEncoding(&'static str),
 }
 
 impl fmt::Display for ModelError {
@@ -48,13 +40,6 @@ impl fmt::Display for ModelError {
             ModelError::InvalidConfig(why) => write!(f, "invalid config: {why}"),
             ModelError::Serialization(why) => write!(f, "model serialization failed: {why}"),
             ModelError::Io(err) => write!(f, "model io failed: {err}"),
-            ModelError::UnmatchedEndpoints => write!(
-                f,
-                "origin or destination could not be matched to the road network"
-            ),
-            ModelError::MalformedEncoding(what) => {
-                write!(f, "malformed encoded request: {what}")
-            }
         }
     }
 }
@@ -74,6 +59,34 @@ impl From<crate::io_guard::IoGuardError> for ModelError {
     }
 }
 
+/// Why one [`PredictRequest`] could not be answered. Per slot of a batch
+/// ([`InferenceModel::estimate_batch`]): the rest of the batch is
+/// unaffected. Its `Display` text is the wire `msg` of a `model` reject.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum EstimateError {
+    /// The origin or destination could not be matched to any road segment.
+    UnmatchedEndpoints,
+    /// A [`PredictRequest::Encoded`] carried an index outside an embedding
+    /// table or a feature of the wrong shape; names the offending field.
+    MalformedEncoding(&'static str),
+}
+
+impl fmt::Display for EstimateError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            EstimateError::UnmatchedEndpoints => write!(
+                f,
+                "origin or destination could not be matched to the road network"
+            ),
+            EstimateError::MalformedEncoding(what) => {
+                write!(f, "malformed encoded request: {what}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for EstimateError {}
+
 /// One unit of inference work for [`InferenceModel::estimate_batch`] (and
 /// its [`DeepOdModel::estimate_batch`] delegate). Both the raw form (an
 /// OD query that still needs road-network matching) and the pre-encoded
@@ -82,10 +95,10 @@ impl From<crate::io_guard::IoGuardError> for ModelError {
 #[derive(Clone, Debug)]
 pub enum PredictRequest {
     /// A raw OD query; matched against the road network per request, which
-    /// can fail with [`ModelError::UnmatchedEndpoints`].
+    /// can fail with [`EstimateError::UnmatchedEndpoints`].
     Raw(OdInput),
     /// An already-encoded OD (skips feature extraction); an index or shape
-    /// the model cannot consume fails with [`ModelError::MalformedEncoding`].
+    /// the model cannot consume fails with [`EstimateError::MalformedEncoding`].
     Encoded(EncodedOd),
 }
 
@@ -461,7 +474,7 @@ impl DeepOdModel {
         net: &deepod_roadnet::RoadNetwork,
         reqs: &[PredictRequest],
         threads: usize,
-    ) -> Vec<Result<PredictResponse, ModelError>> {
+    ) -> Vec<Result<PredictResponse, EstimateError>> {
         InferenceModel::from_model(self).estimate_batch(ctx, net, reqs, threads)
     }
 
@@ -739,7 +752,7 @@ mod tests {
             1,
         );
         assert!(out[0].is_ok());
-        assert_eq!(out[1], Err(ModelError::UnmatchedEndpoints));
+        assert_eq!(out[1], Err(EstimateError::UnmatchedEndpoints));
         assert!(out[2].is_ok());
         assert_eq!(
             out[0].as_ref().map(|r| r.eta_seconds.to_bits()),
@@ -775,7 +788,7 @@ mod tests {
                 assert_eq!(eta.to_bits(), want, "slot {i} perturbed");
             } else {
                 assert!(
-                    matches!(r, Err(ModelError::MalformedEncoding(_))),
+                    matches!(r, Err(EstimateError::MalformedEncoding(_))),
                     "slot {i}: {r:?}"
                 );
             }

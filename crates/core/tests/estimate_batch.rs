@@ -12,7 +12,8 @@
 use std::sync::{Arc, OnceLock};
 
 use deepod_core::{
-    DeepOdConfig, DeepOdModel, EmbeddingInit, FeatureContext, ModelError, PredictRequest, Variant,
+    DeepOdConfig, DeepOdModel, EmbeddingInit, EstimateError, FeatureContext, PredictRequest,
+    Variant,
 };
 use deepod_roadnet::{CityProfile, Point};
 use deepod_tensor::Tensor;
@@ -75,7 +76,7 @@ fn sequential_answers(
     fx: &Fixture,
     model: &DeepOdModel,
     reqs: &[PredictRequest],
-) -> Vec<Result<f32, ModelError>> {
+) -> Vec<Result<f32, EstimateError>> {
     reqs.iter()
         .flat_map(|req| model.estimate_batch(&fx.ctx, &fx.ds.net, std::slice::from_ref(req), 1))
         .map(|r| r.map(|resp| resp.eta_seconds))
@@ -185,12 +186,12 @@ fn a_shared_wrong_shape_matrix_fails_each_request_that_reads_it() {
         PredictRequest::Encoded(bad),
     ];
     let out = fx.model.estimate_batch(&fx.ctx, &fx.ds.net, &reqs, 2);
-    let shape = Err(ModelError::MalformedEncoding("speed matrix shape"));
+    let shape = Err(EstimateError::MalformedEncoding("speed matrix shape"));
     assert_eq!(out[0], shape);
     assert!(out[1].is_ok());
     assert_eq!(
         out[2],
-        Err(ModelError::MalformedEncoding("weather one-hot width"))
+        Err(EstimateError::MalformedEncoding("weather one-hot width"))
     );
     assert_eq!(out[3], shape);
     // N-other reads neither the weather nor the matrix.

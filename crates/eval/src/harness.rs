@@ -7,7 +7,9 @@ use deepod_baselines::{
     GbmConfig, GbmPredictor, LinearRegression, MuratConfig, MuratPredictor, StnnConfig,
     StnnPredictor, TempConfig, TempPredictor, TtePredictor,
 };
-use deepod_core::{DeepOdConfig, ModelError, PredictRequest, TrainOptions, TrainReport, Trainer};
+use deepod_core::{
+    DeepOdConfig, EstimateError, ModelError, PredictRequest, TrainOptions, TrainReport, Trainer,
+};
 use deepod_tensor::Tensor;
 use deepod_traj::CityDataset;
 use serde::{Deserialize, Serialize};
@@ -18,8 +20,10 @@ use std::time::Instant;
 /// paper metrics are undefined (e.g. zero encodable test orders).
 #[derive(Debug)]
 pub enum HarnessError {
-    /// DeepOD config validation, training or estimation failed.
+    /// DeepOD config validation or training failed.
     Model(ModelError),
+    /// DeepOD could not answer a validation request.
+    Estimate(EstimateError),
     /// The metric computation over the produced pairs failed.
     Metrics(MetricsError),
 }
@@ -28,6 +32,7 @@ impl std::fmt::Display for HarnessError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             HarnessError::Model(e) => write!(f, "model error: {e}"),
+            HarnessError::Estimate(e) => write!(f, "estimate error: {e}"),
             HarnessError::Metrics(e) => write!(f, "metrics error: {e}"),
         }
     }
@@ -38,6 +43,12 @@ impl std::error::Error for HarnessError {}
 impl From<ModelError> for HarnessError {
     fn from(e: ModelError) -> Self {
         HarnessError::Model(e)
+    }
+}
+
+impl From<EstimateError> for HarnessError {
+    fn from(e: EstimateError) -> Self {
+        HarnessError::Estimate(e)
     }
 }
 
@@ -157,7 +168,7 @@ pub fn run_deepod(
                 predicted: p?.eta_seconds,
             })
         })
-        .collect::<Result<_, ModelError>>()?;
+        .collect::<Result<_, EstimateError>>()?;
 
     Ok(DeepOdRun {
         result: MethodResult {

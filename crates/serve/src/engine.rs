@@ -1,45 +1,45 @@
-//! The batched inference engine: sharded bounded queues, supervised
+//! The batched inference engine: one bounded queue, supervised
 //! micro-batch workers, and admission control (DESIGN.md §11, §14).
 //!
 //! One [`InferenceEngine`] loads a model once and answers many
 //! [`PredictRequest`]s. Producers enqueue requests with [`submit`]
-//! (blocking flow control) or [`try_submit`] (a full shard rejects with
+//! (blocking flow control) or [`try_submit`] (a full queue rejects with
 //! [`ServeError::QueueFull`] after a bounded retry — the engine's one
-//! queue-depth overload decision); requests are round-robined over
-//! [`EngineConfig::workers`] shards, each drained by a supervised worker
-//! thread (see [`crate::supervisor`]) that coalesces micro-batches —
-//! closing a batch at [`EngineConfig::max_batch`] requests or when the
-//! oldest request has waited [`EngineConfig::max_wait_ms`] — and runs
-//! each batch through [`InferenceModel::estimate_batch`]. Each reply travels
-//! back on a per-request channel wrapped in a [`ReplyHandle`], which
-//! converts a dead reply slot into a typed [`ServeError::WorkerCrashed`]
-//! instead of ever blocking a caller forever.
+//! queue-depth overload decision). [`EngineConfig::workers`] supervised
+//! worker threads (see [`crate::supervisor`]) drain the one queue: an
+//! idle worker takes the oldest queued request and coalesces a
+//! micro-batch behind it — closing the batch at
+//! [`EngineConfig::max_batch`] requests or when the oldest request has
+//! waited [`EngineConfig::max_wait_ms`] — and runs it through
+//! [`InferenceModel::estimate_batch`]. Each reply travels back on a
+//! per-request channel wrapped in a [`ReplyHandle`], which converts a dead
+//! reply slot into a typed [`ServeError::WorkerCrashed`] instead of ever
+//! blocking a caller forever.
 //!
 //! [`submit`]: InferenceEngine::submit
 //! [`try_submit`]: InferenceEngine::try_submit
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use deepod_baselines::RouteTtePredictor;
 use deepod_core::obs::registry;
 use deepod_core::{
-    DeepOdModel, FeatureContext, InferenceModel, ModelError, PredictRequest, PredictResponse,
+    DeepOdModel, EstimateError, FeatureContext, InferenceModel, PredictRequest, PredictResponse,
 };
 use deepod_traj::CityDataset;
 
 use crate::cache::{self, CacheKey, ServeCache};
-use crate::supervisor::{self, Master};
+use crate::supervisor;
 
-/// Typed failures of the queueing layer — distinct from [`ModelError`],
+/// Typed failures of the queueing layer — distinct from [`EstimateError`],
 /// which describes a *processed* request that could not be answered.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ServeError {
-    /// The shard's bounded queue stayed at capacity through the retry
-    /// budget; the caller should shed load or retry later. Returned by
+    /// The bounded queue stayed at capacity through the retry budget; the
+    /// caller should shed load or retry later. Returned by
     /// [`InferenceEngine::try_submit`] only — [`InferenceEngine::submit`]
     /// blocks instead.
     QueueFull {
@@ -95,22 +95,22 @@ pub struct EngineConfig {
     /// Longest the oldest queued request waits for companions before its
     /// batch closes anyway (the latency bound of coalescing).
     pub max_wait_ms: u64,
-    /// Bounded queue capacity *per worker shard*; beyond it
+    /// Capacity of the one bounded queue; beyond it
     /// [`InferenceEngine::try_submit`] rejects and
     /// [`InferenceEngine::submit`] blocks.
     pub queue_capacity: usize,
     /// Worker threads per batch (`0` = process-wide configured default).
     pub threads: usize,
-    /// Number of supervised worker shards draining the queue (min 1).
-    /// With `1` the engine is behaviorally identical to the historical
-    /// single-worker design.
+    /// Number of supervised workers draining the queue (min 1). Any idle
+    /// worker takes the oldest queued request; answers are the same bits
+    /// for every worker count.
     pub workers: usize,
     /// Per-request deadline in milliseconds (`0` = none): a request that
     /// waits longer than this in the queue is shed with
     /// [`ServeError::DeadlineExceeded`] instead of entering a batch.
     pub deadline_ms: u64,
     /// How many times a request may be retried after a transient failure
-    /// (worker crash mid-batch, full shard in `try_submit`) before the
+    /// (worker crash mid-batch, full queue in `try_submit`) before the
     /// error surfaces to the caller (`0` = fail fast).
     pub retry_budget: u32,
 }
@@ -157,10 +157,9 @@ impl Backend {
     }
 }
 
-/// A worker's backend. Cloning is the per-worker replica path and the
-/// supervisor's rebuild-after-panic path: the model is shared behind its
-/// `Arc` (it is immutable), the stateful fallback is copied.
-#[derive(Clone)]
+/// The lowered backend. Both arms answer through `&self`, so every worker
+/// reads the one copy in [`Shared`]; a worker panic leaves nothing to
+/// rebuild.
 pub(crate) enum Replica {
     Model(Arc<InferenceModel>),
     RouteTte(Box<RouteTtePredictor>),
@@ -169,8 +168,8 @@ pub(crate) enum Replica {
 /// One answer from the engine.
 #[derive(Clone, Debug)]
 pub struct EngineReply {
-    /// The prediction, or the per-request model error.
-    pub result: Result<PredictResponse, ModelError>,
+    /// The prediction, or why this request could not be answered.
+    pub result: Result<PredictResponse, EstimateError>,
     /// `true` when the answer came from the route-tte fallback backend
     /// the whole engine runs on.
     pub degraded: bool,
@@ -208,9 +207,9 @@ enum CacheOutcome {
 pub(crate) struct Pending {
     pub(crate) req: PredictRequest,
     pub(crate) tx: mpsc::Sender<Result<EngineReply, ServeError>>,
+    /// When the request entered the queue: it anchors the coalescing wait
+    /// and, with deadlines on, the shed point `enqueued + deadline_ms`.
     pub(crate) enqueued: Instant,
-    /// Absolute shed point, when the engine runs with deadlines.
-    pub(crate) deadline: Option<Instant>,
     /// Crash-retry count consumed so far (bounded by `retry_budget`).
     pub(crate) attempts: u32,
     /// The cache key this request missed on at admission; a non-degraded
@@ -223,34 +222,27 @@ pub(crate) struct QueueState {
     pub(crate) closed: bool,
 }
 
-/// One worker's slice of the engine: its queue, its condvars, and the
-/// stash the worker fills while a batch is in flight so the supervisor
-/// can recover the batch after a panic.
-pub(crate) struct Shard {
-    pub(crate) queue: Mutex<QueueState>,
-    /// Signaled when work arrives or the queue closes (worker waits here).
+/// State shared by producers, workers, and the supervisors: the one
+/// bounded queue with its condvars, and everything read-only a worker
+/// answers from.
+pub(crate) struct Shared {
+    queue: Mutex<QueueState>,
+    /// Signaled when work arrives or the queue closes (workers wait here).
     pub(crate) work: Condvar,
-    /// Signaled when the worker drains items (blocked producers wait here).
+    /// Signaled when a worker drains items (blocked producers wait here).
     pub(crate) space: Condvar,
-    /// The batch currently being processed; taken back on success, or by
-    /// the supervisor after a worker panic (the "doomed batch").
-    pub(crate) in_flight: Mutex<Option<Vec<Pending>>>,
+    pub(crate) config: EngineConfig,
+    /// The serving cache tier; consulted before admission, populated by
+    /// workers. `None` keeps every path bit-identical to the cacheless
+    /// engine.
+    pub(crate) cache: Option<Arc<ServeCache>>,
+    pub(crate) backend: Replica,
+    pub(crate) ctx: FeatureContext,
+    pub(crate) ds: Arc<CityDataset>,
 }
 
-impl Shard {
-    fn new() -> Shard {
-        Shard {
-            queue: Mutex::new(QueueState {
-                items: VecDeque::new(),
-                closed: false,
-            }),
-            work: Condvar::new(),
-            space: Condvar::new(),
-            in_flight: Mutex::new(None),
-        }
-    }
-
-    pub(crate) fn lock_queue(&self) -> std::sync::MutexGuard<'_, QueueState> {
+impl Shared {
+    pub(crate) fn lock_queue(&self) -> MutexGuard<'_, QueueState> {
         // A poisoned queue lock means a producer or worker panicked
         // mid-push; the VecDeque itself stays structurally valid, so
         // keep serving.
@@ -258,36 +250,19 @@ impl Shard {
     }
 }
 
-/// State shared by producers, workers, and the supervisors.
-pub(crate) struct Shared {
-    pub(crate) shards: Vec<Shard>,
-    /// Per-shard queue capacity.
-    pub(crate) capacity: usize,
-    /// Total queued depth across all shards (the `serve.queue_depth`
-    /// gauge).
-    pub(crate) depth: AtomicUsize,
-    pub(crate) config: EngineConfig,
-    /// The serving cache tier; consulted before admission, populated by
-    /// workers. `None` keeps every path bit-identical to the cacheless
-    /// engine.
-    pub(crate) cache: Option<Arc<ServeCache>>,
-}
-
 /// A long-lived inference engine: [`EngineConfig::workers`] supervised
-/// worker threads coalescing sharded queues into micro-batches. Dropping
-/// the engine (or calling [`InferenceEngine::shutdown`]) closes the
-/// queues, drains what is already enqueued, and joins every worker.
+/// worker threads coalescing one bounded queue into micro-batches.
+/// Dropping the engine (or calling [`InferenceEngine::shutdown`]) closes
+/// the queue, drains what is already enqueued, and joins every worker.
 pub struct InferenceEngine {
     shared: Arc<Shared>,
     workers: Vec<std::thread::JoinHandle<()>>,
-    next_shard: AtomicUsize,
-    config: EngineConfig,
 }
 
 impl InferenceEngine {
     /// Starts the cacheless engine: registers its metric keys (so every
-    /// snapshot carries them, even at zero) and spawns one supervised
-    /// worker per shard, each with a replica of the lowered backend.
+    /// snapshot carries them, even at zero) and spawns the supervised
+    /// workers, which all read the one lowered backend.
     pub fn start(
         backend: Backend,
         ctx: FeatureContext,
@@ -332,103 +307,79 @@ impl InferenceEngine {
             ..config
         };
         let shared = Arc::new(Shared {
-            shards: (0..config.workers).map(|_| Shard::new()).collect(),
-            capacity: config.queue_capacity,
-            depth: AtomicUsize::new(0),
+            queue: Mutex::new(QueueState {
+                items: VecDeque::new(),
+                closed: false,
+            }),
+            work: Condvar::new(),
+            space: Condvar::new(),
             config,
             cache: cache_tier,
-        });
-        let master = Arc::new(Master {
             backend: backend.lower(),
-            ctx: Arc::new(ctx),
+            ctx,
             ds,
         });
         let workers = (0..config.workers)
-            .map(|shard_idx| {
-                supervisor::spawn_supervised(Arc::clone(&shared), shard_idx, Arc::clone(&master))
-            })
+            .map(|worker| supervisor::spawn_supervised(Arc::clone(&shared), worker))
             .collect();
-        InferenceEngine {
-            shared,
-            workers,
-            next_shard: AtomicUsize::new(0),
-            config,
-        }
+        InferenceEngine { shared, workers }
     }
 
     /// The configuration the engine is running with (after clamping).
     pub fn config(&self) -> EngineConfig {
-        self.config
+        self.shared.config
     }
 
-    /// The shard the next request lands on (round-robin). `None` only if
-    /// the engine somehow has zero shards — the constructor clamps
-    /// `workers` to 1, so callers treat it as shutdown.
-    fn pick_shard(&self) -> Option<&Shard> {
-        let n = self.shared.shards.len();
-        if n == 0 {
-            return None;
-        }
-        let idx = self.next_shard.fetch_add(1, Ordering::Relaxed) % n;
-        self.shared.shards.get(idx)
-    }
-
-    /// Enqueues a request, blocking while its shard is at capacity (flow
+    /// Enqueues a request, blocking while the queue is at capacity (flow
     /// control for producers reading from a pipe). Returns the handle the
     /// reply will arrive on. Backpressure *is* this path's admission
-    /// control, so a single-worker engine with deadlines and retries off
-    /// behaves bit-identically to the historical design.
+    /// control, so an engine with deadlines and retries off never sheds.
     pub fn submit(&self, req: PredictRequest) -> Result<ReplyHandle, ServeError> {
         let cache_key = match self.consult_cache(&req) {
             CacheOutcome::Hit(handle) => return Ok(handle),
             CacheOutcome::Miss(key) => key,
         };
-        let Some(shard) = self.pick_shard() else {
-            return Err(ServeError::ShuttingDown);
-        };
-        let mut q = shard.lock_queue();
+        let shared = &*self.shared;
+        let mut q = shared.lock_queue();
         loop {
             if q.closed {
                 return Err(ServeError::ShuttingDown);
             }
-            if q.items.len() < self.shared.capacity {
-                break;
+            if q.items.len() < shared.config.queue_capacity {
+                return Ok(self.enqueue(q, req, cache_key));
             }
-            q = shard.space.wait(q).unwrap_or_else(|p| p.into_inner());
+            q = shared.space.wait(q).unwrap_or_else(|p| p.into_inner());
         }
-        Ok(self.enqueue(shard, q, req, cache_key))
     }
 
-    /// Enqueues a request without blocking. A full shard is the engine's
-    /// one queue-depth overload decision: the request retries on the next
-    /// shard up to [`EngineConfig::retry_budget`] times, on the
-    /// deterministic `[1, 4, 16, 64]` ms backoff (each retry counted under
+    /// Enqueues a request without blocking. A full queue is the engine's
+    /// one queue-depth overload decision: the request retries up to
+    /// [`EngineConfig::retry_budget`] times, on the deterministic
+    /// `[1, 4, 16, 64]` ms backoff (each retry counted under
     /// `serve.retries`), and then fails with [`ServeError::QueueFull`]
     /// (counted once under `serve.rejected`).
     pub fn try_submit(&self, req: PredictRequest) -> Result<ReplyHandle, ServeError> {
         // The cache sits *above* admission: a hit costs no queue slot, so
-        // it is never shed, even when every shard is full.
+        // it is never shed, even when the queue is full.
         let cache_key = match self.consult_cache(&req) {
             CacheOutcome::Hit(handle) => return Ok(handle),
             CacheOutcome::Miss(key) => key,
         };
+        let config = self.shared.config;
         let mut attempt: u32 = 0;
         loop {
-            let Some(shard) = self.pick_shard() else {
-                return Err(ServeError::ShuttingDown);
-            };
-            let q = shard.lock_queue();
+            let q = self.shared.lock_queue();
             if q.closed {
                 return Err(ServeError::ShuttingDown);
             }
-            if q.items.len() < self.shared.capacity {
-                return Ok(self.enqueue(shard, q, req, cache_key));
+            if q.items.len() < config.queue_capacity {
+                return Ok(self.enqueue(q, req, cache_key));
             }
             drop(q);
-            if attempt >= self.config.retry_budget {
+            if attempt >= config.retry_budget {
                 registry::counter_inc("serve.rejected");
                 return Err(ServeError::QueueFull {
-                    capacity: self.shared.capacity,
+                    capacity: config.queue_capacity,
                 });
             }
             registry::counter_inc("serve.retries");
@@ -439,7 +390,7 @@ impl InferenceEngine {
 
     /// Consults the cache tier for a raw request. A hit builds a
     /// pre-resolved [`ReplyHandle`] — the caller returns it without
-    /// touching any queue. A miss carries the key forward so the worker
+    /// touching the queue. A miss carries the key forward so the worker
     /// can populate the cache from the computed answer.
     fn consult_cache(&self, req: &PredictRequest) -> CacheOutcome {
         let Some(cache) = &self.shared.cache else {
@@ -466,70 +417,45 @@ impl InferenceEngine {
         }
     }
 
-    /// Closes the queues, lets every worker drain what is already
-    /// enqueued, and joins them. Equivalent to dropping the engine, but
-    /// explicit at call sites that care about ordering.
+    /// Closes the queue, lets the workers drain what is already enqueued,
+    /// and joins them. Equivalent to dropping the engine, but explicit at
+    /// call sites that care about ordering.
     pub fn shutdown(mut self) {
         self.close_and_join();
     }
 
     fn enqueue(
         &self,
-        shard: &Shard,
-        mut q: std::sync::MutexGuard<'_, QueueState>,
+        mut q: MutexGuard<'_, QueueState>,
         req: PredictRequest,
         cache_key: Option<CacheKey>,
     ) -> ReplyHandle {
         let (tx, rx) = mpsc::channel();
-        let deadline = if self.config.deadline_ms > 0 {
-            Some(Instant::now() + Duration::from_millis(self.config.deadline_ms))
-        } else {
-            None
-        };
         q.items.push_back(Pending {
             req,
             tx,
             enqueued: Instant::now(),
-            deadline,
             attempts: 0,
             cache_key,
         });
-        self.shared.depth.fetch_add(1, Ordering::Relaxed);
         drop(q);
-        shard.work.notify_one();
+        self.shared.work.notify_one();
         ReplyHandle { rx }
     }
 
     fn close_and_join(&mut self) {
-        for shard in &self.shared.shards {
-            let mut q = shard.lock_queue();
-            q.closed = true;
-            drop(q);
-            shard.work.notify_all();
-            shard.space.notify_all();
-        }
+        self.shared.lock_queue().closed = true;
+        self.shared.work.notify_all();
+        self.shared.space.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
-        // Belt and braces: a supervisor can only exit with its queue
-        // drained, but if one ever died outright, fail its leftovers
-        // explicitly instead of leaving reply slots dangling.
-        for shard in &self.shared.shards {
-            let leftovers: Vec<Pending> = {
-                let mut q = shard.lock_queue();
-                q.items.drain(..).collect()
-            };
-            let stranded: Vec<Pending> = {
-                let mut slot = shard.in_flight.lock().unwrap_or_else(|p| p.into_inner());
-                slot.take().unwrap_or_default()
-            };
-            for p in leftovers {
-                self.shared.depth.fetch_sub(1, Ordering::Relaxed);
-                let _ = p.tx.send(Err(ServeError::ShuttingDown));
-            }
-            for p in stranded {
-                let _ = p.tx.send(Err(ServeError::WorkerCrashed));
-            }
+        // A worker exits only once the queue is closed and drained, so
+        // this finds leftovers only if every supervisor died outright:
+        // fail them explicitly instead of leaving reply slots dangling.
+        let leftovers: Vec<Pending> = self.shared.lock_queue().items.drain(..).collect();
+        for p in leftovers {
+            let _ = p.tx.send(Err(ServeError::ShuttingDown));
         }
     }
 }

@@ -6,16 +6,16 @@
 //! queries with bounded latency and bounded memory — and keep answering
 //! through worker panics, slow batches, and overload. This crate provides:
 //!
-//! * [`InferenceEngine`] — [`EngineConfig::workers`] sharded bounded MPSC
-//!   queues, each drained by a supervised worker thread that coalesces
-//!   requests into micro-batches (closing a batch at
-//!   [`EngineConfig::max_batch`] requests or after the oldest request has
-//!   waited [`EngineConfig::max_wait_ms`]) and runs them through
-//!   [`deepod_core::InferenceModel::estimate_batch`] on the one immutable
-//!   model every worker shares.
-//! * Supervision — a per-shard supervisor catches worker panics, restarts
-//!   the worker with its replica rebuilt (`serve.worker_restarts`), and
-//!   either requeues or fails the in-flight batch with a typed
+//! * [`InferenceEngine`] — one bounded MPSC queue drained by
+//!   [`EngineConfig::workers`] supervised worker threads: an idle worker
+//!   takes the oldest queued request, coalesces a micro-batch behind it
+//!   (closing the batch at [`EngineConfig::max_batch`] requests or after
+//!   the oldest request has waited [`EngineConfig::max_wait_ms`]) and
+//!   runs it through [`deepod_core::InferenceModel::estimate_batch`] on
+//!   the one read-only backend every worker shares.
+//! * Supervision — a per-worker supervisor catches worker panics, restarts
+//!   the worker (`serve.worker_restarts`), and either requeues or fails
+//!   the in-flight batch it keeps in its own stash with a typed
 //!   [`ServeError::WorkerCrashed`]; a [`ReplyHandle`] can therefore never
 //!   block forever on a dead worker.
 //! * Deadlines and retries — [`EngineConfig::deadline_ms`] sheds requests
@@ -24,10 +24,10 @@
 //!   bounds crash and queue-full retries on a deterministic
 //!   `[1, 4, 16, 64]` ms backoff schedule.
 //! * Backpressure and one overload decision — [`InferenceEngine::submit`]
-//!   blocks producers while their shard is full;
+//!   blocks producers while the queue is full;
 //!   [`InferenceEngine::try_submit`] rejects with
-//!   [`ServeError::QueueFull`] once the shard stays full through the
-//!   retry budget. A full shard is the engine's only queue-depth reject.
+//!   [`ServeError::QueueFull`] once the queue stays full through the
+//!   retry budget. A full queue is the engine's only queue-depth reject.
 //! * Graceful degradation — [`Backend::RouteTte`] serves baseline answers
 //!   (marked `degraded`) when the model file is unusable, instead of
 //!   taking the process down.
@@ -173,8 +173,8 @@ mod tests {
             .iter()
             .map(|r| engine.submit(r.clone()).expect("queue accepts"))
             .collect();
-        // Replicas share Arc-backed weights, so every shard answers
-        // bit-identically to the master model.
+        // Every worker reads the one shared model, so whichever worker
+        // takes a request answers it bit-identically to the direct call.
         for (rx, expect) in rxs.into_iter().zip(direct) {
             let reply = rx.recv().expect("engine answers before shutdown");
             assert!(!reply.degraded);
@@ -202,7 +202,7 @@ mod tests {
         );
         // Flood try_submit: with capacity 1 at least one rejection must
         // surface (the worker can drain between calls, so we only bound
-        // the outcome, not pin an exact count). A full shard is the only
+        // the outcome, not pin an exact count). A full queue is the only
         // queue-depth rejection.
         let mut accepted = Vec::new();
         let mut rejected = 0usize;

@@ -23,7 +23,7 @@
 //! the queue capacity, so a single connection cannot fill the shared
 //! queue) and a max-connections gate (typed `connection_limit` at
 //! accept). TCP submissions always run the non-blocking `try_submit`
-//! path — a full shard is a typed `queue_full` reject after a bounded
+//! path — a full queue is a typed `queue_full` reject after a bounded
 //! retry, where a blocking `submit` would park the greedy client's
 //! reader on the full queue and stall polite clients behind it.
 //!
@@ -103,7 +103,7 @@ pub enum Admission {
     /// Block the producer when the queue is full (stdin backpressure —
     /// the historical single-client behavior).
     Block,
-    /// Reject with `queue_full` instead of blocking when the shard stays
+    /// Reject with `queue_full` instead of blocking when the queue stays
     /// full through the retry budget (`--reject-when-full`, and always
     /// on TCP).
     Shed,

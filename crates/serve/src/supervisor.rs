@@ -1,61 +1,47 @@
 //! Worker supervision: catch panics, recover the doomed batch, restart
-//! with a rebuilt replica (DESIGN.md §14).
+//! the worker (DESIGN.md §14).
 //!
 //! Every worker thread in `crates/serve` is born here — the
 //! `no-unsupervised-spawn` lint forbids `thread::spawn` anywhere else in
 //! the crate, so the invariant "a dead worker always comes back, and its
 //! in-flight requests are always answered" cannot rot silently.
 //!
-//! The supervision loop per shard:
+//! The supervision loop per worker:
 //!
 //! ```text
+//! in_flight = None                         // this worker's crash stash
 //! loop {
-//!     replica  = master.clone()            // Arc-shared immutable model
-//!     outcome  = catch_unwind(worker_loop(replica))
+//!     outcome  = catch_unwind(worker_loop(&shared, &mut in_flight))
 //!     Ok(_)    -> return                   // queue closed and drained
 //!     Err(_)   -> counter serve.worker_restarts
-//!                 recover in-flight batch: retry budget left?
+//!                 take in_flight: retry budget left?
 //!                     yes -> requeue at the front (order preserved)
 //!                     no  -> reply Err(WorkerCrashed)
 //!                 sleep backoff_ms(restarts); continue
 //! }
 //! ```
 //!
-//! The worker stashes each batch in the shard's `in_flight` slot before
-//! running it, so the panic path always finds either the doomed batch
-//! (recoverable) or nothing (the panic struck between batches — no
-//! requests were lost because none were out of the queue).
+//! The worker stashes each batch in `in_flight` before running it, so the
+//! panic path always finds either the doomed batch (recoverable) or
+//! nothing (the panic struck between batches — no requests were lost
+//! because none were out of the queue). The stash is the supervisor's
+//! own local: only its worker thread ever touches it. The backend needs
+//! no rebuild: it is read-only and lives in [`Shared`].
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
 use deepod_core::obs::{self, registry};
-use deepod_core::FeatureContext;
-use deepod_traj::CityDataset;
 
-use crate::engine::{backoff_ms, Pending, Replica, ServeError, Shared};
+use crate::engine::{backoff_ms, Pending, ServeError, Shared};
 use crate::worker::worker_loop;
 
-/// The pristine copy of everything a worker needs: the supervisor clones
-/// a fresh replica from it on start and after every crash, so a panic
-/// can never leave a shard running half-poisoned state.
-pub(crate) struct Master {
-    pub(crate) backend: Replica,
-    pub(crate) ctx: Arc<FeatureContext>,
-    pub(crate) ds: Arc<CityDataset>,
-}
-
-/// Spawns the supervised worker thread for one shard. Together with
-/// [`spawn_net`] these are the only `thread::spawn` sites in the crate
-/// (enforced by `no-unsupervised-spawn`).
-pub(crate) fn spawn_supervised(
-    shared: Arc<Shared>,
-    shard_idx: usize,
-    master: Arc<Master>,
-) -> std::thread::JoinHandle<()> {
-    std::thread::spawn(move || supervise(&shared, shard_idx, &master))
+/// Spawns supervised worker `worker` (the index only labels its log
+/// lines). Together with [`spawn_net`] these are the only `thread::spawn`
+/// sites in the crate (enforced by `no-unsupervised-spawn`).
+pub(crate) fn spawn_supervised(shared: Arc<Shared>, worker: usize) -> std::thread::JoinHandle<()> {
+    std::thread::spawn(move || supervise(&shared, worker))
 }
 
 /// Spawns a supervised utility thread for the network front end
@@ -80,49 +66,37 @@ pub(crate) fn spawn_net(
 }
 
 /// The supervision loop: run the worker, and on panic recover the doomed
-/// batch, back off deterministically, rebuild the replica, and restart.
-/// Returns only when the worker exits cleanly (queue closed and drained).
-fn supervise(shared: &Shared, shard_idx: usize, master: &Master) {
+/// batch, back off deterministically, and restart. Returns only when the
+/// worker exits cleanly (queue closed and drained).
+fn supervise(shared: &Shared, worker: usize) {
     let mut restarts: u32 = 0;
+    let mut in_flight: Option<Vec<Pending>> = None;
     loop {
-        let mut backend = master.backend.clone();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            worker_loop(shared, shard_idx, &mut backend, &master.ctx, &master.ds);
-        }));
+        let outcome = catch_unwind(AssertUnwindSafe(|| worker_loop(shared, &mut in_flight)));
         if outcome.is_ok() {
             return;
         }
         registry::counter_inc("serve.worker_restarts");
         obs::warn(
             "serve",
-            "worker panicked; restarting with a fresh replica",
+            "worker panicked; restarting",
             &[
-                ("shard", (shard_idx as u64).into()),
+                ("worker", (worker as u64).into()),
                 ("restarts", u64::from(restarts.saturating_add(1)).into()),
             ],
         );
-        recover_in_flight(shared, shard_idx);
+        recover_in_flight(shared, in_flight.take().unwrap_or_default());
         std::thread::sleep(Duration::from_millis(backoff_ms(restarts)));
         restarts = restarts.saturating_add(1);
     }
 }
 
-/// Deals with the batch the crashed worker left in the shard's
-/// `in_flight` slot: requests with retry budget left go back to the
-/// *front* of the queue (preserving their order ahead of newer work,
-/// counted under `serve.retries`); exhausted ones are answered with
-/// [`ServeError::WorkerCrashed`] — every reply slot resolves, none hang.
-fn recover_in_flight(shared: &Shared, shard_idx: usize) {
-    let Some(shard) = shared.shards.get(shard_idx) else {
-        return;
-    };
-    let doomed: Vec<Pending> = {
-        let mut slot = shard.in_flight.lock().unwrap_or_else(|p| p.into_inner());
-        slot.take().unwrap_or_default()
-    };
-    if doomed.is_empty() {
-        return;
-    }
+/// Deals with the batch the crashed worker left in its stash: requests
+/// with retry budget left go back to the *front* of the queue (preserving
+/// their order ahead of newer work, counted under `serve.retries`);
+/// exhausted ones are answered with [`ServeError::WorkerCrashed`] — every
+/// reply slot resolves, none hang.
+fn recover_in_flight(shared: &Shared, doomed: Vec<Pending>) {
     let budget = shared.config.retry_budget;
     let mut requeue: Vec<Pending> = Vec::new();
     for mut p in doomed {
@@ -137,15 +111,13 @@ fn recover_in_flight(shared: &Shared, shard_idx: usize) {
     if requeue.is_empty() {
         return;
     }
-    let n = requeue.len();
     {
-        let mut q = shard.lock_queue();
+        let mut q = shared.lock_queue();
         // May transiently overshoot capacity; blocked producers simply
-        // stay blocked until the restarted worker drains the overshoot.
+        // stay blocked until a worker drains the overshoot.
         for p in requeue.into_iter().rev() {
             q.items.push_front(p);
         }
     }
-    shared.depth.fetch_add(n, Ordering::Relaxed);
-    shard.work.notify_one();
+    shared.work.notify_one();
 }

@@ -1,5 +1,5 @@
-//! The batching worker: one per shard, draining its bounded queue into
-//! micro-batches (DESIGN.md §11, §14).
+//! The batching worker: every worker drains the engine's one bounded
+//! queue into micro-batches (DESIGN.md §11, §14).
 //!
 //! The loop is the historical single-worker engine loop, unchanged where
 //! it matters for bit-identity: wait for work, coalesce a batch anchored
@@ -8,47 +8,36 @@
 //!
 //! * expired requests are swept out *before* the batch runs and answered
 //!   with [`ServeError::DeadlineExceeded`];
-//! * the batch is stashed in the shard's `in_flight` slot while it runs,
-//!   so a panic mid-batch leaves the supervisor something to recover
-//!   (retry or fail with [`ServeError::WorkerCrashed`]) instead of
-//!   silently dropping reply slots;
+//! * the batch is stashed in the supervisor's `in_flight` slot while it
+//!   runs, so a panic mid-batch leaves the supervisor something to
+//!   recover (retry or fail with [`ServeError::WorkerCrashed`]) instead
+//!   of silently dropping reply slots;
 //! * `serve::slow_batch` / `serve::worker_batch` / `serve::drop_reply`
 //!   failpoints fire between those steps for the chaos harness.
 //!
 //! This module never spawns threads — that is [`crate::supervisor`]'s
 //! job, and the `no-unsupervised-spawn` lint keeps it that way.
 
-use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
-use deepod_baselines::{RouteTtePredictor, TtePredictor};
+use deepod_baselines::RouteTtePredictor;
 use deepod_core::obs::registry;
-use deepod_core::{FeatureContext, ModelError, PredictRequest, PredictResponse};
+use deepod_core::{EstimateError, PredictRequest, PredictResponse};
 use deepod_tensor::failpoint;
-use deepod_traj::CityDataset;
 
-use crate::engine::{EngineReply, Pending, Replica, ServeError, Shard, Shared};
+use crate::engine::{EngineReply, Pending, Replica, ServeError, Shared};
 
-/// The batching loop for shard `shard_idx`: wait for work, coalesce a
-/// micro-batch (size- or deadline-triggered), sweep expired requests, run
-/// the batch, reply, repeat — until the queue is closed *and* drained, so
-/// shutdown never drops an accepted request. Returns normally only on
-/// clean shutdown; a panic (model bug or injected fault) unwinds into the
-/// supervisor's `catch_unwind`.
-pub(crate) fn worker_loop(
-    shared: &Shared,
-    shard_idx: usize,
-    backend: &mut Replica,
-    ctx: &FeatureContext,
-    ds: &CityDataset,
-) {
-    let Some(shard) = shared.shards.get(shard_idx) else {
-        return;
-    };
+/// The batching loop: wait for work, coalesce a micro-batch (size- or
+/// deadline-triggered), sweep expired requests, run the batch, reply,
+/// repeat — until the queue is closed *and* drained, so shutdown never
+/// drops an accepted request. Returns normally only on clean shutdown; a
+/// panic (model bug or injected fault) unwinds into the supervisor's
+/// `catch_unwind`, which then finds the doomed batch in `in_flight`.
+pub(crate) fn worker_loop(shared: &Shared, in_flight: &mut Option<Vec<Pending>>) {
     let config = shared.config;
     loop {
-        let mut batch = {
-            let mut q = shard.lock_queue();
+        let (mut batch, depth) = {
+            let mut q = shared.lock_queue();
             // Wait for work; the oldest request anchors the coalescing
             // deadline. The batch closes at max_batch requests, or when
             // the *oldest* request has waited max_wait_ms (its latency
@@ -60,7 +49,7 @@ pub(crate) fn worker_loop(
                 if q.closed {
                     return;
                 }
-                q = shard.work.wait(q).unwrap_or_else(|p| p.into_inner());
+                q = shared.work.wait(q).unwrap_or_else(|p| p.into_inner());
             };
             while q.items.len() < config.max_batch && !q.closed {
                 let now = Instant::now();
@@ -70,7 +59,7 @@ pub(crate) fn worker_loop(
                 if remaining.is_zero() {
                     break;
                 }
-                let (guard, timeout) = shard
+                let (guard, timeout) = shared
                     .work
                     .wait_timeout(q, remaining)
                     .unwrap_or_else(|p| p.into_inner());
@@ -81,67 +70,51 @@ pub(crate) fn worker_loop(
             }
             let take = q.items.len().min(config.max_batch);
             let batch: Vec<Pending> = q.items.drain(..take).collect();
-            shared.depth.fetch_sub(take, Ordering::Relaxed);
-            registry::gauge_set(
-                "serve.queue_depth",
-                shared.depth.load(Ordering::Relaxed) as f64,
-            );
-            batch
+            (batch, q.items.len())
         };
-        // Producers blocked on a full queue can move again.
-        shard.space.notify_all();
+        registry::gauge_set("serve.queue_depth", depth as f64);
+        // Producers blocked on a full queue can move again, and what this
+        // batch left behind is an idle worker's to take.
+        shared.space.notify_all();
+        if depth > 0 {
+            shared.work.notify_one();
+        }
 
         // Shed expired requests before admitting the rest into a batch —
         // running a model on an answer nobody will wait for only delays
         // the requests behind it.
-        for expired in sweep_expired(&mut batch, Instant::now()) {
+        for expired in sweep_expired(&mut batch, config.deadline_ms, Instant::now()) {
             registry::counter_inc("serve.deadline_expired");
             let _ = expired.tx.send(Err(ServeError::DeadlineExceeded));
         }
         if batch.is_empty() {
             continue;
         }
-        let env = BatchEnv {
-            shard,
-            cache: shared.cache.as_deref(),
-            ctx,
-            ds,
-            threads: config.threads,
-        };
-        process_batch(&env, backend, batch);
+        process_batch(shared, in_flight, batch);
     }
 }
 
-/// Removes every request whose deadline is at or before `now`, preserving
+/// Removes every request that has waited `deadline_ms` or longer by `now`
+/// (none when `deadline_ms` is 0, the deadlines-off setting), preserving
 /// the order of the survivors. Pure — no clocks, no metrics, no channels —
 /// so the shed policy is unit-testable without threads.
-pub(crate) fn sweep_expired(batch: &mut Vec<Pending>, now: Instant) -> Vec<Pending> {
-    let mut expired = Vec::new();
-    let mut keep = Vec::with_capacity(batch.len());
-    for p in batch.drain(..) {
-        match p.deadline {
-            Some(d) if d <= now => expired.push(p),
-            _ => keep.push(p),
-        }
+pub(crate) fn sweep_expired(
+    batch: &mut Vec<Pending>,
+    deadline_ms: u64,
+    now: Instant,
+) -> Vec<Pending> {
+    if deadline_ms == 0 {
+        return Vec::new();
     }
+    let ttl = Duration::from_millis(deadline_ms);
+    let (expired, keep) = batch.drain(..).partition(|p| p.enqueued + ttl <= now);
     *batch = keep;
     expired
 }
 
-/// Everything immutable a worker hands `process_batch` alongside the
-/// batch itself, bundled so the compute path has one environment rather
-/// than a parade of loose parameters.
-struct BatchEnv<'a> {
-    shard: &'a Shard,
-    cache: Option<&'a crate::cache::ServeCache>,
-    ctx: &'a FeatureContext,
-    ds: &'a CityDataset,
-    threads: usize,
-}
-
-/// Runs one swept batch: stash it as in-flight (crash recovery), hit the
+/// Runs one swept batch: stash it in `in_flight` (crash recovery), hit the
 /// chaos failpoints, compute, take the batch back, reply in order.
-fn process_batch(env: &BatchEnv<'_>, backend: &mut Replica, batch: Vec<Pending>) {
+fn process_batch(shared: &Shared, in_flight: &mut Option<Vec<Pending>>, batch: Vec<Pending>) {
     registry::observe("serve.batch_size", batch.len() as f64);
     registry::counter_add("serve.requests", batch.len() as u64);
     let reqs: Vec<PredictRequest> = batch.iter().map(|p| p.req.clone()).collect();
@@ -149,31 +122,22 @@ fn process_batch(env: &BatchEnv<'_>, backend: &mut Replica, batch: Vec<Pending>)
     // Stash the batch before anything can panic: if the compute below
     // unwinds, the supervisor takes this slot and either requeues the
     // requests (retry budget left) or fails them with a typed error.
-    {
-        let mut slot = env
-            .shard
-            .in_flight
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        *slot = Some(batch);
-    }
+    *in_flight = Some(batch);
 
     // Chaos failpoints sit after the stash so an injected panic exercises
     // the same recovery path a real model bug would.
     failpoint::hit("serve::slow_batch");
     failpoint::hit("serve::worker_batch");
 
-    let results = compute_results(backend, env.ctx, env.ds, env.threads, &reqs);
+    let results = compute_results(shared, &reqs);
 
-    let batch: Vec<Pending> = {
-        let mut slot = env
-            .shard
-            .in_flight
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        slot.take().unwrap_or_default()
-    };
-    for (pending, (result, degraded)) in batch.into_iter().zip(results) {
+    let cache = shared.cache.as_deref();
+    for (pending, (result, degraded)) in in_flight
+        .take()
+        .unwrap_or_default()
+        .into_iter()
+        .zip(results)
+    {
         registry::observe(
             "serve.request_latency_ms",
             pending.enqueued.elapsed().as_secs_f64() * 1e3,
@@ -185,7 +149,7 @@ fn process_batch(env: &BatchEnv<'_>, backend: &mut Replica, batch: Vec<Pending>)
         // answers are deliberately not cached: a cache must only ever
         // replay the model's own bits.
         if let (Some(cache), Some(key), false, Ok(resp)) =
-            (env.cache, pending.cache_key, degraded, &result)
+            (cache, pending.cache_key, degraded, &result)
         {
             // Bounded by ServeCache's own LRU capacity + TTL eviction.
             // deepod-lint: allow(no-unbounded-cache)
@@ -208,15 +172,12 @@ fn process_batch(env: &BatchEnv<'_>, backend: &mut Replica, batch: Vec<Pending>)
 /// bit-identity path); the route-tte backend answers request by request,
 /// every answer degraded.
 fn compute_results(
-    backend: &mut Replica,
-    ctx: &FeatureContext,
-    ds: &CityDataset,
-    threads: usize,
+    shared: &Shared,
     reqs: &[PredictRequest],
-) -> Vec<(Result<PredictResponse, ModelError>, bool)> {
-    match backend {
+) -> Vec<(Result<PredictResponse, EstimateError>, bool)> {
+    match &shared.backend {
         Replica::Model(model) => model
-            .estimate_batch(ctx, &ds.net, reqs, threads)
+            .estimate_batch(&shared.ctx, &shared.ds.net, reqs, shared.config.threads)
             .into_iter()
             .map(|r| (r, false))
             .collect(),
@@ -231,16 +192,15 @@ fn compute_results(
 /// carry model-specific features the baseline cannot consume, so they get
 /// the same per-request error an unmatchable raw request would.
 fn fallback_answer(
-    predictor: &mut RouteTtePredictor,
+    predictor: &RouteTtePredictor,
     req: &PredictRequest,
-) -> Result<PredictResponse, ModelError> {
+) -> Result<PredictResponse, EstimateError> {
     match req {
-        // Named by type so the call graph audit sees the one `predict`
-        // a worker can reach, not every baseline's.
-        PredictRequest::Raw(od) => RouteTtePredictor::predict(predictor, od)
+        PredictRequest::Raw(od) => predictor
+            .route_eta(od)
             .map(|eta_seconds| PredictResponse { eta_seconds })
-            .ok_or(ModelError::UnmatchedEndpoints),
-        PredictRequest::Encoded(_) => Err(ModelError::UnmatchedEndpoints),
+            .ok_or(EstimateError::UnmatchedEndpoints),
+        PredictRequest::Encoded(_) => Err(EstimateError::UnmatchedEndpoints),
     }
 }
 
@@ -249,7 +209,7 @@ mod tests {
     use super::*;
     use std::sync::mpsc;
 
-    fn pending(deadline: Option<Instant>) -> Pending {
+    fn pending(enqueued: Instant) -> Pending {
         let (tx, _rx) = mpsc::channel();
         Pending {
             req: PredictRequest::Raw(deepod_traj::OdInput {
@@ -259,8 +219,7 @@ mod tests {
                 weather: deepod_traffic::WeatherType(0),
             }),
             tx,
-            enqueued: Instant::now(),
-            deadline,
+            enqueued,
             attempts: 0,
             cache_key: None,
         }
@@ -269,36 +228,36 @@ mod tests {
     #[test]
     fn sweep_keeps_undeadlined_and_future_requests_in_order() {
         let now = Instant::now();
-        let later = now + Duration::from_secs(5);
-        let mut batch = vec![pending(None), pending(Some(later)), pending(None)];
-        let expired = sweep_expired(&mut batch, now);
-        assert!(expired.is_empty());
+        let old = now - Duration::from_secs(60);
+        // Deadlines off: even a minute-old request stays.
+        let mut batch = vec![pending(old), pending(now), pending(old)];
+        assert!(sweep_expired(&mut batch, 0, now).is_empty());
         assert_eq!(batch.len(), 3);
+        // Deadlines on: requests younger than the deadline stay.
+        let mut batch = vec![pending(now), pending(now - Duration::from_millis(10))];
+        assert!(sweep_expired(&mut batch, 5_000, now).is_empty());
+        assert_eq!(batch.len(), 2);
     }
 
     #[test]
     fn sweep_removes_expired_requests_and_preserves_survivor_order() {
         let now = Instant::now();
-        let past = now - Duration::from_millis(1);
-        let later = now + Duration::from_secs(5);
-        let mut batch = vec![
-            pending(Some(past)),
-            pending(Some(later)),
-            pending(Some(past)),
-            pending(None),
-        ];
-        let expired = sweep_expired(&mut batch, now);
+        let deadline_ms = 5_000;
+        let past = now - Duration::from_millis(deadline_ms + 1);
+        let fresh = now - Duration::from_millis(1);
+        let mut batch = vec![pending(past), pending(fresh), pending(past), pending(now)];
+        let expired = sweep_expired(&mut batch, deadline_ms, now);
         assert_eq!(expired.len(), 2);
         assert_eq!(batch.len(), 2);
-        assert_eq!(batch.first().map(|p| p.deadline), Some(Some(later)));
-        assert_eq!(batch.get(1).map(|p| p.deadline), Some(None));
+        assert_eq!(batch.first().map(|p| p.enqueued), Some(fresh));
+        assert_eq!(batch.get(1).map(|p| p.enqueued), Some(now));
     }
 
     #[test]
     fn sweep_treats_exactly_now_as_expired() {
         let now = Instant::now();
-        let mut batch = vec![pending(Some(now))];
-        let expired = sweep_expired(&mut batch, now);
+        let mut batch = vec![pending(now - Duration::from_millis(100))];
+        let expired = sweep_expired(&mut batch, 100, now);
         assert_eq!(expired.len(), 1);
         assert!(batch.is_empty());
     }

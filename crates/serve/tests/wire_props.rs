@@ -5,7 +5,7 @@
 //! bytes, or a truncated or bit-flipped valid frame — makes a parser
 //! panic.
 
-use deepod_core::ModelError;
+use deepod_core::EstimateError;
 use deepod_roadnet::CityProfile;
 use deepod_serve::{net, EngineReply, ErrorKind, ServeError, WireError, WireRequest, WireResponse};
 use deepod_traj::{CityDataset, DatasetBuilder, DatasetConfig};
@@ -117,7 +117,7 @@ proptest! {
             ServeError::DeadlineExceeded,
         ];
         let model_error = EngineReply {
-            result: Err(ModelError::UnmatchedEndpoints),
+            result: Err(EstimateError::UnmatchedEndpoints),
             degraded: false,
         };
         let cases = failures

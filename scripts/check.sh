@@ -63,7 +63,7 @@ stage obs        cargo test -q -p deepod-cli --test observability
 # Serving stage: drives `deepod serve` over its stdin/stdout JSON
 # protocol — 1000 requests through one process in input order,
 # --reject-when-full overload answered only by typed queue_full rejects
-# (a full shard is the one queue-depth reject), corrupt-model
+# (a full queue is the one queue-depth reject), corrupt-model
 # degradation to route-tte fallback answers with exit code 2, and the
 # stdin bytes of every request-level reject byte-equal to the frozen
 # golden transcript (crates/cli/tests/golden/serve_rejects.*.ndjson).
@@ -71,7 +71,9 @@ stage serve      cargo test -q -p deepod-cli --test serve
 # Chaos stage: the same binary under DEEPOD_FAILPOINTS fault schedules
 # aimed at the serving engine (worker panic, slow batch, dropped reply,
 # saturation) — exactly one reply per request, supervised restarts
-# counted, deadlines swept, saturation rejected only as queue_full
+# counted, deadlines swept, an idle worker draining the one queue while
+# another is stuck in a slow batch (nothing misses its deadline),
+# saturation rejected only as queue_full when the queue is full
 # (counted once in serve.rejected, retried first under --retry-budget),
 # and single-worker bit-identity preserved.
 stage chaos      cargo test -q -p deepod-cli --test serve_chaos
