@@ -2,7 +2,6 @@
 
 use crate::args::Args;
 use crate::dataset_io::{load_dataset, read_artifact, save_dataset};
-use deepod_baselines::{RouteTtePredictor, TtePredictor};
 use deepod_core::{
     io_guard, CheckpointPolicy, DeepOdConfig, DeepOdModel, FeatureContext, PredictRequest,
     TrainOptions, Trainer, TrainingCheckpoint,
@@ -90,22 +89,14 @@ Global flags (any subcommand):
 Crash safety: train checkpoints atomically (default FILE.ckpt next to
 --out) and `--resume` continues a killed run with bit-identical curves.
 Dataset and model files are checksummed JSON, so an edited or truncated
-file is refused instead of read. predict and serve fall back to the
-route-tte baseline (exit code 2) when the model file is missing, fails
-its checksum, or is plain JSON from before model files were checksummed.
-";
+file is refused instead of read. predict, eval and serve exit 1 with the
+typed load error when the model file is missing, fails its checksum, or
+is plain JSON from before model files were checksummed; serve then
+exits before printing anything on stdout.
 
-/// How a successfully-dispatched command finished. `Degraded` maps to a
-/// dedicated exit code (2) so scripts can distinguish a fallback answer
-/// from a clean one without parsing output.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Outcome {
-    /// The command did exactly what was asked.
-    Ok,
-    /// The command produced an answer through a degraded path (e.g. the
-    /// route-tte fallback after a corrupt model file).
-    Degraded,
-}
+Exit codes: 0 ok, 1 error, 70 injected failpoint kill, 78 malformed
+DEEPOD_FAILPOINTS spec.
+";
 
 fn profile_of(name: &str) -> Result<CityProfile, String> {
     match name.to_ascii_lowercase().as_str() {
@@ -117,7 +108,7 @@ fn profile_of(name: &str) -> Result<CityProfile, String> {
 }
 
 /// A subcommand handler.
-type Handler = fn(&Args) -> Result<Outcome, String>;
+type Handler = fn(&Args) -> Result<(), String>;
 
 /// Every subcommand with the one list of flags it accepts (without the
 /// leading `--`; the global `--log-format` / `--metrics` are stripped
@@ -173,13 +164,13 @@ const SUBCOMMANDS: [(&str, &[&str], Handler); 6] = [
 ];
 
 /// Dispatches to the subcommand handlers.
-pub fn dispatch(argv: &[String]) -> Result<Outcome, String> {
+pub fn dispatch(argv: &[String]) -> Result<(), String> {
     let Some(cmd) = argv.first() else {
         return Err("no subcommand given".into());
     };
     if matches!(cmd.as_str(), "help" | "--help" | "-h") {
         println!("{USAGE}");
-        return Ok(Outcome::Ok);
+        return Ok(());
     }
     let Some((name, flags, handler)) = SUBCOMMANDS.iter().find(|(name, ..)| name == cmd) else {
         return Err(format!("unknown subcommand '{cmd}'"));
@@ -187,7 +178,7 @@ pub fn dispatch(argv: &[String]) -> Result<Outcome, String> {
     handler(&Args::parse(&argv[1..], name, flags)?)
 }
 
-fn simulate(args: &Args) -> Result<Outcome, String> {
+fn simulate(args: &Args) -> Result<(), String> {
     let profile = profile_of(args.require("profile")?)?;
     let orders = args.get_parsed("orders", 1_000usize)?;
     let out = args.require("out")?;
@@ -202,10 +193,10 @@ fn simulate(args: &Args) -> Result<Outcome, String> {
     );
     save_dataset(&ds, out)?;
     println!("wrote {out}");
-    Ok(Outcome::Ok)
+    Ok(())
 }
 
-fn train(args: &Args) -> Result<Outcome, String> {
+fn train(args: &Args) -> Result<(), String> {
     let data = args.require("data")?;
     let out = args.require("out")?;
     let ds = load_dataset(data)?;
@@ -297,7 +288,7 @@ fn train(args: &Args) -> Result<Outcome, String> {
     io_guard::write_checksummed(Path::new(out), json.as_bytes())
         .map_err(|e| format!("writing model: {e}"))?;
     println!("wrote {out}");
-    Ok(Outcome::Ok)
+    Ok(())
 }
 
 /// Loads a checksummed model file.
@@ -307,9 +298,9 @@ fn load_model(path: &str) -> Result<DeepOdModel, String> {
     DeepOdModel::load_json(json).map_err(|e| format!("parsing {path}: {e}"))
 }
 
-fn predict(args: &Args) -> Result<Outcome, String> {
+fn predict(args: &Args) -> Result<(), String> {
     let ds = load_dataset(args.require("data")?)?;
-    let model_path = args.require("model")?;
+    let model = load_model(args.require("model")?)?;
     let (fx, fy) = args.get_point("from")?;
     let (tx, ty) = args.get_point("to")?;
     let depart: f64 = args.get_parsed("depart", 0.0f64)?;
@@ -322,57 +313,24 @@ fn predict(args: &Args) -> Result<Outcome, String> {
     };
     let dist_km = od.origin.dist(&od.destination) / 1000.0;
 
-    // Graceful degradation: a missing or corrupt model file must not turn
-    // an ETA query into a hard failure. Fall back to the route-tte
-    // baseline (shortest route over historical segment speeds), warn
-    // loudly, and exit with the dedicated "degraded" code.
-    match load_model(model_path) {
-        Ok(model) => {
-            let ctx = FeatureContext::build(&ds, model.config.slot_seconds)
-                .map_err(|e| format!("model slot configuration: {e}"))?;
-            let reqs = [PredictRequest::Raw(od)];
-            match model.estimate_batch(&ctx, &ds.net, &reqs, 1).remove(0) {
-                Ok(resp) => {
-                    let eta = resp.eta_seconds;
-                    println!(
-                        "ETA: {eta:.0}s ({:.1} min) for {dist_km:.1} km crow-fly, \
-                         departing t = {depart:.0}s ({})",
-                        eta / 60.0,
-                        od.weather.label()
-                    );
-                    Ok(Outcome::Ok)
-                }
-                Err(e) => Err(e.to_string()),
-            }
-        }
-        Err(why) => {
-            deepod_core::obs::warn(
-                "cli",
-                "falling back to the route-tte baseline (degraded accuracy)",
-                &[("why", why.as_str().into())],
-            );
-            let mut fallback = RouteTtePredictor::new();
-            fallback.fit(&ds);
-            match fallback.predict(&od) {
-                Some(eta) => {
-                    println!(
-                        "ETA (route-tte fallback): {eta:.0}s ({:.1} min) for {dist_km:.1} km \
-                         crow-fly, departing t = {depart:.0}s ({})",
-                        eta / 60.0,
-                        od.weather.label()
-                    );
-                    Ok(Outcome::Degraded)
-                }
-                None => Err(format!(
-                    "model unusable ({why}) and the route-tte fallback could not match the \
-                     origin/destination to the road network"
-                )),
-            }
-        }
-    }
+    let ctx = FeatureContext::build(&ds, model.config.slot_seconds)
+        .map_err(|e| format!("model slot configuration: {e}"))?;
+    let reqs = [PredictRequest::Raw(od)];
+    let eta = model
+        .estimate_batch(&ctx, &ds.net, &reqs, 1)
+        .remove(0)
+        .map_err(|e| e.to_string())?
+        .eta_seconds;
+    println!(
+        "ETA: {eta:.0}s ({:.1} min) for {dist_km:.1} km crow-fly, \
+         departing t = {depart:.0}s ({})",
+        eta / 60.0,
+        od.weather.label()
+    );
+    Ok(())
 }
 
-fn eval_cmd(args: &Args) -> Result<Outcome, String> {
+fn eval_cmd(args: &Args) -> Result<(), String> {
     let ds = load_dataset(args.require("data")?)?;
     let model = load_model(args.require("model")?)?;
     let ctx = FeatureContext::build(&ds, model.config.slot_seconds)
@@ -404,7 +362,7 @@ fn eval_cmd(args: &Args) -> Result<Outcome, String> {
         m.mape_pct,
         m.mare_pct
     );
-    Ok(Outcome::Ok)
+    Ok(())
 }
 
 /// Builds the serving cache from `--cache-capacity` / `--cache-ttl-s`.
@@ -436,15 +394,14 @@ fn cache_tier(
     Ok(Some(std::sync::Arc::new(cache)))
 }
 
-fn serve(args: &Args) -> Result<Outcome, String> {
-    use deepod_core::InferenceModel;
+fn serve(args: &Args) -> Result<(), String> {
     use deepod_serve::net::{self, Submission};
     use deepod_serve::{Backend, EngineConfig, InferenceEngine};
     use std::io::{BufRead, Write};
     use std::sync::Arc;
 
     let ds = Arc::new(load_dataset(args.require("data")?)?);
-    let model_path = args.require("model")?;
+    let model = load_model(args.require("model")?)?;
     let config = EngineConfig {
         max_batch: args.get_parsed("max-batch", 64usize)?,
         max_wait_ms: args.get_parsed("max-wait-ms", 5u64)?,
@@ -456,60 +413,27 @@ fn serve(args: &Args) -> Result<Outcome, String> {
     };
     let reject_when_full = args.has_switch("reject-when-full");
 
-    // Same graceful degradation as `predict`: an unusable model file keeps
-    // the process serving through the route-tte baseline, each response
-    // flagged degraded, and the whole run exits with the degraded code.
-    let loaded = load_model(model_path);
-    let slot_seconds = match &loaded {
-        Ok(model) => model.config.slot_seconds,
-        Err(_) => DeepOdConfig::default().slot_seconds,
-    };
-    let ctx =
-        FeatureContext::build(&ds, slot_seconds).map_err(|e| format!("slot configuration: {e}"))?;
-    let (backend, degraded_backend) = match loaded {
-        Ok(model) => (
-            Backend::Inference(Arc::new(InferenceModel::from_model(&model))),
-            false,
-        ),
-        Err(why) => {
-            deepod_core::obs::warn(
-                "serve",
-                "model unusable; serving route-tte fallback answers (degraded)",
-                &[("why", why.as_str().into())],
-            );
-            let mut fallback = RouteTtePredictor::new();
-            fallback.fit(&ds);
-            (Backend::RouteTte(Box::new(fallback)), true)
-        }
-    };
-    // Cache. With an unusable model the process serves fallback answers
-    // only — those are degraded and must never be cached, so the cache
-    // stays off.
+    let ctx = FeatureContext::build(&ds, model.config.slot_seconds)
+        .map_err(|e| format!("model slot configuration: {e}"))?;
     let cache_capacity = args.get_parsed("cache-capacity", 0usize)?;
-    let cache_ttl_s = args.get_parsed("cache-ttl-s", 300.0f64)?;
-    let cache = if degraded_backend {
-        if cache_capacity > 0 {
-            deepod_core::obs::warn(
-                "serve",
-                "cache disabled: no usable model to cache answers from",
-                &[],
-            );
-        }
-        None
-    } else {
-        cache_tier(
-            &ds,
-            &ctx,
-            cache_capacity,
-            cache_ttl_s,
-            config.workers.max(1),
-        )?
-    };
+    let cache = cache_tier(
+        &ds,
+        &ctx,
+        cache_capacity,
+        args.get_parsed("cache-ttl-s", 300.0f64)?,
+        config.workers.max(1),
+    )?;
     let cache_enabled = cache.is_some();
-    let engine =
-        InferenceEngine::start_with_cache(backend, None, cache, ctx, Arc::clone(&ds), config);
+    let engine = InferenceEngine::start_with_cache(
+        Backend::Model(Box::new(model)),
+        None,
+        cache,
+        ctx,
+        Arc::clone(&ds),
+        config,
+    );
     if let Some(addr) = args.get("listen") {
-        return serve_listen(args, engine, ds, addr, degraded_backend);
+        return serve_listen(args, engine, ds, addr);
     }
     deepod_core::obs::info(
         "serve",
@@ -524,7 +448,6 @@ fn serve(args: &Args) -> Result<Outcome, String> {
                 "retry_budget",
                 u64::from(engine.config().retry_budget).into(),
             ),
-            ("degraded", degraded_backend.into()),
             ("cache", cache_enabled.into()),
             ("cache_capacity", cache_capacity.into()),
         ],
@@ -583,12 +506,7 @@ fn serve(args: &Args) -> Result<Outcome, String> {
     engine.shutdown();
     writer
         .join()
-        .map_err(|_| "response writer panicked".to_string())?;
-    if degraded_backend {
-        Ok(Outcome::Degraded)
-    } else {
-        Ok(Outcome::Ok)
-    }
+        .map_err(|_| "response writer panicked".to_string())
 }
 
 /// `serve --listen ADDR`: the TCP front end. The engine is shared with
@@ -600,8 +518,7 @@ fn serve_listen(
     engine: deepod_serve::InferenceEngine,
     ds: std::sync::Arc<deepod_traj::CityDataset>,
     addr: &str,
-    degraded_backend: bool,
-) -> Result<Outcome, String> {
+) -> Result<(), String> {
     use deepod_serve::net::{NetConfig, NetServer};
     use std::io::BufRead;
     use std::sync::Arc;
@@ -623,7 +540,6 @@ fn serve_listen(
             ("workers", engine.config().workers.into()),
             ("max_conns", net_config.max_connections.into()),
             ("max_in_flight", net_config.max_in_flight.into()),
-            ("degraded", degraded_backend.into()),
         ],
     );
     // First stdout line tells the parent where we actually bound (":0"
@@ -637,14 +553,10 @@ fn serve_listen(
     if let Ok(engine) = Arc::try_unwrap(engine) {
         engine.shutdown();
     } // else: a straggler still holds a clone; its Drop closes the engine
-    if degraded_backend {
-        Ok(Outcome::Degraded)
-    } else {
-        Ok(Outcome::Ok)
-    }
+    Ok(())
 }
 
-fn info(args: &Args) -> Result<Outcome, String> {
+fn info(args: &Args) -> Result<(), String> {
     let ds = load_dataset(args.require("data")?)?;
     let (min, max) = ds.net.bounding_box();
     println!("profile: {:?}", ds.config.profile);
@@ -685,7 +597,7 @@ fn info(args: &Args) -> Result<Outcome, String> {
         .sum::<f64>()
         / ds.train.len().max(1) as f64;
     println!("mean segments per trip: {mean_segs:.1}");
-    Ok(Outcome::Ok)
+    Ok(())
 }
 
 #[cfg(test)]

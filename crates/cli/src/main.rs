@@ -6,6 +6,8 @@
 //! * `train`    — train a DeepOD model on a dataset file, save the model.
 //! * `predict`  — load a model + dataset and answer one OD query.
 //! * `eval`     — load a model + dataset and report test MAE/MAPE/MARE.
+//! * `serve`    — load a model + dataset once and answer a stream of OD
+//!   queries over NDJSON stdin/stdout or TCP.
 //! * `info`     — print summary statistics of a dataset or model file.
 //!
 //! Global observability flags (stripped before subcommand dispatch):
@@ -15,6 +17,9 @@
 //!   (`off|error|warn|info|debug|trace`, default `warn`).
 //! * `--metrics FILE` — flush the process-wide metrics registry to FILE
 //!   as checksummed JSON at exit (also `DEEPOD_METRICS`).
+//!
+//! Exit codes: 0 ok, 1 error (a model file that does not load included),
+//! 70 injected failpoint kill, 78 malformed `DEEPOD_FAILPOINTS` spec.
 //!
 //! Example round trip:
 //!
@@ -31,15 +36,6 @@ mod commands;
 mod dataset_io;
 
 use std::process::ExitCode;
-
-/// Exit code for commands that succeeded through a degraded path (e.g.
-/// the route-tte prediction fallback): distinct from both success (0) and
-/// error (1) so callers can react without parsing output. The
-/// fault-injection kill action uses its own code
-/// ([`deepod_tensor::failpoint::KILL_EXIT_CODE`] = 70); a malformed
-/// `DEEPOD_FAILPOINTS` spec exits with
-/// [`deepod_tensor::failpoint::CONFIG_EXIT_CODE`] = 78.
-const EXIT_DEGRADED: u8 = 2;
 
 /// Removes `--flag value` from `argv` and returns the value, if present.
 fn extract_value(argv: &mut Vec<String>, flag: &str) -> Option<String> {
@@ -96,8 +92,7 @@ fn main() -> ExitCode {
     }
 
     match outcome {
-        Ok(commands::Outcome::Ok) => ExitCode::SUCCESS,
-        Ok(commands::Outcome::Degraded) => ExitCode::from(EXIT_DEGRADED),
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             eprintln!();

@@ -8,13 +8,13 @@
 //! * truncated or bit-flipped checkpoints are rejected with a typed
 //!   checksum error and exit code 1 — never a panic, never a silently
 //!   wrong model;
-//! * `predict` degrades to the route-tte baseline with exit code 2 when
+//! * `predict` exits 1 with the typed load error, and prints no ETA, when
 //!   the model file is missing or corrupt;
 //! * atomic writes never tear the destination file, even when the process
 //!   dies between writing the temp file and renaming it.
 //!
-//! Exit-code taxonomy under test: 0 ok, 1 error, 2 degraded fallback,
-//! 70 failpoint kill (simulated crash), 101 Rust panic.
+//! Exit-code taxonomy under test: 0 ok, 1 error, 70 failpoint kill
+//! (simulated crash), 101 Rust panic.
 
 use deepod_core::TrainReport;
 use std::path::PathBuf;
@@ -33,8 +33,7 @@ fn run(args: &[&str], failpoints: Option<&str>) -> Output {
     cmd.args(args);
     // Isolate every subprocess from the test environment; thread counts
     // are always passed explicitly for determinism, and observability is
-    // left at its defaults (the fallback warning asserted below rides on
-    // the default `warn` level).
+    // left at its defaults.
     for var in [
         "DEEPOD_FAILPOINTS",
         "DEEPOD_THREADS",
@@ -417,10 +416,10 @@ fn corrupt_checkpoints_are_rejected_with_typed_errors() {
 }
 
 #[test]
-fn predict_falls_back_to_route_tte_on_bad_model() {
+fn predict_exits_1_with_the_typed_load_error_on_bad_model() {
     let s = setup();
-    // Pull a real test-order OD so the fallback predictor can map-match
-    // it; `simulate` is deterministic, so rebuilding the same profile and
+    // A real test-order OD, so the request itself is answerable:
+    // `simulate` is deterministic, so rebuilding the same profile and
     // order count in-process reproduces the dataset the CLI wrote.
     let ds = deepod_traj::DatasetBuilder::build(&deepod_traj::DatasetConfig::for_profile(
         deepod_roadnet::CityProfile::SynthChengdu,
@@ -430,52 +429,48 @@ fn predict_falls_back_to_route_tte_on_bad_model() {
     let from = format!("{},{}", od.origin.x, od.origin.y);
     let to = format!("{},{}", od.destination.x, od.destination.y);
     let depart = od.depart.to_string();
+    let predict = |model: &str| {
+        run(
+            &[
+                "predict", "--data", &s.data, "--model", model, "--from", &from, "--to", &to,
+                "--depart", &depart,
+            ],
+            None,
+        )
+    };
 
-    // Missing model file → warning + fallback ETA + exit 2.
-    let out = run(
-        &[
-            "predict",
-            "--data",
-            &s.data,
-            "--model",
-            &s.path("no_such_model.json"),
-            "--from",
-            &from,
-            "--to",
-            &to,
-            "--depart",
-            &depart,
-        ],
-        None,
-    );
-    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr_of(&out));
-    assert!(
-        stderr_of(&out).contains("falling back"),
-        "{}",
-        stderr_of(&out)
-    );
-    assert!(
-        stdout_of(&out).contains("route-tte fallback"),
-        "{}",
-        stdout_of(&out)
-    );
+    // The baseline model answers the same query.
+    let out = predict(&s.path("baseline_model.json"));
+    assert!(out.status.success(), "stderr: {}", stderr_of(&out));
+    assert!(stdout_of(&out).starts_with("ETA: "), "{}", stdout_of(&out));
 
-    // Corrupt model file → same degraded path.
+    // A missing model file, and the baseline model with one payload digit
+    // changed: exit 1, the typed load error naming the file, no ETA.
+    let missing = s.path("no_such_model.json");
+    let mut bytes = std::fs::read(s.path("baseline_model.json")).expect("read model");
+    let digit = bytes
+        .iter()
+        .position(u8::is_ascii_digit)
+        .expect("a model has digits");
+    if let Some(b) = bytes.get_mut(digit) {
+        *b ^= 1; // '0' <-> '1', ..., '8' <-> '9'
+    }
     let corrupt = s.path("corrupt_model.json");
-    std::fs::write(&corrupt, "{definitely not a model").expect("write corrupt model");
-    let out = run(
-        &[
-            "predict", "--data", &s.data, "--model", &corrupt, "--from", &from, "--to", &to,
-            "--depart", &depart,
-        ],
-        None,
-    );
-    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr_of(&out));
-    assert!(
-        stdout_of(&out).contains("route-tte fallback"),
-        "{}",
-        stdout_of(&out)
-    );
+    std::fs::write(&corrupt, &bytes).expect("write corrupt model");
+    let cases = [
+        (&missing, format!("error: read {missing}: ")),
+        (&corrupt, format!("error: {corrupt}: checksum mismatch")),
+    ];
+    for (model, want) in &cases {
+        let out = predict(model);
+        assert_eq!(out.status.code(), Some(1), "stderr: {}", stderr_of(&out));
+        assert!(
+            stderr_of(&out).contains(want.as_str()),
+            "{}",
+            stderr_of(&out)
+        );
+        assert!(stdout_of(&out).is_empty(), "{}", stdout_of(&out));
+    }
 }
 
 #[test]

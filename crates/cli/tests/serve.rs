@@ -9,8 +9,9 @@
 //!   golden transcript (`golden/serve_rejects.*.ndjson`);
 //! * `--reject-when-full` turns overload into explicit typed
 //!   `queue_full` error lines instead of unbounded buffering;
-//! * a corrupt model file degrades to route-tte fallback answers
-//!   (`"degraded":true` on every reply, exit code 2), never a crash.
+//! * a missing or one-byte-corrupted model file is a typed load error
+//!   naming the file and exit code 1, in stdin and `--listen` mode alike,
+//!   before any reply or `{"listening":…}` line reaches stdout.
 
 use deepod_core::{DeepOdConfig, DeepOdModel, EmbeddingInit, FeatureContext};
 use deepod_roadnet::CityProfile;
@@ -237,26 +238,42 @@ fn reject_when_full_sheds_load_with_queue_full_errors() {
 }
 
 #[test]
-fn corrupt_model_serves_degraded_fallback_answers_and_exits_2() {
+fn unloadable_model_exits_1_with_the_typed_load_error() {
     let s = setup();
     let dir = std::env::temp_dir().join(format!("deepod_serve_suite_{}", std::process::id()));
-    let corrupt = dir.join("corrupt.json").display().to_string();
-    std::fs::write(&corrupt, "{ this is not a model").expect("write corrupt file");
+    let missing = dir.join("no_such_model.json").display().to_string();
+    // One digit of a weight changed: still valid JSON, still a plausible
+    // model, but not the bytes the checksum covers.
+    let mut bytes = std::fs::read(&s.model).expect("read model file");
+    let digit = bytes
+        .iter()
+        .position(u8::is_ascii_digit)
+        .expect("a model has digits");
+    if let Some(b) = bytes.get_mut(digit) {
+        *b ^= 1; // '0' <-> '1', ..., '8' <-> '9'
+    }
+    let corrupt = dir.join("corrupt_model.json").display().to_string();
+    std::fs::write(&corrupt, &bytes).expect("write corrupt file");
     let input: String = (0..8).map(|i| request_line(s, i) + "\n").collect();
-    let out = run_serve(&[], &corrupt, input);
-    assert_eq!(
-        out.status.code(),
-        Some(2),
-        "degraded serving uses the dedicated exit code: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let replies = replies(&out);
-    assert_eq!(replies.len(), 8, "fallback still answers every request");
-    for r in &replies {
-        assert!(
-            matches!(r, WireResponse::Ok { degraded: true, .. }),
-            "train ods resolve on the baseline, flagged degraded: {r:?}"
-        );
+    let cases = [
+        (&missing, format!("error: read {missing}: ")),
+        (&corrupt, format!("error: {corrupt}: checksum mismatch")),
+    ];
+    for (model, want) in &cases {
+        for mode in [&[][..], &["--listen", "127.0.0.1:0"][..]] {
+            let out = run_serve(mode, model, input.clone());
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{model} {mode:?}: {stderr}");
+            assert!(
+                stderr.contains(want.as_str()),
+                "{model} {mode:?}: the typed load error names the file: {stderr}"
+            );
+            assert!(
+                out.stdout.is_empty(),
+                "{model} {mode:?}: no reply and no listening line: {:?}",
+                String::from_utf8_lossy(&out.stdout)
+            );
+        }
     }
 }
 

@@ -134,6 +134,67 @@ fn table_row<'t>(
     rows.nth(i).ok_or(EstimateError::MalformedEncoding(what))
 }
 
+/// The dims of parameter `id`; an id that is not in the store is an error
+/// naming `what` reads it.
+fn dims_of<'s>(store: &'s ParamStore, id: ParamId, what: &str) -> Result<&'s [usize], String> {
+    store
+        .get(id)
+        .map(Tensor::dims)
+        .ok_or_else(|| format!("{what}: parameter {} is not in the store", id.index()))
+}
+
+/// Checks a two-layer MLP reading `input` values: `l1.w` is `[h, input]`,
+/// `l1.b` is `[h]`, `l2.w` is `[o, h]` and `l2.b` is `[o]`. Returns `o`.
+fn check_mlp(store: &ParamStore, mlp: &Mlp2, input: usize, what: &str) -> Result<usize, String> {
+    let mut width = input;
+    for l in [&mlp.l1, &mlp.l2] {
+        let out = match *dims_of(store, l.b, what)? {
+            [out] => out,
+            ref b => return Err(format!("{what}: bias shape {b:?} is not a vector")),
+        };
+        let w = dims_of(store, l.w, what)?;
+        if *w != [out, width] {
+            return Err(format!(
+                "{what}: weight shape {w:?}, expected [{out}, {width}]"
+            ));
+        }
+        width = out;
+    }
+    Ok(width)
+}
+
+/// Checks one conv + batch-norm block reading `channels` channels: the
+/// kernel is `[out, channels, kh, kw]` and every per-channel vector of
+/// the batch norm holds `out` values. Returns `out`.
+fn check_conv(
+    store: &ParamStore,
+    kernel: ParamId,
+    bn: &BatchNorm2d,
+    channels: usize,
+    what: &str,
+) -> Result<usize, String> {
+    let out = match *dims_of(store, kernel, what)? {
+        [out, c, _, _] if c == channels => out,
+        ref k => {
+            return Err(format!(
+                "{what}: kernel shape {k:?} does not read {channels} channels"
+            ))
+        }
+    };
+    let per_channel = [
+        dims_of(store, bn.gamma, what)?.to_vec(),
+        dims_of(store, bn.beta, what)?.to_vec(),
+        vec![bn.running_mean.len()],
+        vec![bn.running_var.len()],
+    ];
+    if per_channel.iter().any(|d| *d != [out]) {
+        return Err(format!(
+            "{what}: batch-norm widths {per_channel:?}, expected [{out}]"
+        ));
+    }
+    Ok(out)
+}
+
 /// The immutable estimation model (M_O + M_E).
 pub struct InferenceModel {
     road_emb: Arc<Tensor>,
@@ -170,6 +231,44 @@ impl InferenceModel {
             y_mean: m.y_mean,
             y_std: m.y_std,
         }
+    }
+
+    /// Checks what [`Self::from_model`] and the estimation forward read of
+    /// `m`: every parameter they lower is in the store, and every shape
+    /// chains into the next layer's input width. A model built in process
+    /// passes by construction; [`DeepOdModel::load_json`] runs this on every
+    /// file, so a model that loads is one that can answer without a panic.
+    pub(crate) fn check_shapes(m: &DeepOdModel) -> Result<(), String> {
+        let store = &m.store;
+        let ds = match *dims_of(store, m.road_emb.table, "road embedding")? {
+            [_, ds] => ds,
+            ref d => return Err(format!("road embedding shape {d:?} is not a matrix")),
+        };
+        let dt = match *dims_of(store, m.slot_emb.table, "slot embedding")? {
+            [_, dt] => dt,
+            ref d => return Err(format!("slot embedding shape {d:?} is not a matrix")),
+        };
+        let ext = &m.external_enc;
+        let mut channels = 1;
+        for (kernel, bn, what) in [
+            (ext.k1, &ext.bn1, "external conv1"),
+            (ext.k2, &ext.bn2, "external conv2"),
+            (ext.k3, &ext.bn3, "external conv3"),
+        ] {
+            channels = check_conv(store, kernel, bn, channels, what)?;
+        }
+        let ocode = check_mlp(
+            store,
+            &ext.mlp,
+            NUM_WEATHER_TYPES + channels,
+            "external MLP",
+        )?;
+        // Z⁹: both edge embeddings, the slot embedding (or the raw
+        // departure), `ocode` when used, and the three scalar features.
+        let time = if m.od_enc.embeds_time() { dt } else { 1 };
+        let external = if m.od_enc.uses_external() { ocode } else { 0 };
+        let code = check_mlp(store, &m.od_enc.mlp, 2 * ds + time + external + 3, "MLP1")?;
+        check_mlp(store, &m.head, code, "M_E head").map(|_| ())
     }
 
     /// The per-request checks, in the order the forward reads its inputs:

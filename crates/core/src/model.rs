@@ -542,9 +542,15 @@ impl DeepOdModel {
         serde_json::to_string(self).map_err(|e| ModelError::Serialization(e.to_string()))
     }
 
-    /// Loads a model from JSON.
+    /// Loads a model from JSON. A file is outside input: a model whose
+    /// parameters do not fit the estimation forward (an id outside the
+    /// store, a width that does not chain) is a typed error here, not a
+    /// panic at its first estimate.
     pub fn load_json(json: &str) -> Result<Self, ModelError> {
-        serde_json::from_str(json).map_err(|e| ModelError::Serialization(e.to_string()))
+        let model: DeepOdModel =
+            serde_json::from_str(json).map_err(|e| ModelError::Serialization(e.to_string()))?;
+        InferenceModel::check_shapes(&model).map_err(ModelError::Serialization)?;
+        Ok(model)
     }
 }
 
@@ -832,6 +838,123 @@ mod tests {
     fn garbage_json_is_a_serialization_error() {
         let err = DeepOdModel::load_json("{not json").map(|_| ()).unwrap_err();
         assert!(matches!(err, ModelError::Serialization(_)), "got {err:?}");
+    }
+
+    /// A dataset on a 3×3 block city and a trained model on it with every
+    /// width at 2–4 and one slot a day: the smallest model JSON (a few
+    /// KB) that still carries every tensor kind, so decode properties can
+    /// afford to parse every prefix of it.
+    fn micro_trained() -> (CityDataset, DeepOdModel) {
+        use deepod_roadnet::CityConfig;
+        use deepod_traffic::{CongestionModel, IncidentModel, TrafficModel, WeatherProcess};
+        use deepod_traj::OrderSimulator;
+        let config = DatasetConfig::for_profile(CityProfile::SynthChengdu, 40);
+        let net = CityConfig {
+            grid_x: 3,
+            grid_y: 3,
+            river_row: None,
+            ..CityConfig::profile(CityProfile::SynthChengdu)
+        }
+        .generate();
+        let days = config.train_days + config.val_days + config.test_days;
+        let mut rng = deepod_tensor::rng_from_seed(config.sim.seed);
+        let weather = WeatherProcess::sample(days as f64 * 86_400.0, 1800.0, &mut rng);
+        let traffic = TrafficModel::new(&net, CongestionModel::default(), weather, &mut rng)
+            .with_incidents(IncidentModel::none());
+        let orders = OrderSimulator::new(&net, &traffic, config.sim.clone()).simulate_orders(
+            config.num_orders,
+            0.0,
+            days,
+        );
+        let split = orders.len() / 2;
+        let ds = CityDataset {
+            validation: orders[split..].to_vec(),
+            test: orders[split..].to_vec(),
+            train: orders[..split].to_vec(),
+            net,
+            traffic,
+            config,
+        };
+        let cfg = DeepOdConfig {
+            init: EmbeddingInit::Random,
+            slot_seconds: 86_400.0,
+            ds: 2,
+            dt_dim: 2,
+            d1m: 2,
+            d2m: 2,
+            d3m: 2,
+            d4m: 2,
+            d5m: 2,
+            d6m: 2,
+            d7m: 2,
+            d9m: 2,
+            dh: 2,
+            dtraf: 2,
+            epochs: 1,
+            batch_size: 8,
+            ..DeepOdConfig::default()
+        };
+        let mut trainer = crate::Trainer::new(&ds, cfg, crate::TrainOptions::default())
+            .expect("trainer on the micro city");
+        trainer.train();
+        let model = trainer.into_model();
+        (ds, model)
+    }
+
+    /// The model reader as a decoder of untrusted bytes: a trained model
+    /// round-trips, every strict prefix of its JSON is a typed error, and
+    /// damaged bytes never panic it. Every model it accepts lowers to an
+    /// `InferenceModel` that answers a raw request without panicking.
+    #[test]
+    fn model_reader_decoder_properties() {
+        let (ds, model) = micro_trained();
+        let ctx = FeatureContext::build(&ds, model.config.slot_seconds).expect("valid slot size");
+        let od = PredictRequest::Raw(ds.test[0].od);
+        // One seed: the strict-prefix pass parses every prefix of the
+        // JSON, which dominates the cost and does not depend on the seed.
+        let checked = crate::decode_props::check_decoder(
+            7,
+            &model,
+            |m| m.save_json().expect("serializable model").into_bytes(),
+            |bytes| {
+                let json = std::str::from_utf8(bytes).map_err(|e| e.to_string())?;
+                DeepOdModel::load_json(json).map_err(|e| e.to_string())
+            },
+            |m| {
+                let answers = InferenceModel::from_model(m).estimate_batch(
+                    &ctx,
+                    &ds.net,
+                    std::slice::from_ref(&od),
+                    1,
+                );
+                match answers.len() {
+                    1 => Ok(()),
+                    n => Err(format!("{n} answers to one request")),
+                }
+            },
+        );
+        assert!(checked.is_ok(), "{checked:?}");
+    }
+
+    #[test]
+    fn a_model_that_does_not_fit_the_forward_is_a_load_error() {
+        let (ds, ctx, cfg) = tiny_setup();
+        let model = DeepOdModel::new(&cfg, &ds, &ctx).expect("valid test config");
+        let mut swapped = model.clone();
+        swapped.head.l1.w = swapped.road_emb.table;
+        let mut emptied = model;
+        emptied.store = ParamStore::new();
+        for (bad, want) in [
+            (swapped, "M_E head: weight shape"),
+            (emptied, "parameter 0 is not in the store"),
+        ] {
+            let json = bad.save_json().expect("serializable model");
+            let err = DeepOdModel::load_json(&json).map(|_| ()).unwrap_err();
+            assert!(
+                matches!(&err, ModelError::Serialization(why) if why.contains(want)),
+                "{err}"
+            );
+        }
     }
 
     #[test]

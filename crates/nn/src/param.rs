@@ -81,6 +81,12 @@ impl ParamStore {
         Arc::clone(&self.entries[id.0].value)
     }
 
+    /// The value of `id`, or `None` when `id` is not a parameter of this
+    /// store (a handle read from a file).
+    pub fn get(&self, id: ParamId) -> Option<&Tensor> {
+        self.entries.get(id.0).map(|e| &*e.value)
+    }
+
     /// Borrow of a parameter's current value.
     pub fn value(&self, id: ParamId) -> &Tensor {
         &self.entries[id.0].value

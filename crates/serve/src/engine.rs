@@ -24,7 +24,6 @@ use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use deepod_baselines::RouteTtePredictor;
 use deepod_core::obs::registry;
 use deepod_core::{
     DeepOdModel, EstimateError, FeatureContext, InferenceModel, PredictRequest, PredictResponse,
@@ -129,40 +128,28 @@ impl Default for EngineConfig {
     }
 }
 
-/// What answers requests: the real model, or the route-tte baseline when
-/// the model could not be loaded (graceful degradation — the process
-/// keeps serving, each reply is marked degraded).
+/// What answers requests: a loaded DeepOD model. A model file that does
+/// not load never reaches the engine — `deepod serve` exits with the
+/// typed load error instead.
 pub enum Backend {
     /// A loaded DeepOD model, lowered to an `InferenceModel` at engine
-    /// start; replies are not degraded.
+    /// start.
     Model(Box<DeepOdModel>),
     /// An already-lowered inference model (`deepod serve` passes
-    /// `InferenceModel::from_model` of the loaded model). Replies are not
-    /// degraded.
+    /// `InferenceModel::from_model` of the loaded model).
     Inference(Arc<InferenceModel>),
-    /// The shortest-route-over-historical-speeds fallback (must already be
-    /// fit); every reply is marked degraded.
-    RouteTte(Box<RouteTtePredictor>),
 }
 
 impl Backend {
-    /// What the workers run: both model variants lower to the one
-    /// immutable inference type, so a worker has one model arm.
-    fn lower(self) -> Replica {
+    /// What the workers run: both variants lower to the one immutable
+    /// inference type, which every worker reads through [`Shared`]; a
+    /// worker panic leaves nothing to rebuild.
+    fn lower(self) -> Arc<InferenceModel> {
         match self {
-            Backend::Model(m) => Replica::Model(Arc::new(InferenceModel::from_model(&m))),
-            Backend::Inference(m) => Replica::Model(m),
-            Backend::RouteTte(p) => Replica::RouteTte(p),
+            Backend::Model(m) => Arc::new(InferenceModel::from_model(&m)),
+            Backend::Inference(m) => m,
         }
     }
-}
-
-/// The lowered backend. Both arms answer through `&self`, so every worker
-/// reads the one copy in [`Shared`]; a worker panic leaves nothing to
-/// rebuild.
-pub(crate) enum Replica {
-    Model(Arc<InferenceModel>),
-    RouteTte(Box<RouteTtePredictor>),
 }
 
 /// One answer from the engine.
@@ -170,8 +157,8 @@ pub(crate) enum Replica {
 pub struct EngineReply {
     /// The prediction, or why this request could not be answered.
     pub result: Result<PredictResponse, EstimateError>,
-    /// `true` when the answer came from the route-tte fallback backend
-    /// the whole engine runs on.
+    /// Always `false`: the engine answers from the model only. Kept, with
+    /// the wire's `"degraded":false`, for one protocol version.
     pub degraded: bool,
 }
 
@@ -212,8 +199,8 @@ pub(crate) struct Pending {
     pub(crate) enqueued: Instant,
     /// Crash-retry count consumed so far (bounded by `retry_budget`).
     pub(crate) attempts: u32,
-    /// The cache key this request missed on at admission; a non-degraded
-    /// answer populates the cache under it.
+    /// The cache key this request missed on at admission; the answer
+    /// populates the cache under it.
     pub(crate) cache_key: Option<CacheKey>,
 }
 
@@ -236,7 +223,7 @@ pub(crate) struct Shared {
     /// workers. `None` keeps every path bit-identical to the cacheless
     /// engine.
     pub(crate) cache: Option<Arc<ServeCache>>,
-    pub(crate) backend: Replica,
+    pub(crate) model: Arc<InferenceModel>,
     pub(crate) ctx: FeatureContext,
     pub(crate) ds: Arc<CityDataset>,
 }
@@ -262,7 +249,7 @@ pub struct InferenceEngine {
 impl InferenceEngine {
     /// Starts the cacheless engine: registers its metric keys (so every
     /// snapshot carries them, even at zero) and spawns the supervised
-    /// workers, which all read the one lowered backend.
+    /// workers, which all read the one lowered model.
     pub fn start(
         backend: Backend,
         ctx: FeatureContext,
@@ -275,9 +262,9 @@ impl InferenceEngine {
     /// [`start`](InferenceEngine::start) plus a serving cache tier
     /// (DESIGN.md §15): raw requests are looked up in the cache *before*
     /// queue admission — a hit replies immediately without consuming
-    /// worker capacity — and every non-degraded model answer populates
-    /// the cache. `None` is the cacheless engine,
-    /// bit-identical to the historical behavior.
+    /// worker capacity — and every model answer populates the cache.
+    /// `None` is the cacheless engine, bit-identical to the historical
+    /// behavior.
     ///
     /// The second argument is uninhabited: the per-request route-tte
     /// fallback it once carried is gone, and it stays only so callers
@@ -291,7 +278,6 @@ impl InferenceEngine {
         config: EngineConfig,
     ) -> InferenceEngine {
         registry::counter_add("serve.requests", 0);
-        registry::counter_add("serve.degraded", 0);
         registry::counter_add("serve.rejected", 0);
         registry::counter_add("serve.worker_restarts", 0);
         registry::counter_add("serve.deadline_expired", 0);
@@ -315,7 +301,7 @@ impl InferenceEngine {
             space: Condvar::new(),
             config,
             cache: cache_tier,
-            backend: backend.lower(),
+            model: backend.lower(),
             ctx,
             ds,
         });

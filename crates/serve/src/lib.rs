@@ -28,15 +28,15 @@
 //!   [`InferenceEngine::try_submit`] rejects with
 //!   [`ServeError::QueueFull`] once the queue stays full through the
 //!   retry budget. A full queue is the engine's only queue-depth reject.
-//! * Graceful degradation — [`Backend::RouteTte`] serves baseline answers
-//!   (marked `degraded`) when the model file is unusable, instead of
-//!   taking the process down.
+//! * One backend — the engine answers from the loaded model only
+//!   ([`Backend`]); a model file that does not load is the caller's
+//!   typed error at startup, never a baseline answer.
 //! * [`cache`] — the serving cache (DESIGN.md §15): a bounded in-process
 //!   LRU ([`ServeCache`]) keyed on the exact request ([`CacheKey`]),
 //!   consulted **before queue admission** — a hit replies immediately
 //!   with the answer the miss path would have produced and never
 //!   consumes worker capacity; entries expire on wall-clock time-slot
-//!   boundaries, and degraded answers are never cached.
+//!   boundaries.
 //! * [`protocol`] — the versioned newline-delimited JSON wire format
 //!   (`"v":2`) the `deepod serve` subcommand speaks, identically over
 //!   stdin/stdout and TCP; pre-epoch departures are rejected per request
@@ -52,8 +52,8 @@
 //!   and the integration tests.
 //!
 //! Everything is instrumented through `deepod_core::obs`: queue depth
-//! gauge, batch-size and request-latency histograms, request / degraded /
-//! rejected / restart / deadline / retry counters — all registered
+//! gauge, batch-size and request-latency histograms, request / rejected /
+//! restart / deadline / retry counters — all registered
 //! eagerly so metric snapshots carry the keys even for an idle engine.
 
 pub mod cache;
@@ -419,27 +419,6 @@ mod tests {
             prop_assert_eq!(stats.hits + stats.misses, picks.len() as u64);
             cached.shutdown();
         }
-    }
-
-    #[test]
-    fn fallback_backend_marks_every_reply_degraded() {
-        use deepod_baselines::{RouteTtePredictor, TtePredictor};
-        let (ds, ctx, _model) = tiny_setup();
-        let mut fallback = RouteTtePredictor::new();
-        fallback.fit(&ds);
-        let engine = InferenceEngine::start(
-            Backend::RouteTte(Box::new(fallback)),
-            ctx,
-            Arc::clone(&ds),
-            EngineConfig::default(),
-        );
-        let rx = engine
-            .submit(PredictRequest::Raw(od_of(&ds, 1)))
-            .expect("queue accepts");
-        let reply = rx.recv().expect("answered");
-        assert!(reply.degraded, "fallback answers are flagged");
-        assert!(reply.result.is_ok(), "train od resolves on the baseline");
-        engine.shutdown();
     }
 
     #[test]

@@ -177,7 +177,8 @@ pub enum WireResponse {
         id: u64,
         /// Estimated travel time in seconds.
         eta_seconds: f32,
-        /// The answer came from a degraded (fallback) path.
+        /// Always `false` from this server, which answers from the model
+        /// only; the field stays on the wire for one protocol version.
         degraded: bool,
     },
     /// A rejected or failed request. `id` is `None` when the line had no

@@ -3,7 +3,7 @@
 //!
 //! The loop is the historical single-worker engine loop, unchanged where
 //! it matters for bit-identity: wait for work, coalesce a batch anchored
-//! on the *oldest* request's wait time, run it through the backend, reply
+//! on the *oldest* request's wait time, run it through the model, reply
 //! in order. The fault-tolerance additions wrap around that core:
 //!
 //! * expired requests are swept out *before* the batch runs and answered
@@ -20,12 +20,11 @@
 
 use std::time::{Duration, Instant};
 
-use deepod_baselines::RouteTtePredictor;
 use deepod_core::obs::registry;
-use deepod_core::{EstimateError, PredictRequest, PredictResponse};
+use deepod_core::PredictRequest;
 use deepod_tensor::failpoint;
 
-use crate::engine::{EngineReply, Pending, Replica, ServeError, Shared};
+use crate::engine::{EngineReply, Pending, ServeError, Shared};
 
 /// The batching loop: wait for work, coalesce a micro-batch (size- or
 /// deadline-triggered), sweep expired requests, run the batch, reply,
@@ -129,10 +128,13 @@ fn process_batch(shared: &Shared, in_flight: &mut Option<Vec<Pending>>, batch: V
     failpoint::hit("serve::slow_batch");
     failpoint::hit("serve::worker_batch");
 
-    let results = compute_results(shared, &reqs);
+    let threads = shared.config.threads;
+    let results = shared
+        .model
+        .estimate_batch(&shared.ctx, &shared.ds.net, &reqs, threads);
 
     let cache = shared.cache.as_deref();
-    for (pending, (result, degraded)) in in_flight
+    for (pending, result) in in_flight
         .take()
         .unwrap_or_default()
         .into_iter()
@@ -142,15 +144,7 @@ fn process_batch(shared: &Shared, in_flight: &mut Option<Vec<Pending>>, batch: V
             "serve.request_latency_ms",
             pending.enqueued.elapsed().as_secs_f64() * 1e3,
         );
-        if degraded {
-            registry::counter_inc("serve.degraded");
-        }
-        // Populate the cache from a clean model answer. Degraded (fallback)
-        // answers are deliberately not cached: a cache must only ever
-        // replay the model's own bits.
-        if let (Some(cache), Some(key), false, Ok(resp)) =
-            (cache, pending.cache_key, degraded, &result)
-        {
+        if let (Some(cache), Some(key), Ok(resp)) = (cache, pending.cache_key, &result) {
             // Bounded by ServeCache's own LRU capacity + TTL eviction.
             // deepod-lint: allow(no-unbounded-cache)
             cache.insert(key, resp.eta_seconds, crate::cache::now_epoch_s());
@@ -163,44 +157,10 @@ fn process_batch(shared: &Shared, in_flight: &mut Option<Vec<Pending>>, batch: V
         }
         // A producer that dropped its receiver no longer wants the
         // answer; that is not the engine's problem.
-        let _ = pending.tx.send(Ok(EngineReply { result, degraded }));
-    }
-}
-
-/// Computes one `(result, degraded)` per request, in slot order: the
-/// model answers the whole batch in a single `estimate_batch` call (the
-/// bit-identity path); the route-tte backend answers request by request,
-/// every answer degraded.
-fn compute_results(
-    shared: &Shared,
-    reqs: &[PredictRequest],
-) -> Vec<(Result<PredictResponse, EstimateError>, bool)> {
-    match &shared.backend {
-        Replica::Model(model) => model
-            .estimate_batch(&shared.ctx, &shared.ds.net, reqs, shared.config.threads)
-            .into_iter()
-            .map(|r| (r, false))
-            .collect(),
-        Replica::RouteTte(predictor) => reqs
-            .iter()
-            .map(|r| (fallback_answer(predictor, r), true))
-            .collect(),
-    }
-}
-
-/// Answers one request through the route-tte fallback. Encoded requests
-/// carry model-specific features the baseline cannot consume, so they get
-/// the same per-request error an unmatchable raw request would.
-fn fallback_answer(
-    predictor: &RouteTtePredictor,
-    req: &PredictRequest,
-) -> Result<PredictResponse, EstimateError> {
-    match req {
-        PredictRequest::Raw(od) => predictor
-            .route_eta(od)
-            .map(|eta_seconds| PredictResponse { eta_seconds })
-            .ok_or(EstimateError::UnmatchedEndpoints),
-        PredictRequest::Encoded(_) => Err(EstimateError::UnmatchedEndpoints),
+        let _ = pending.tx.send(Ok(EngineReply {
+            result,
+            degraded: false,
+        }));
     }
 }
 

@@ -40,8 +40,8 @@ use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
 /// Exit status used by the `kill` action, chosen to be distinguishable
-/// from a clean exit (0), a reported error (1), a degraded fallback (2),
-/// and a Rust panic (101).
+/// from a clean exit (0), a reported error (1), a malformed failpoint
+/// spec ([`CONFIG_EXIT_CODE`], 78) and a Rust panic (101).
 pub const KILL_EXIT_CODE: i32 = 70;
 
 /// Exit status for a malformed `DEEPOD_FAILPOINTS` value (BSD `EX_CONFIG`).

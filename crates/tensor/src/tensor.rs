@@ -1,7 +1,7 @@
 //! The [`Tensor`] type: contiguous, row-major `f32` storage plus a shape.
 
 use crate::Shape;
-use serde::{Deserialize, Serialize};
+use serde::{json, Deserialize, Serialize};
 use std::fmt;
 
 /// A dense, contiguous, row-major `f32` tensor.
@@ -10,10 +10,31 @@ use std::fmt;
 /// gradients, speed matrices) is stored as `Tensor`s. The type is cheap to
 /// construct and clone-on-demand; it deliberately has no views or strides so
 /// backward passes stay easy to audit.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Serialize)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,
+}
+
+/// Reads the `{"shape":…,"data":…}` form `Serialize` writes, holding
+/// [`Tensor::from_vec`]'s invariant: a buffer whose length is not the
+/// shape's element count is a typed error, not a tensor.
+impl Deserialize for Tensor {
+    fn deserialize_json(v: &json::Value) -> Result<Self, json::Error> {
+        let shape = Shape::deserialize_json(json::obj_field(v, "shape")?)?;
+        let data = Vec::<f32>::deserialize_json(json::obj_field(v, "data")?)?;
+        match shape
+            .dims()
+            .iter()
+            .try_fold(1usize, |n, &d| n.checked_mul(d))
+        {
+            Some(numel) if numel == data.len() => Ok(Tensor { shape, data }),
+            _ => Err(json::Error::msg(format!(
+                "tensor data has {} elements, not the element count of shape {shape}",
+                data.len()
+            ))),
+        }
+    }
 }
 
 impl Tensor {
@@ -238,6 +259,21 @@ mod tests {
         assert!(!t.has_non_finite());
         t.as_mut_slice()[1] = f32::NAN;
         assert!(t.has_non_finite());
+    }
+
+    #[test]
+    fn deserializing_data_that_does_not_fit_its_shape_is_an_error() {
+        for bad in [
+            r#"{"shape":[[2,3]],"data":[1,2,3,4]}"#,
+            r#"{"shape":[[2,3]],"data":[1,2,3,4,5,6,7]}"#,
+            r#"{"shape":[[4294967296,4294967296,4294967296]],"data":[]}"#,
+        ] {
+            let err = serde_json::from_str::<Tensor>(bad).expect_err(bad);
+            assert!(err.to_string().contains("tensor data has"), "{bad}: {err}");
+        }
+        let ok: Tensor = serde_json::from_str(r#"{"shape":[[2,3]],"data":[1,2,3,4,5,6]}"#)
+            .expect("matching data loads");
+        assert_eq!((ok.dims(), ok.numel()), (&[2usize, 3][..], 6));
     }
 
     #[test]

@@ -51,6 +51,21 @@ unit_tests() {
     cargo test -q -p deepod-cli --bins
 }
 stage test       unit_tests
+# AddressSanitizer stage: the tensor crate's unit and integration tests
+# with ASan on, so an out-of-bounds read or write in the AVX kernel
+# module (the workspace's only `unsafe`) fails the gate. `-Zsanitizer`
+# needs a nightly toolchain; without one the stage prints that it was
+# skipped. `--lib --tests` leaves out the doctests, so rustdoc needs no
+# matching RUSTDOCFLAGS.
+asan() {
+  if cargo +nightly --version >/dev/null 2>&1; then
+    RUSTFLAGS=-Zsanitizer=address cargo +nightly test -q -p deepod-tensor \
+      --lib --tests --target x86_64-unknown-linux-gnu
+  else
+    echo "asan: skipped (no nightly toolchain, which -Zsanitizer=address needs)"
+  fi
+}
+stage asan       asan
 # Fault-injection stage: drives the real `deepod` binary under several
 # DEEPOD_FAILPOINTS schedules (epoch-boundary kill, mid-epoch step kill,
 # injected worker panic, torn-rename crash) and asserts lossless,
@@ -63,10 +78,11 @@ stage obs        cargo test -q -p deepod-cli --test observability
 # Serving stage: drives `deepod serve` over its stdin/stdout JSON
 # protocol — 1000 requests through one process in input order,
 # --reject-when-full overload answered only by typed queue_full rejects
-# (a full queue is the one queue-depth reject), corrupt-model
-# degradation to route-tte fallback answers with exit code 2, and the
-# stdin bytes of every request-level reject byte-equal to the frozen
-# golden transcript (crates/cli/tests/golden/serve_rejects.*.ndjson).
+# (a full queue is the one queue-depth reject), a missing or corrupt
+# model file refused with its typed load error and exit code 1 before
+# any stdout line (stdin and --listen mode), and the stdin bytes of
+# every request-level reject byte-equal to the frozen golden transcript
+# (crates/cli/tests/golden/serve_rejects.*.ndjson).
 stage serve      cargo test -q -p deepod-cli --test serve
 # Chaos stage: the same binary under DEEPOD_FAILPOINTS fault schedules
 # aimed at the serving engine (worker panic, slow batch, dropped reply,
